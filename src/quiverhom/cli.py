@@ -4,7 +4,8 @@ Commands: gate, ext, asreg, nakayama, cy, localcoh, verify.  Negative
 mathematical verdicts (not AS-regular, not CY) are successful runs and exit
 zero; nonzero exits are reserved for computation failures:
 
-    2  parse error (reported with line numbers)
+    2  parse or input error (parse errors carry line numbers; vertices in
+       object specs are 1-based)
     3  growth-gate rejection without --force
     4  stabilization / truncation failure (the report names the smallest
        parameter change expected to fix it)
@@ -117,22 +118,37 @@ def parse_rep_literal(text: str, quiver, fld: Field) -> Rep:
     return rep_from_matrices(quiver, dims, maps, side, fld)
 
 
+def _vertex(text: str, quiver) -> int:
+    """0-based index of the 1-based vertex named in an object spec."""
+    v = int(text)
+    if not 1 <= v <= quiver.vertex_count:
+        raise ValueError(f"vertex {v} out of range 1..{quiver.vertex_count}")
+    return v - 1
+
+
+def _at_least(text: str, least: int, what: str) -> int:
+    n = int(text)
+    if n < least:
+        raise ValueError(f"{what} {n} below {least}")
+    return n
+
+
 def resolve_rep_spec(spec: str, quiver, trunc: int, fld: Field) -> Rep:
     """Object specs: simple:<v>, injective:<v>[:<N>], free:<v>[:<N>],
-    uniserial:<v>:<len>, rep:<file>."""
+    uniserial:<v>:<len>, rep:<file>; vertices are 1-based."""
     parts = spec.split(":")
     kind = parts[0]
     try:
         if kind == "simple":
-            return simple(quiver, int(parts[1]) - 1, "left", fld)
+            return simple(quiver, _vertex(parts[1], quiver), "left", fld)
         if kind == "injective":
-            n = int(parts[2]) if len(parts) > 2 else min(3, trunc)
-            return truncated_injective(quiver, int(parts[1]) - 1, n, "right", fld)
+            n = _at_least(parts[2], 0, "degree") if len(parts) > 2 else min(3, trunc)
+            return truncated_injective(quiver, _vertex(parts[1], quiver), n, "right", fld)
         if kind == "free":
-            n = int(parts[2]) if len(parts) > 2 else min(3, trunc)
-            return truncated_free_rep(quiver, int(parts[1]) - 1, n, "left", fld)
+            n = _at_least(parts[2], 0, "degree") if len(parts) > 2 else min(3, trunc)
+            return truncated_free_rep(quiver, _vertex(parts[1], quiver), n, "left", fld)
         if kind == "uniserial":
-            return uniserial(quiver, int(parts[1]) - 1, int(parts[2]), "left", fld)
+            return uniserial(quiver, _vertex(parts[1], quiver), _at_least(parts[2], 1, "length"), "left", fld)
         if kind == "rep":
             with open(parts[1], encoding="utf-8") as fh:
                 return parse_rep_literal(fh.read(), quiver, fld)
@@ -166,7 +182,10 @@ def _load(args):
         quiver, file_field = parse_quiver(text)
     except QuiverParseError as exc:
         raise CliError(str(exc), EXIT_PARSE) from None
-    fld = Field.parse(args.field) if args.field else file_field
+    try:
+        fld = Field.parse(args.field) if args.field else file_field
+    except ValueError as exc:
+        raise CliError(f"--field: {exc}", EXIT_PARSE) from None
     return quiver, fld
 
 
@@ -210,6 +229,8 @@ def cmd_ext(args) -> tuple:
     report["config"]["module"] = args.module
     report["config"]["target"] = args.target
     report["config"]["degree"] = args.deg
+    if args.deg is not None and args.deg < 0:
+        raise CliError(f"--deg {args.deg}: cohomological degrees start at 0", EXIT_PARSE)
     degrees = [args.deg] if args.deg is not None else [0, 1]
     results = {}
     if args.module == "C":
@@ -217,7 +238,7 @@ def cmd_ext(args) -> tuple:
         if not args.target.startswith("simple:"):
             raise CliError("ext with module C needs target simple:<v>", EXIT_PARSE)
         try:
-            j = int(args.target.split(":")[1]) - 1
+            j = _vertex(args.target.split(":")[1], quiver)
         except (IndexError, ValueError) as exc:
             raise CliError(f"bad target spec {args.target!r}: {exc}", EXIT_PARSE) from None
         for i in degrees:
@@ -230,6 +251,9 @@ def cmd_ext(args) -> tuple:
     else:
         m = resolve_rep_spec(args.module, quiver, args.trunc, fld)
         n = resolve_rep_spec(args.target, quiver, args.trunc, fld)
+        if m.side != n.side:
+            raise CliError(f"side mismatch: {args.module} is a {m.side} module, "
+                           f"{args.target} a {n.side} module", EXIT_PARSE)
         for i in degrees:
             results[str(i)] = ext_fd(m, n, i).describe()
     report["tables"] = {"ext": results}
@@ -263,7 +287,7 @@ def cmd_nakayama(args) -> tuple:
         return report, EXIT_OK
     report["verdicts"] = {"applicable": True, "inner": nak.inner}
     report["tables"] = {"nakayama": nak.describe(),
-                        "dualizing": dualizing_report(quiver, args.trunc, args.mmax, fld)}
+                        "dualizing": dualizing_report(nak)}
     return report, EXIT_OK
 
 
@@ -274,6 +298,8 @@ def cmd_cy(args) -> tuple:
     if args.family:
         family = [resolve_rep_spec(s.strip(), quiver, args.trunc, fld)
                   for s in args.family.split(",")]
+        if len({x.side for x in family}) > 1:
+            raise CliError(f"side mismatch: --family {args.family} mixes left and right modules", EXIT_PARSE)
     else:
         family = [simple(quiver, v, "left", fld) for v in quiver.vertices]
         family += [truncated_free_rep(quiver, v, 2, "left", fld) for v in quiver.vertices]

@@ -9,14 +9,35 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# Miller-Rabin with the prime bases 2..41 decides primality for every
+# n < 3317044064679887385961981 (Sorenson and Webster, Math. Comp. 86 (2017))
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality below _MR_BOUND; ValueError at or above it."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MR_BOUND:
+        raise ValueError(f"characteristic {n} is beyond the proven primality bound {_MR_BOUND}")
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -315,15 +336,6 @@ def cokernel_data(m: Matrix):
     assert len(left) == dim
     proj = Matrix(m.field, [list(v) for v in left]) if left else Matrix.zeros(m.field, 0, m.rows)
     return dim, proj
-
-
-def image_coordinates(m: Matrix):
-    """Helper for quotient computations: returns (pivot columns of m, rref of m^T).
-
-    The pivot columns index a basis of the column space.
-    """
-    _, pivots = _rref(m)
-    return pivots
 
 
 def solve(m: Matrix, b) -> tuple | None:

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import Field, Matrix, Quotient, kernel_basis, rank, solve
-from .pathcoalg import AlgElement
+from .exactlin import Field, Matrix, Quotient, inverse, kernel_basis, rank, solve
+from .pathcoalg import AlgElement, convolve
 from .quiver import (
     Path,
     Quiver,
@@ -30,8 +30,12 @@ from .quiver import (
 from .repmod import (
     GradedPresentation,
     Rep,
+    _path_basis_rep,
+    _reverse_path,
     arrow_ends,
+    commutation_matrix,
     graded_form,
+    hom_space,
     linear_dual,
     zero_rep,
 )
@@ -52,28 +56,9 @@ def window_length(q: Quiver) -> int:
     return max(2, 2 * verdict.period)
 
 
-def _reverse_path(p: Path) -> Path:
-    return Path(p.target, p.source, tuple(reversed(p.arrows)))
-
-
 def reverse_alg(el: AlgElement) -> AlgElement:
     """Transport a dual-algebra element across the opposite-quiver dictionary."""
     return AlgElement(el.field, {_reverse_path(p): c for p, c in el.coeffs.items()})
-
-
-def alg_mul(a: AlgElement, b: AlgElement, trunc: int | None = None) -> AlgElement:
-    """Product a.b in A: traverse b first, then a (right-to-left convention)."""
-    f = a.field
-    out = {}
-    for p2, c2 in a.coeffs.items():
-        for p1, c1 in b.coeffs.items():
-            if p2.source != p1.target:
-                continue
-            p = compose(p2, p1)
-            if trunc is not None and p.length > trunc:
-                continue
-            out[p] = f.add(out.get(p, f.zero), f.mul(c2, c1))
-    return AlgElement(f, out)
 
 
 # ----------------------------------------------------------------------
@@ -132,29 +117,32 @@ def _entry_matmul(fld: Field, a, b):
         for j in range(cols):
             acc = AlgElement.zero(fld)
             for k in range(mid):
-                acc = acc + alg_mul(b[k][j], a[i][k])
+                acc = acc + convolve(b[k][j], a[i][k])
             row.append(acc)
         out.append(row)
     return out
 
 
-def free_term_basis(table, gens, degree: int) -> list:
-    """Basis [(gen index, path)] of the degree-d piece of a free left term."""
+def free_term_basis(table, gens, degree: int, target: int | None = None) -> list:
+    """Basis [(gen index, path)] of the degree-d piece of a free left term,
+    restricted to the paths ending at `target` when one is given."""
     out = []
     for g, (gv, gd) in enumerate(gens):
         ell = degree - gd
         if ell < 0 or ell > table.max_len:
             continue
         for p in table.by_length[ell]:
-            if p.source == gv:
+            if p.source == gv and (target is None or p.target == target):
                 out.append((g, p))
     return out
 
 
-def free_diff_matrix(fld: Field, table, gens_rows, gens_cols, entries, degree: int) -> Matrix:
-    """Degree-d matrix of a differential on the path bases of free terms."""
-    rows = free_term_basis(table, gens_rows, degree)
-    cols = free_term_basis(table, gens_cols, degree)
+def free_diff_matrix(fld: Field, table, gens_rows, gens_cols, entries, degree: int,
+                     target: int | None = None) -> Matrix:
+    """Degree-d matrix of a differential on the path bases of free terms,
+    restricted to the paths ending at `target` when one is given."""
+    rows = free_term_basis(table, gens_rows, degree, target)
+    cols = free_term_basis(table, gens_cols, degree, target)
     index = {bp: i for i, bp in enumerate(rows)}
     f = fld
     mat = [[f.zero] * len(cols) for _ in rows]
@@ -302,7 +290,7 @@ def minimalize(cx: FreeComplex) -> FreeComplex:
             for g in rows:
                 new_row = []
                 for r in cols:
-                    correction = alg_mul(alg_mul(entries[g0][r], inv_el), entries[g][r0])
+                    correction = convolve(convolve(entries[g0][r], inv_el), entries[g][r0])
                     new_row.append(entries[g][r] - correction)
                 new_entries.append(new_row)
             diffs[k] = new_entries
@@ -363,33 +351,6 @@ class ExtReport:
 # finite-dimensional Ext (Euler complex; no truncation involved)
 
 
-def _euler_matrix(m: Rep, n: Rep) -> Matrix:
-    """The map (+)_v Hom(M_v, N_v) -> (+)_a Hom(M_tail, N_head) whose kernel
-    is Hom(M, N) and cokernel Ext^1(M, N)."""
-    f = m.field
-    q = m.quiver
-    offsets = {}
-    total = 0
-    for v in q.vertices:
-        offsets[v] = total
-        total += n.dims[v] * m.dims[v]
-    rows = []
-    for ai, a in enumerate(q.arrows):
-        dom, cod = arrow_ends(m.side, a)
-        am, an = m.maps[ai], n.maps[ai]
-        for r in range(n.dims[cod]):
-            for c in range(m.dims[dom]):
-                row = [f.zero] * total
-                for k in range(m.dims[cod]):
-                    idx = offsets[cod] + r * m.dims[cod] + k
-                    row[idx] = f.add(row[idx], am[k, c])
-                for k in range(n.dims[dom]):
-                    idx = offsets[dom] + k * m.dims[dom] + c
-                    row[idx] = f.sub(row[idx], an[r, k])
-                rows.append(row)
-    return Matrix(f, rows) if rows else Matrix.zeros(f, 0, total)
-
-
 def ext_fd(m: Rep, n: Rep, i: int, with_basis: bool = False) -> ExtReport:
     """Ext^i between finite-dimensional representations on the same side.
 
@@ -405,7 +366,7 @@ def ext_fd(m: Rep, n: Rep, i: int, with_basis: bool = False) -> ExtReport:
         raise ValueError("negative cohomological degree")
     if i >= 2:
         return ExtReport("ext_fd", i, 0, note="hereditary scope: gldim <= 1", field=m.field)
-    big = _euler_matrix(m, n)
+    big = commutation_matrix(m, n)
     dim = (big.cols - rank(big)) if i == 0 else (big.rows - rank(big))
     report = ExtReport("ext_fd", i, dim, field=m.field)
     if not with_basis:
@@ -413,15 +374,13 @@ def ext_fd(m: Rep, n: Rep, i: int, with_basis: bool = False) -> ExtReport:
     f = m.field
     q = m.quiver
     if i == 0:
-        from .repmod import hom_space
-
         report.note = "basis: hom morphisms, one matrix per vertex"
         report.basis = hom_space(m, n)
         return report
     quot = Quotient(big)
     cocycles = []
     for j in range(quot.dim):
-        amb = _quotient_lift(f, quot, tuple(f.one if t == j else f.zero for t in range(quot.dim)))
+        amb = _quotient_lift(f, quot, _unit(f, quot.dim, j))
         per_arrow = []
         offset = 0
         for ai, a in enumerate(q.arrows):
@@ -439,13 +398,32 @@ def ext_fd(m: Rep, n: Rep, i: int, with_basis: bool = False) -> ExtReport:
 
 
 # ----------------------------------------------------------------------
-# Ext against the algebra, per (internal degree, vertex) block
+# graded blocks: labels, classes, label moves, and the Rep they assemble into
+
+
+def _unit(fld: Field, n: int, j: int) -> tuple:
+    return tuple(fld.one if t == j else fld.zero for t in range(n))
+
+
+def _quotient_lift(f: Field, quot: Quotient, coords):
+    """An ambient vector whose class has the given quotient coordinates."""
+    out = [f.zero] * quot.ambient_dim
+    proj = quot.projection
+    for j, c in enumerate(coords):
+        if f.is_zero(c):
+            continue
+        col = solve(proj, _unit(f, proj.rows, j))
+        if col is None:
+            raise AssertionError("quotient projection not surjective")
+        for idx, x in enumerate(col):
+            out[idx] = f.add(out[idx], f.mul(c, x))
+    return out
 
 
 class _Block:
-    """One graded block of Hom(term_k, A): basis labels and coordinates."""
+    """One graded block: basis labels and the classes of a kernel or cokernel on them."""
 
-    __slots__ = ("labels", "kind", "kernel", "quotient", "dim")
+    __slots__ = ("labels", "kind", "kernel", "quotient", "dim", "_index")
 
     def __init__(self, labels, kind, kernel=None, quotient=None):
         self.labels = labels
@@ -453,6 +431,14 @@ class _Block:
         self.kernel = kernel
         self.quotient = quotient
         self.dim = len(kernel) if kind == "ker" else quotient.dim
+        self._index = None
+
+    @property
+    def index(self) -> dict:
+        """Position of each label."""
+        if self._index is None:
+            self._index = {lab: i for i, lab in enumerate(self.labels)}
+        return self._index
 
     def coordinates(self, fld, vec):
         if self.kind == "coker":
@@ -466,24 +452,94 @@ class _Block:
         return sol
 
     def lift(self, fld, coords):
-        n = len(self.labels)
-        out = [fld.zero] * n
-        if self.kind == "ker":
-            for c, vec in zip(coords, self.kernel):
-                if not fld.is_zero(c):
-                    for idx, x in enumerate(vec):
-                        out[idx] = fld.add(out[idx], fld.mul(c, x))
-            return out
-        proj = self.quotient.projection
-        for j, c in enumerate(coords):
-            if fld.is_zero(c):
-                continue
-            col = solve(proj, tuple(fld.one if t == j else fld.zero for t in range(proj.rows)))
-            if col is None:
-                raise AssertionError("projection is not surjective")
-            for idx, x in enumerate(col):
-                out[idx] = fld.add(out[idx], fld.mul(c, x))
+        if self.kind == "coker":
+            return _quotient_lift(fld, self.quotient, coords)
+        out = [fld.zero] * len(self.labels)
+        for c, vec in zip(coords, self.kernel):
+            if not fld.is_zero(c):
+                for idx, x in enumerate(vec):
+                    out[idx] = fld.add(out[idx], fld.mul(c, x))
         return out
+
+
+def _push(fld: Field, labels, vec, move, dst_index: dict) -> tuple:
+    """Move an ambient vector along a map of basis labels.
+
+    Coordinate idx of `vec` is added at dst_index[move(labels[idx])]; labels
+    that `move` sends to None or outside the destination drop out.  Returns
+    the image and whether any nonzero coordinate landed.
+    """
+    out = [fld.zero] * len(dst_index)
+    landed = False
+    for idx, c in enumerate(vec):
+        if fld.is_zero(c):
+            continue
+        pos = dst_index.get(move(labels[idx]))
+        if pos is not None:
+            out[pos] = fld.add(out[pos], c)
+            landed = True
+    return out, landed
+
+
+def _left_mult(quiver: Quiver, ai: int):
+    """Label move (g, p) -> (g, a p): left multiplication by arrow ai."""
+    a = quiver.arrows[ai]
+    arrow = Path(a.source, a.target, (ai,))
+    return lambda lab: (lab[0], compose(arrow, lab[1])) if lab[1].target == a.source else None
+
+
+def _right_mult(quiver: Quiver, ai: int):
+    """Label move (g, q) -> (g, q a): right multiplication by arrow ai."""
+    a = quiver.arrows[ai]
+    arrow = Path(a.source, a.target, (ai,))
+    return lambda lab: (lab[0], compose(lab[1], arrow)) if lab[1].source == a.target else None
+
+
+def _strip_last(quiver: Quiver, ai: int):
+    """Label move (g, c) -> (g, c') where c = a c': strip arrow ai from the end."""
+    a = quiver.arrows[ai]
+    return lambda lab: ((lab[0], Path(lab[1].source, a.source, lab[1].arrows[:-1]))
+                        if lab[1].length and lab[1].arrows[-1] == ai else None)
+
+
+def _regenerate(trans: dict):
+    """Label move (g, q) -> (trans[g], q) along a generator translation."""
+    return lambda lab: (trans[lab[0]], lab[1]) if lab[0] in trans else None
+
+
+def _class_image(fld: Field, src: _Block, dst: _Block, move, j: int) -> tuple:
+    """Coordinates in `dst` of basis class j of `src` moved along `move`."""
+    amb = src.lift(fld, _unit(fld, src.dim, j))
+    return dst.coordinates(fld, _push(fld, src.labels, amb, move, dst.index)[0])
+
+
+def _graded_rep(quiver: Quiver, side: str, fld: Field, fibers: dict, image) -> Rep:
+    """The Rep whose fiber at v has the graded classes fibers[v], keyed (degree, j).
+
+    image(ai, dom, cod, d, j) gives (d2, coords), the image under arrow ai of
+    class (d, j) of fiber dom as coordinates over the classes (d2, r) of fiber
+    cod, or None for a zero image.
+    """
+    dims = [len(fibers[v]) for v in quiver.vertices]
+    index = {(v,) + key: pos for v in quiver.vertices for pos, key in enumerate(fibers[v])}
+    maps = []
+    for ai, a in enumerate(quiver.arrows):
+        dom, cod = arrow_ends(side, a)
+        mat = [[fld.zero] * dims[dom] for _ in range(dims[cod])]
+        for d, j in fibers[dom]:
+            hit = image(ai, dom, cod, d, j)
+            if hit is None:
+                continue
+            d2, coords = hit
+            for r, val in enumerate(coords):
+                if not fld.is_zero(val):
+                    mat[index[(cod, d2, r)]][index[(dom, d, j)]] = val
+        maps.append(Matrix(fld, mat) if dims[cod] and dims[dom] else Matrix.zeros(fld, dims[cod], dims[dom]))
+    return Rep(quiver, side, fld, dims, maps)
+
+
+# ----------------------------------------------------------------------
+# Ext against the algebra, per (internal degree, vertex) block
 
 
 class AlgebraExtEngine:
@@ -541,28 +597,6 @@ class AlgebraExtEngine:
         top = max(degs) if degs else 0
         return (-top, self.trunc - top)
 
-    def arrow_push(self, cx: FreeComplex, k: int, d: int, arrow_index: int, src_block: _Block, dst_block: _Block, vec):
-        """Apply right multiplication by an arrow to an ambient block vector.
-
-        Moves (d, target(b)) to (d+1, source(b)); returns ambient coordinates
-        in the destination block's label order.
-        """
-        f = self.fld
-        a = self.quiver.arrows[arrow_index]
-        arrow_path = Path(a.source, a.target, (arrow_index,))
-        dst_index = {lab: i for i, lab in enumerate(dst_block.labels)}
-        out = [f.zero] * len(dst_block.labels)
-        for idx, c in enumerate(vec):
-            if f.is_zero(c):
-                continue
-            g, q = src_block.labels[idx]
-            if q.source != a.target:
-                continue
-            pos = dst_index.get((g, compose(q, arrow_path)))
-            if pos is not None:
-                out[pos] = f.add(out[pos], c)
-        return out
-
 
 def _stable_zero_from(dims_by_degree: dict, lo: int, hi: int, window: int):
     """First degree D with the family zero on (D..hi], provided that tail is
@@ -611,9 +645,7 @@ def ext_vs_algebra(m: Rep, i: int, trunc: int, want_rep: bool = True) -> ExtRepo
     dims_by_degree = {}
     for d in range(d_min, d_max + 1):
         for w in m.quiver.vertices:
-            blk = engine.block(cx, i, d, w)
-            if blk.labels or blk.dim:
-                blocks[(d, w)] = blk
+            blk = blocks[(d, w)] = engine.block(cx, i, d, w)
             dims_by_degree[d] = dims_by_degree.get(d, 0) + blk.dim
     stable_from = _stable_zero_from(dims_by_degree, d_min, d_max, window)
     if stable_from is None:
@@ -638,48 +670,18 @@ def ext_vs_algebra(m: Rep, i: int, trunc: int, want_rep: bool = True) -> ExtRepo
         if blk.dim:
             support[w] = support.get(w, 0) + blk.dim
     if want_rep:
-        rep = _assemble_right_rep(engine, cx, i, blocks, d_min, d_max)
+        def image(ai, dom, cod, d, j):
+            dst = blocks.get((d + 1, cod))
+            if dst is None or not dst.dim:
+                return None
+            return d + 1, _class_image(m.field, blocks[(d, dom)], dst, _right_mult(m.quiver, ai), j)
+
+        fibers = {w: [(d, j) for d in range(d_min, d_max + 1) for j in range(blocks[(d, w)].dim)]
+                  for w in m.quiver.vertices}
+        rep = _graded_rep(m.quiver, "right", m.field, fibers, image)
     return ExtReport("ext_vs_algebra", i, total,
                      graded_dims={d: n for d, n in sorted(dims_by_degree.items()) if n},
                      vertex_support=support, rep=rep, certificate=certificate, field=m.field)
-
-
-def _assemble_right_rep(engine: AlgebraExtEngine, cx: FreeComplex, i: int, blocks: dict, d_min: int, d_max: int) -> Rep:
-    """Right-module Rep on the certified-finite block family."""
-    f = engine.fld
-    q = engine.quiver
-    k = 0 if i == 0 else 1
-    fibers = {w: [] for w in q.vertices}
-    for d in range(d_min, d_max + 1):
-        for w in q.vertices:
-            blk = blocks.get((d, w))
-            if blk and blk.dim:
-                for j in range(blk.dim):
-                    fibers[w].append((d, j))
-    dims = [len(fibers[w]) for w in q.vertices]
-    index = {}
-    for w in q.vertices:
-        for pos, key in enumerate(fibers[w]):
-            index[(w,) + key] = pos
-    maps = []
-    for ai, a in enumerate(q.arrows):
-        dom, cod = a.target, a.source  # right module: fiber(t) -> fiber(s)
-        mat = [[f.zero] * dims[dom] for _ in range(dims[cod])]
-        for d in range(d_min, d_max + 1):
-            src = blocks.get((d, dom))
-            dst = blocks.get((d + 1, cod))
-            if not src or not src.dim or not dst or not dst.dim:
-                continue
-            for j in range(src.dim):
-                coords = [f.one if t == j else f.zero for t in range(src.dim)]
-                amb = src.lift(f, coords)
-                pushed = engine.arrow_push(cx, k, d, ai, src, dst, amb)
-                out = dst.coordinates(f, pushed)
-                for r, val in enumerate(out):
-                    if not f.is_zero(val):
-                        mat[index[(cod, d + 1, r)]][index[(dom, d, j)]] = val
-        maps.append(Matrix(f, mat) if dims[cod] and dims[dom] else Matrix.zeros(f, dims[cod], dims[dom]))
-    return Rep(q, "right", f, dims, maps)
 
 
 # ----------------------------------------------------------------------
@@ -796,7 +798,6 @@ class PresentationModel:
     """
 
     def __init__(self, pres: GradedPresentation, trunc: int):
-        self.original_side = pres.side
         if pres.side == "right":
             q_op = opposite(pres.quiver)
             entries = tuple(tuple(reverse_alg(el) for el in row) for row in pres.entries)
@@ -804,50 +805,17 @@ class PresentationModel:
         self.pres = pres
         self.quiver = pres.quiver
         self.fld = pres.field
-        self.trunc = trunc
         self.table = enumerate_paths(self.quiver, trunc)
         self._blocks = {}
 
-    def f0_basis(self, d: int, v: int) -> list:
-        out = []
-        for g, (gv, gd) in enumerate(self.pres.generators):
-            ell = d - gd
-            if 0 <= ell <= self.trunc:
-                for p in self.table.by_length[ell]:
-                    if p.source == gv and p.target == v:
-                        out.append((g, p))
-        return out
-
-    def relation_image(self, d: int, v: int) -> Matrix:
-        """Columns: images of relation-level basis (r, p') with target(p') = v."""
-        f = self.fld
-        rows = self.f0_basis(d, v)
-        index = {bp: i for i, bp in enumerate(rows)}
-        cols = []
-        for r, (rv, rd) in enumerate(self.pres.relations):
-            ell = d - rd
-            if ell < 0 or ell > self.trunc:
-                continue
-            for p in self.table.by_length[ell]:
-                if p.source != rv or p.target != v:
-                    continue
-                vec = [f.zero] * len(rows)
-                for g in range(len(self.pres.generators)):
-                    for u, c in self.pres.entries[g][r].coeffs.items():
-                        if u.target != p.source:
-                            continue
-                        idx = index.get((g, compose(p, u)))
-                        if idx is not None:
-                            vec[idx] = f.add(vec[idx], c)
-                cols.append(vec)
-        if not rows:
-            return Matrix.zeros(f, 0, len(cols))
-        return Matrix.from_columns(f, [tuple(c) for c in cols], len(rows)) if cols else Matrix.zeros(f, len(rows), 0)
-
-    def block(self, d: int, v: int) -> Quotient:
+    def block(self, d: int, v: int) -> _Block:
+        """Block (d, v): the F0 labels ending at v modulo the relation image."""
         key = (d, v)
         if key not in self._blocks:
-            self._blocks[key] = Quotient(self.relation_image(d, v))
+            p = self.pres
+            image = free_diff_matrix(self.fld, self.table, p.generators, p.relations, p.entries, d, v)
+            self._blocks[key] = _Block(free_term_basis(self.table, p.generators, d, v), "coker",
+                                       quotient=Quotient(image))
         return self._blocks[key]
 
     def dim(self, d: int, v: int | None = None) -> int:
@@ -857,42 +825,12 @@ class PresentationModel:
 
     def arrow_action(self, d: int, arrow_index: int) -> Matrix:
         """Left multiplication by an arrow: block (d, source) -> (d+1, target)."""
-        f = self.fld
         a = self.quiver.arrows[arrow_index]
-        src_q = self.block(d, a.source)
-        dst_q = self.block(d + 1, a.target)
-        src_labels = self.f0_basis(d, a.source)
-        dst_labels = self.f0_basis(d + 1, a.target)
-        dst_index = {bp: i for i, bp in enumerate(dst_labels)}
-        arrow_path = Path(a.source, a.target, (arrow_index,))
-        cols = []
-        for j in range(src_q.dim):
-            coords = tuple(f.one if t == j else f.zero for t in range(src_q.dim))
-            amb = _quotient_lift(f, src_q, coords)
-            out = [f.zero] * len(dst_labels)
-            for idx, c in enumerate(amb):
-                if f.is_zero(c):
-                    continue
-                g, p = src_labels[idx]
-                pos = dst_index.get((g, compose(arrow_path, p)))
-                if pos is not None:
-                    out[pos] = f.add(out[pos], c)
-            cols.append(dst_q.reduce(out))
-        return Matrix.from_columns(f, cols, dst_q.dim) if cols else Matrix.zeros(f, dst_q.dim, 0)
-
-
-def _quotient_lift(f: Field, quot: Quotient, coords):
-    out = [f.zero] * quot.ambient_dim
-    proj = quot.projection
-    for j, c in enumerate(coords):
-        if f.is_zero(c):
-            continue
-        col = solve(proj, tuple(f.one if t == j else f.zero for t in range(proj.rows)))
-        if col is None:
-            raise AssertionError("quotient projection not surjective")
-        for idx, x in enumerate(col):
-            out[idx] = f.add(out[idx], f.mul(c, x))
-    return out
+        src = self.block(d, a.source)
+        dst = self.block(d + 1, a.target)
+        move = _left_mult(self.quiver, arrow_index)
+        cols = [_class_image(self.fld, src, dst, move, j) for j in range(src.dim)]
+        return Matrix.from_columns(self.fld, cols, dst.dim) if cols else Matrix.zeros(self.fld, dst.dim, 0)
 
 
 @dataclass
@@ -974,42 +912,25 @@ def rational_part(pres: GradedPresentation, trunc: int) -> RationalPartReport:
         )
     # drop the (certified-zero) tail so the assembled carrier is exactly Gamma
     torsion = {d: pv for d, pv in torsion.items() if d < first_zero or dims_by_degree.get(d, 0)}
-    fibers = {v: [] for v in q.vertices}
-    for d in sorted(torsion):
-        for v in q.vertices:
-            for jdx in range(len(torsion[d][v])):
-                fibers[v].append((d, jdx))
-    dims = [len(fibers[v]) for v in q.vertices]
-    index = {}
-    for v in q.vertices:
-        for pos, key in enumerate(fibers[v]):
-            index[(v,) + key] = pos
-    maps = []
-    for ai, a in enumerate(q.arrows):
-        dom, cod = a.source, a.target
-        mat = [[f.zero] * dims[dom] for _ in range(dims[cod])]
-        for d in sorted(torsion):
-            src_vecs = torsion[d][dom]
-            if not src_vecs or (d + 1) not in torsion:
-                continue
-            dst_vecs = torsion[d + 1][cod]
-            act = model.arrow_action(d, ai)
-            for jdx, vec in enumerate(src_vecs):
-                img = act.apply(vec)
-                if all(f.is_zero(x) for x in img):
-                    continue
-                cols = Matrix.from_columns(f, dst_vecs, len(img)) if dst_vecs else Matrix.zeros(f, len(img), 0)
-                sol = solve(cols, img)
-                if sol is None:
-                    raise AssertionError("torsion not closed under the radical action")
-                for r, val in enumerate(sol):
-                    if not f.is_zero(val):
-                        mat[index[(cod, d + 1, r)]][index[(dom, d, jdx)]] = val
-        maps.append(Matrix(f, mat) if dims[cod] and dims[dom] else Matrix.zeros(f, dims[cod], dims[dom]))
-    side = "left"
-    rep = Rep(q, side, f, dims, maps)
-    if pres.side == "right":
-        rep = Rep(pres.quiver, "right", f, dims, maps)
+    actions = {}
+
+    def image(ai, dom, cod, d, j):
+        if d + 1 not in torsion:
+            return None
+        if (d, ai) not in actions:
+            actions[(d, ai)] = model.arrow_action(d, ai)
+        img = actions[(d, ai)].apply(torsion[d][dom][j])
+        if all(f.is_zero(x) for x in img):
+            return None
+        dst_vecs = torsion[d + 1][cod]
+        cols = Matrix.from_columns(f, dst_vecs, len(img)) if dst_vecs else Matrix.zeros(f, len(img), 0)
+        sol = solve(cols, img)
+        if sol is None:
+            raise AssertionError("torsion not closed under the radical action")
+        return d + 1, sol
+
+    fibers = {v: [(d, j) for d in sorted(torsion) for j in range(len(torsion[d][v]))] for v in q.vertices}
+    rep = _graded_rep(pres.quiver, pres.side, f, fibers, image)
     cert = {"window": window, "zero_from_degree": first_zero,
             "certified_through": certified_through,
             "mode": "exact (module vanishes beyond a degree)" if exact_mode else "window policy"}
@@ -1074,36 +995,14 @@ def hom_into_C(pres: GradedPresentation, trunc: int) -> HomIntoCReport:
     d_lo = min(gen_degs)
     d_hi = trunc + min(gen_degs + rel_degs) if (gen_degs or rel_degs) else trunc
 
-    def hom_basis(gens, d):
-        out = []
-        for g, (gv, gd) in enumerate(gens):
-            ell = d - gd
-            if 0 <= ell <= trunc:
-                for c in model.table.by_length[ell]:
-                    if c.source == gv:
-                        out.append((g, c))
-        return out
-
+    # Hom(F0, C) -> Hom(F1, C) strips relation entries from the first-traversed
+    # end: the transpose of the presentation matrix on the same path bases
     kernels = {}
     dims_by_degree = {}
     for d in range(d_lo, d_hi + 1):
-        cols = hom_basis(pres_l.generators, d)
-        rows = hom_basis(pres_l.relations, d)
-        index = {bp: i for i, bp in enumerate(rows)}
-        mat = [[f.zero] * len(cols) for _ in rows]
-        for j, (g, c) in enumerate(cols):
-            for r in range(len(pres_l.relations)):
-                el = pres_l.entries[g][r]
-                for u, coeff in el.coeffs.items():
-                    lu = u.length
-                    if lu > c.length or c.arrows[:lu] != u.arrows:
-                        continue
-                    stripped = Path(u.target, c.target, c.arrows[lu:])
-                    idx = index.get((r, stripped))
-                    if idx is not None:
-                        mat[idx][j] = f.add(mat[idx][j], coeff)
-        big = Matrix(f, mat) if rows else Matrix.zeros(f, 0, len(cols))
-        kern = kernel_basis(big)
+        cols = free_term_basis(model.table, pres_l.generators, d)
+        big = free_diff_matrix(f, model.table, pres_l.generators, pres_l.relations, pres_l.entries, d)
+        kern = kernel_basis(big.transpose())
         kernels[d] = (cols, kern)
         dims_by_degree[d] = len(kern)
     phi = {}
@@ -1114,63 +1013,35 @@ def hom_into_C(pres: GradedPresentation, trunc: int) -> HomIntoCReport:
         phi[d] = (lhs, rhs)
         if lhs != rhs:
             phi_pass = False
-    # assemble the right-module structure: fibers by target(c), arrows strip
-    # their own last step and lower the degree by one
-    fiber_of = {}
+    # the right-module structure: fibers by target(c); an arrow strips its own
+    # last step and lowers the degree by one
     fibers = {v: [] for v in q.vertices}
-    for d in sorted(kernels):
-        cols, kern = kernels[d]
-        for jdx, vec in enumerate(kern):
+    for d, (cols, kern) in sorted(kernels.items()):
+        for j, vec in enumerate(kern):
             verts = {cols[idx][1].target for idx, x in enumerate(vec) if not f.is_zero(x)}
             if len(verts) != 1:
                 # kernel elements are target-homogeneous because the induced
                 # map preserves targets; a mix means a bug upstream
                 raise AssertionError("hom_into_C kernel element mixes fibers")
-            v = verts.pop()
-            fiber_of[(d, jdx)] = v
-            fibers[v].append((d, jdx))
-    dims = [len(fibers[v]) for v in q.vertices]
-    index_f = {}
-    for v in q.vertices:
-        for pos, key in enumerate(fibers[v]):
-            index_f[(v,) + key] = pos
-    maps = []
-    for ai, a in enumerate(q.arrows):
-        dom, cod = a.target, a.source  # right module side
-        mat = [[f.zero] * dims[dom] for _ in range(dims[cod])]
-        for d in sorted(kernels):
-            if d - 1 not in kernels:
-                continue
-            cols, kern = kernels[d]
-            cols_n, kern_n = kernels[d - 1]
-            idx_n = {bp: i for i, bp in enumerate(cols_n)}
-            for jdx, vec in enumerate(kern):
-                if fiber_of[(d, jdx)] != dom:
-                    continue
-                img = [f.zero] * len(cols_n)
-                hit = False
-                for idx, x in enumerate(vec):
-                    if f.is_zero(x):
-                        continue
-                    g, c = cols[idx]
-                    if c.length and c.arrows[-1] == ai:
-                        stripped = Path(c.source, a.source, c.arrows[:-1])
-                        pos = idx_n.get((g, stripped))
-                        if pos is not None:
-                            img[pos] = f.add(img[pos], x)
-                            hit = True
-                if not hit:
-                    continue
-                colmat = Matrix.from_columns(f, kern_n, len(img)) if kern_n else Matrix.zeros(f, len(img), 0)
-                sol = solve(colmat, img)
-                if sol is None:
-                    raise AssertionError("strip action left the kernel")
-                for r, val in enumerate(sol):
-                    if not f.is_zero(val):
-                        mat[index_f[(cod, d - 1, r)]][index_f[(dom, d, jdx)]] = val
-        maps.append(Matrix(f, mat) if dims[cod] and dims[dom] else Matrix.zeros(f, dims[cod], dims[dom]))
+            fibers[verts.pop()].append((d, j))
+    indexes = {d: {lab: i for i, lab in enumerate(cols)} for d, (cols, _) in kernels.items()}
+
+    def image(ai, dom, cod, d, j):
+        if d - 1 not in kernels:
+            return None
+        cols, kern = kernels[d]
+        kern_n = kernels[d - 1][1]
+        img, landed = _push(f, cols, kern[j], _strip_last(q, ai), indexes[d - 1])
+        if not landed:
+            return None
+        colmat = Matrix.from_columns(f, kern_n, len(img)) if kern_n else Matrix.zeros(f, len(img), 0)
+        sol = solve(colmat, img)
+        if sol is None:
+            raise AssertionError("strip action left the kernel")
+        return d - 1, sol
+
     out_side = "right" if pres.side == "left" else "left"
-    rep = Rep(pres.quiver, out_side, f, dims, maps)
+    rep = _graded_rep(pres.quiver, out_side, f, fibers, image)
     return HomIntoCReport(rep, {d: n for d, n in dims_by_degree.items() if n},
                           {"passes": phi_pass,
                            "degreewise": {str(d): {"hom_into_C": a, "rational_dual": b}
@@ -1191,70 +1062,33 @@ def dual_resolution_check(pres: GradedPresentation, trunc: int, depth: int) -> d
     """
     model = PresentationModel(pres, trunc)
     f = model.fld
+    table = model.table
     pres_l = model.pres
-
-    def term_basis(gens, d):
-        out = []
-        for g, (gv, gd) in enumerate(gens):
-            ell = d - gd
-            if 0 <= ell <= trunc:
-                for p in model.table.by_length[ell]:
-                    if p.source == gv:
-                        out.append((g, p))
-        return out
-
-    def d1_matrix(d):
-        rows = term_basis(pres_l.generators, d)
-        cols = term_basis(pres_l.relations, d)
-        index = {bp: i for i, bp in enumerate(rows)}
-        mat = [[f.zero] * len(cols) for _ in rows]
-        for j, (r, p) in enumerate(cols):
-            for g in range(len(pres_l.generators)):
-                for u, c in pres_l.entries[g][r].coeffs.items():
-                    if u.target != p.source:
-                        continue
-                    i = index.get((g, compose(p, u)))
-                    if i is not None:
-                        mat[i][j] = f.add(mat[i][j], c)
-        return (Matrix(f, mat) if rows else Matrix.zeros(f, 0, len(cols))), rows, cols
+    gens, rels, entries = pres_l.generators, pres_l.relations, pres_l.entries
 
     # kernel of F1 -> F0 degreewise, then a minimal free cover F2
-    gen_degs = [d for _, d in pres_l.relations]
-    k_lo = min(gen_degs) if gen_degs else 0
-    kernel_vecs = {}
-    for d in range(k_lo, depth + 2):
-        mat, rows, cols = d1_matrix(d)
-        kernel_vecs[d] = (cols, kernel_basis(mat))
+    rel_degs = [d for _, d in rels]
+    k_lo = min(rel_degs) if rel_degs else 0
+    kernel_vecs = {d: (free_term_basis(table, rels, d),
+                       kernel_basis(free_diff_matrix(f, table, gens, rels, entries, d)))
+                   for d in range(k_lo, depth + 2)}
     f2_gens = []
-    f2_elements = []
+    f2_columns = []  # per F2 generator: relation index -> {path: coefficient}
     for d in sorted(kernel_vecs):
         cols, kern = kernel_vecs[d]
         if not kern:
             continue
         # radical layer: arrow-push of kernel vectors from degree d-1
-        prev = kernel_vecs.get(d - 1)
-        radical_cols = []
-        if prev:
-            pcols, pkern = prev
+        span = []
+        if d - 1 in kernel_vecs:
+            pcols, pkern = kernel_vecs[d - 1]
             idx = {bp: i for i, bp in enumerate(cols)}
-            for ai, a in enumerate(pres_l.quiver.arrows):
-                arrow_path = Path(a.source, a.target, (ai,))
+            for ai in range(len(pres_l.quiver.arrows)):
+                move = _left_mult(pres_l.quiver, ai)
                 for vec in pkern:
-                    out = [f.zero] * len(cols)
-                    nonzero = False
-                    for k, x in enumerate(vec):
-                        if f.is_zero(x):
-                            continue
-                        r, p = pcols[k]
-                        if p.target != a.source:
-                            continue
-                        pos = idx.get((r, compose(arrow_path, p)))
-                        if pos is not None:
-                            out[pos] = f.add(out[pos], x)
-                            nonzero = True
-                    if nonzero:
-                        radical_cols.append(out)
-        span = [list(v) for v in radical_cols]
+                    out, landed = _push(f, pcols, vec, move, idx)
+                    if landed:
+                        span.append(out)
         base_rank = rank(Matrix(f, span)) if span else 0
         for vec in kern:
             trial = span + [list(vec)]
@@ -1265,44 +1099,23 @@ def dual_resolution_check(pres: GradedPresentation, trunc: int, depth: int) -> d
                 if len(verts) != 1:
                     raise AssertionError("kernel generator mixes fibers")
                 f2_gens.append((verts.pop(), d))
-                f2_elements.append((d, cols, tuple(vec)))
-
-    def d2_matrix(d):
-        rows = term_basis(pres_l.relations, d)
-        index = {bp: i for i, bp in enumerate(rows)}
-        cols = []
-        for gi, (gv, gd) in enumerate(f2_gens):
-            ell = d - gd
-            if ell < 0 or ell > trunc:
-                continue
-            gd_, gcols, gvec = f2_elements[gi]
-            for p in model.table.by_length[ell]:
-                if p.source != gv:
-                    continue
-                out = [f.zero] * len(rows)
-                for k, x in enumerate(gvec):
-                    if f.is_zero(x):
-                        continue
-                    r, pk = gcols[k]
-                    comp = compose(p, pk) if pk.target == p.source else None
-                    if comp is not None:
-                        pos = index.get((r, comp))
-                        if pos is not None:
-                            out[pos] = f.add(out[pos], x)
-                cols.append(out)
-        if not rows:
-            return Matrix.zeros(f, 0, len(cols))
-        return Matrix.from_columns(f, [tuple(c) for c in cols], len(rows)) if cols else Matrix.zeros(f, len(rows), 0)
+                column = {}
+                for (r, p), x in zip(cols, vec):
+                    if not f.is_zero(x):
+                        column.setdefault(r, {})[p] = x
+                f2_columns.append(column)
+    f2_entries = tuple(tuple(AlgElement(f, column.get(r)) for column in f2_columns)
+                       for r in range(len(rels)))
 
     table_rows = []
     all_exact = True
     for d in range(min(0, k_lo), depth + 1):
         m_d = model.dim(d)
-        f0_d = len(term_basis(pres_l.generators, d))
-        f1_d = len(term_basis(pres_l.relations, d))
-        mat2 = d2_matrix(d)
+        f0_d = len(free_term_basis(table, gens, d))
+        f1_d = len(free_term_basis(table, rels, d))
+        mat2 = free_diff_matrix(f, table, rels, f2_gens, f2_entries, d)
         f2_d = mat2.cols
-        r1 = rank(d1_matrix(d)[0])
+        r1 = rank(free_diff_matrix(f, table, gens, rels, entries, d))
         r2 = rank(mat2)
         exact_here = (r1 == f0_d - m_d) and (r2 == f1_d - r1) and (r2 == f2_d)
         all_exact = all_exact and exact_here
@@ -1323,33 +1136,13 @@ def _truncated_free_model(quiver: Quiver, u: int, m: int, fld: Field, table) -> 
     Fiber lists are ordered by (length, enumeration) so that stage m embeds
     into stage m+1 with stable indices.
     """
-    fibers = {v: [] for v in quiver.vertices}
-    for ell in range(min(m - 1, table.max_len) + 1):
-        for p in table.by_length[ell]:
-            if p.source == u:
-                fibers[p.target].append(p)
-    dims = [len(fibers[v]) for v in quiver.vertices]
-    index = {}
-    for v in quiver.vertices:
-        for i, p in enumerate(fibers[v]):
-            index[p] = (v, i)
-    maps = []
-    for ai, a in enumerate(quiver.arrows):
-        dom, cod = a.source, a.target
-        mat = [[fld.zero] * dims[dom] for _ in range(dims[cod])]
-        for j, p in enumerate(fibers[dom]):
-            if p.length + 1 <= m - 1:
-                bigger = Path(p.source, a.target, p.arrows + (ai,))
-                if bigger in index:
-                    v2, i2 = index[bigger]
-                    mat[i2][j] = fld.one
-        maps.append(Matrix(fld, mat) if dims[cod] and dims[dom] else Matrix.zeros(fld, dims[cod], dims[dom]))
-    rep = Rep(quiver, "left", fld, dims, maps)
+    paths = [p for p in table.paths(source=u) if p.length < m]
+    fibers = {v: [p for p in paths if p.target == v] for v in quiver.vertices}
     degrees = tuple(tuple(p.length for p in fibers[v]) for v in quiver.vertices)
-    return rep, degrees, fibers
+    return _path_basis_rep(quiver, "left", fld, paths, "append_last"), degrees, fibers
 
 
-def _gens1_semantic(cx: FreeComplex, model_fibers, quiver):
+def _gens1_semantic(model_fibers, quiver):
     """Map flat gens1 index -> (arrow index, basis path of the tail fiber)."""
     out = []
     for ai, a in enumerate(quiver.arrows):
@@ -1373,12 +1166,6 @@ class LocalCohReport:
 
     def dim(self, u: int, w: int, ell: int) -> int:
         return self.dims.get((u, w, ell), 0)
-
-    def total_by_degree(self) -> dict:
-        out = {}
-        for (u, w, ell), n in self.dims.items():
-            out[ell] = out.get(ell, 0) + n
-        return out
 
     def describe(self) -> dict:
         nv = max((u for (u, _, _) in self.dims), default=-1) + 1
@@ -1444,7 +1231,6 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
         """Flat generator index at stage m -> flat index at stage m+1."""
         rep_m, _, fib_m = models[(u, m)]
         rep_n, _, fib_n = models[(u, m + 1)]
-        cx_m, cx_n = resolutions[(u, m)], resolutions[(u, m + 1)]
         trans0 = {}
         pos_m = 0
         offsets_n = {}
@@ -1456,8 +1242,8 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
             for idx_p in range(rep_m.dims[v]):
                 trans0[pos_m] = offsets_n[v] + idx_p
                 pos_m += 1
-        sem_m = _gens1_semantic(cx_m, fib_m, rep_q)
-        sem_n = _gens1_semantic(cx_n, fib_n, rep_q)
+        sem_m = _gens1_semantic(fib_m, rep_q)
+        sem_n = _gens1_semantic(fib_n, rep_q)
         lookup_n = {lab: k for k, lab in enumerate(sem_n)}
         trans1 = {k: lookup_n[lab] for k, lab in enumerate(sem_m)}
         return trans0 if k_term == 0 else trans1
@@ -1466,32 +1252,14 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
         """Induced map on classes: stage m -> stage m+1 at block (d, w)."""
         src = get_block(u, m, d, w)
         dst = get_block(u, m + 1, d, w)
-        if src.dim == 0 and dst.dim == 0:
-            return Matrix.zeros(fld, 0, 0)
-        trans = gens_translation(u, m)
-        dst_index = {lab: k for k, lab in enumerate(dst.labels)}
-        cols = []
-        for j in range(src.dim):
-            coords = tuple(fld.one if t == j else fld.zero for t in range(src.dim))
-            amb = src.lift(fld, coords)
-            out = [fld.zero] * len(dst.labels)
-            for idx, c in enumerate(amb):
-                if fld.is_zero(c):
-                    continue
-                g, q = src.labels[idx]
-                g2 = trans.get(g)
-                if g2 is None:
-                    continue
-                pos = dst_index.get((g2, q))
-                if pos is not None:
-                    out[pos] = fld.add(out[pos], c)
-            cols.append(dst.coordinates(fld, out))
-        return Matrix.from_columns(fld, cols, dst.dim) if cols else Matrix.zeros(fld, dst.dim, 0)
+        if not src.dim:
+            return Matrix.zeros(fld, dst.dim, 0)
+        move = _regenerate(gens_translation(u, m))
+        cols = [_class_image(fld, src, dst, move, j) for j in range(src.dim)]
+        return Matrix.from_columns(fld, cols, dst.dim)
 
     dims = {}
     stabilized_at = {}
-    from .exactlin import inverse as _inverse
-
     for u in rep_q.vertices:
         for ell in range(ell_max + 1):
             d = -ell - n
@@ -1510,7 +1278,7 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
                 if ok:
                     for m in range(birth, m_max):
                         t = transition_matrix(u, m, d, w)
-                        if t.rows != t.cols or (t.rows and _inverse(t) is None):
+                        if t.rows != t.cols or (t.rows and inverse(t) is None):
                             ok = False
                             break
                 if not ok:
@@ -1529,8 +1297,7 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
         twist_note = "identically zero"
     cycle_products = {}
     if i == n and twist_sigma is not None and all(twist_sigma[v] == v for v in rep_q.vertices):
-        cycle_products = _cycle_products(rep_q, fld, engine, models, resolutions, get_block,
-                                         n, m_max, k_term)
+        cycle_products = _cycle_products(rep_q, fld, models, get_block, n, m_max, k_term)
     return LocalCohReport(i, n, dims, stabilized_at, ell_max, twist_sigma, twist_note,
                           cycle_products, fld, side)
 
@@ -1570,7 +1337,7 @@ def _match_twist(quiver: Quiver, dims: dict, ell_max: int):
     return tuple(matches[0]), note
 
 
-def _cycle_products(quiver, fld, engine, models, resolutions, get_block, n, m_max, k_term):
+def _cycle_products(quiver, fld, models, get_block, n, m_max, k_term):
     """Ratio of right-route to left-route composites around each cycle.
 
     Both composites connect the same stabilized one-dimensional blocks; the
@@ -1579,8 +1346,6 @@ def _cycle_products(quiver, fld, engine, models, resolutions, get_block, n, m_ma
     one-dimensional (true on the disjoint-cycle instances with identity
     vertex twist); returns {} when that fails.
     """
-    from .exactlin import inverse as _inverse
-
     cycles = _simple_cycles(quiver)
     out = {}
     m_star = m_max
@@ -1598,7 +1363,6 @@ def _cycle_products(quiver, fld, engine, models, resolutions, get_block, n, m_ma
         w = w0
         val = fld.one
         ok = True
-        cx = resolutions[(u0, m_star)]
         order = []
         cur_w = w0
         for _ in range(length):
@@ -1615,9 +1379,7 @@ def _cycle_products(quiver, fld, engine, models, resolutions, get_block, n, m_ma
                 if src.dim != 1 or dst.dim != 1:
                     ok = False
                     break
-                amb = src.lift(fld, (fld.one,))
-                pushed = engine.arrow_push(cx, k_term, d, b, src, dst, amb)
-                coord = dst.coordinates(fld, pushed)
+                coord = _class_image(fld, src, dst, _right_mult(quiver, b), 0)
                 if fld.is_zero(coord[0]):
                     ok = False
                     break
@@ -1649,8 +1411,8 @@ def _cycle_products(quiver, fld, engine, models, resolutions, get_block, n, m_ma
                     if src.dim != 1 or dst.dim != 1:
                         ok = False
                         break
-                    coord = _left_action_coord(quiver, fld, engine, models, resolutions,
-                                               get_block, b, src_u, dst_u, m_star, d, w0, k_term)
+                    coord = _left_action_coord(quiver, fld, models, get_block,
+                                               b, src_u, dst_u, m_star, d, w0, k_term)
                     if coord is None or fld.is_zero(coord):
                         ok = False
                         break
@@ -1663,14 +1425,11 @@ def _cycle_products(quiver, fld, engine, models, resolutions, get_block, n, m_ma
     return out
 
 
-def _left_action_coord(quiver, fld, engine, models, resolutions, get_block,
-                       b, src_u, dst_u, m, d, w, k_term):
+def _left_action_coord(quiver, fld, models, get_block, b, src_u, dst_u, m, d, w, k_term):
     """1x1 matrix entry of the map Ext(summand src_u) -> Ext(summand dst_u)
     induced by right multiplication with arrow b on the quotient modules."""
-    rep_s, _, fib_s = models[(src_u, m)]
-    rep_d, _, fib_d = models[(dst_u, m)]
-    cx_s = resolutions[(src_u, m)]
-    cx_d = resolutions[(dst_u, m)]
+    _, _, fib_s = models[(src_u, m)]
+    _, _, fib_d = models[(dst_u, m)]
     a = quiver.arrows[b]
     arrow_path = Path(a.source, a.target, (b,))
     # generator translation: gens(res of dst summand) -> gens(res of src summand)
@@ -1691,8 +1450,8 @@ def _left_action_coord(quiver, fld, engine, models, resolutions, get_block,
                 if comp in lookup_s:
                     trans[lookup_s[comp]] = gd_idx
     else:
-        sem_d = _gens1_semantic(cx_d, fib_d, quiver)
-        sem_s = _gens1_semantic(cx_s, fib_s, quiver)
+        sem_d = _gens1_semantic(fib_d, quiver)
+        sem_s = _gens1_semantic(fib_s, quiver)
         lookup_s = {lab: k for k, lab in enumerate(sem_s)}
         trans = {}
         for gd_idx, (ai, p) in enumerate(sem_d):
@@ -1700,22 +1459,7 @@ def _left_action_coord(quiver, fld, engine, models, resolutions, get_block,
                 gs_idx = lookup_s.get((ai, compose(p, arrow_path)))
                 if gs_idx is not None:
                     trans[gs_idx] = gd_idx
-    src = get_block(src_u, m, d, w)
-    dst = get_block(dst_u, m, d + 1, w)
-    amb = src.lift(fld, (fld.one,))
-    dst_index = {lab: k for k, lab in enumerate(dst.labels)}
-    out = [fld.zero] * len(dst.labels)
-    for idx, c in enumerate(amb):
-        if fld.is_zero(c):
-            continue
-        g, q = src.labels[idx]
-        g2 = trans.get(g)
-        if g2 is None:
-            continue
-        pos = dst_index.get((g2, q))
-        if pos is not None:
-            out[pos] = fld.add(out[pos], c)
-    coord = dst.coordinates(fld, out)
+    coord = _class_image(fld, get_block(src_u, m, d, w), get_block(dst_u, m, d + 1, w), _regenerate(trans), 0)
     return coord[0] if coord else None
 
 

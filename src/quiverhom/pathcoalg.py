@@ -127,9 +127,6 @@ class AlgElement:
     def degrees(self) -> set:
         return {p.length for p in self.coeffs}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def degree(self) -> int | None:
         """Degree of a homogeneous element (None for 0)."""
         degs = self.degrees()
@@ -173,28 +170,8 @@ class TruncatedDualAlgebra:
         )
 
     def convolve(self, f: AlgElement, g: AlgElement, n: int | None = None) -> AlgElement:
-        """(f g)(p) = sum of f(p2) g(p1) over splittings p = p2 * p1.
-
-        Exact in all degrees <= n (default: the truncation).  With this
-        convention p^ q^ = (p q)^ for composable paths, so path-duals
-        multiply like paths under the right-to-left composition.
-        """
-        n = self.truncation if n is None else n
-        fld = self.field
-        out = {}
-        for p2, c2 in f.coeffs.items():
-            for p1, c1 in g.coeffs.items():
-                if p2.source != p1.target:
-                    continue
-                p = compose(p2, p1)
-                if p.length > n:
-                    continue
-                prev = out.get(p, fld.zero)
-                out[p] = fld.add(prev, fld.mul(c2, c1))
-        return AlgElement(fld, out)
-
-    def evaluate(self, f: AlgElement, p: Path):
-        return f.coeffs.get(p, self.field.zero)
+        """The product f g, exact in all degrees <= n (default: the truncation)."""
+        return convolve(f, g, self.truncation if n is None else n)
 
     def radical_power_basis(self, m: int, n: int | None = None) -> list:
         """Dual-basis functionals of all paths of length in [m, n].
@@ -208,6 +185,26 @@ class TruncatedDualAlgebra:
         for ell in range(m, n + 1):
             out.extend(self.dual_path(p) for p in self.coalgebra.paths.by_length[ell])
         return out
+
+
+def convolve(f: AlgElement, g: AlgElement, n: int | None = None) -> AlgElement:
+    """(f g)(p) = sum of f(p2) g(p1) over splittings p = p2 * p1.
+
+    Products of degree above n are dropped (none when n is None).  With this
+    convention p^ q^ = (p q)^ for composable paths, so path-duals multiply
+    like paths under the right-to-left composition: traverse g first, then f.
+    """
+    fld = f.field
+    out = {}
+    for p2, c2 in f.coeffs.items():
+        for p1, c1 in g.coeffs.items():
+            if p2.source != p1.target:
+                continue
+            p = compose(p2, p1)
+            if n is not None and p.length > n:
+                continue
+            out[p] = fld.add(out.get(p, fld.zero), fld.mul(c2, c1))
+    return AlgElement(fld, out)
 
 
 @dataclass(frozen=True)

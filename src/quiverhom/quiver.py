@@ -47,9 +47,6 @@ class Quiver:
     def arrows_from(self, v: int) -> list:
         return [i for i, a in enumerate(self.arrows) if a.source == v]
 
-    def arrows_into(self, v: int) -> list:
-        return [i for i, a in enumerate(self.arrows) if a.target == v]
-
     def adjacency_counts(self) -> list:
         """counts[s][t] = number of arrows s -> t."""
         m = [[0] * self.vertex_count for _ in range(self.vertex_count)]
@@ -69,9 +66,6 @@ class Path:
     @property
     def length(self) -> int:
         return len(self.arrows)
-
-    def is_trivial(self) -> bool:
-        return not self.arrows
 
 
 def trivial_path(v: int) -> Path:

@@ -402,14 +402,10 @@ def cy_check(q: Quiver, family: list, trunc: int, m_max: int | None = None,
     }
 
 
-def dualizing_report(q: Quiver, trunc: int, m_max: int | None = None,
-                     fld: Field | None = None) -> dict:
+def dualizing_report(nak: NakayamaReport) -> dict:
     """Summary of the balanced dualizing complex of the completed algebra:
     the rank-one twisted free bimodule shifted by the global dimension, with
     the local-cohomology evidence block attached."""
-    fld = fld or Field(0)
-    m_max = m_max if m_max is not None else trunc
-    nak = nakayama(q, trunc, m_max, fld)
     n = nak.gldim
     if nak.inner == "yes":
         text = (f"balanced dualizing complex: A itself, shift {n}, twist inner "
@@ -424,5 +420,5 @@ def dualizing_report(q: Quiver, trunc: int, m_max: int | None = None,
         "twist": nak.twist.describe(),
         "inner": nak.inner,
         "evidence": nak.localcoh.describe(),
-        "field": fld.describe(),
+        "field": nak.field.describe(),
     }

@@ -76,9 +76,6 @@ class Rep:
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    def map_of(self, arrow_index: int) -> Matrix:
-        return self.maps[arrow_index]
-
     def is_zero(self) -> bool:
         return self.total_dim == 0
 
@@ -251,7 +248,7 @@ def truncated_free_rep(quiver: Quiver, vertex: int, n: int, side: str = "left", 
     # right free module e_v A / A-side truncation: paths with target v,
     # arrows prepend at the source end = transpose picture of the left case.
     paths = table.paths(target=vertex)
-    rep_left = _path_basis_rep(opposite(quiver), "left", field, [_reverse_path(quiver, p) for p in paths], "append_last")
+    rep_left = _path_basis_rep(opposite(quiver), "left", field, [_reverse_path(p) for p in paths], "append_last")
     return _from_opposite(quiver, rep_left, "right", field)
 
 
@@ -297,7 +294,8 @@ def uniserial(quiver: Quiver, start: int, length: int, side: str = "left", field
     return Rep(quiver, side, field, dims, maps)
 
 
-def _reverse_path(quiver: Quiver, p: Path) -> Path:
+def _reverse_path(p: Path) -> Path:
+    """The same arrows read in the opposite quiver."""
     return Path(p.target, p.source, tuple(reversed(p.arrows)))
 
 
@@ -306,27 +304,16 @@ def _from_opposite(quiver: Quiver, rep_op: Rep, side: str, field: Field) -> Rep:
     return Rep(quiver, side, field, rep_op.dims, rep_op.maps)
 
 
-def to_left_on_opposite(rep: Rep) -> tuple:
-    """Normalize a right Rep to a left Rep over the opposite quiver (and back)."""
-    if rep.side == "left":
-        return rep.quiver, rep
-    q_op = opposite(rep.quiver)
-    return q_op, Rep(q_op, "left", rep.field, rep.dims, rep.maps)
+def commutation_matrix(m: Rep, n: Rep) -> Matrix:
+    """The map (+)_v Hom(M_v, N_v) -> (+)_a Hom(M_tail, N_head) whose kernel
+    is Hom(M, N) and cokernel Ext^1(M, N).
 
-
-def hom_space(m: Rep, n: Rep) -> list:
-    """Basis of Hom(M, N): tuples of per-vertex matrices commuting with all arrows.
-
-    Computed as the kernel of one big commutation matrix; basis is canonical
-    (echelon kernel of that matrix).
+    The unknowns are per-vertex dims_n[v] x dims_m[v] matrices f_v, flattened
+    row-major in vertex order; the rows are the entries (r, c) of
+    f_cod * A_a - B_a * f_dom, arrow by arrow.
     """
-    if m.quiver is not n.quiver and m.quiver != n.quiver:
-        raise ValueError("representations live on different quivers")
-    if m.side != n.side:
-        raise ValueError("side mismatch")
     f = m.field
     q = m.quiver
-    # unknowns: per vertex v a dims_n[v] x dims_m[v] matrix, flattened row-major
     offsets = {}
     total = 0
     for v in q.vertices:
@@ -337,41 +324,47 @@ def hom_space(m: Rep, n: Rep) -> list:
         dom, cod = arrow_ends(m.side, a)
         am = m.maps[ai]
         an = n.maps[ai]
-        # constraint: f_cod * A_a - B_a * f_dom = 0, entries (r, c) with
-        # r in n.dims[cod], c in m.dims[dom]
         for r in range(n.dims[cod]):
             for c in range(m.dims[dom]):
                 row = [f.zero] * total
                 for k in range(m.dims[cod]):
-                    row[offsets[cod] + r * m.dims[cod] + k] = f.add(
-                        row[offsets[cod] + r * m.dims[cod] + k], am[k, c]
-                    )
+                    idx = offsets[cod] + r * m.dims[cod] + k
+                    row[idx] = f.add(row[idx], am[k, c])
                 for k in range(n.dims[dom]):
-                    row[offsets[dom] + k * m.dims[dom] + c] = f.sub(
-                        row[offsets[dom] + k * m.dims[dom] + c], an[r, k]
-                    )
+                    idx = offsets[dom] + k * m.dims[dom] + c
+                    row[idx] = f.sub(row[idx], an[r, k])
                 rows.append(row)
-    big = Matrix(f, rows) if rows else Matrix.zeros(f, 0, total)
-    basis = kernel_basis(big)
+    return Matrix(f, rows) if rows else Matrix.zeros(f, 0, total)
+
+
+def hom_space(m: Rep, n: Rep) -> list:
+    """Basis of Hom(M, N): tuples of per-vertex matrices commuting with all arrows.
+
+    Computed as the kernel of the commutation matrix; basis is canonical
+    (echelon kernel of that matrix).
+    """
+    if m.quiver is not n.quiver and m.quiver != n.quiver:
+        raise ValueError("representations live on different quivers")
+    if m.side != n.side:
+        raise ValueError("side mismatch")
+    f = m.field
     out = []
-    for vec in basis:
+    for vec in kernel_basis(commutation_matrix(m, n)):
         comps = []
-        for v in q.vertices:
+        offset = 0
+        for v in m.quiver.vertices:
             block = [
-                [vec[offsets[v] + r * m.dims[v] + c] for c in range(m.dims[v])]
+                [vec[offset + r * m.dims[v] + c] for c in range(m.dims[v])]
                 for r in range(n.dims[v])
             ]
             comps.append(Matrix(f, block) if n.dims[v] and m.dims[v] else Matrix.zeros(f, n.dims[v], m.dims[v]))
+            offset += n.dims[v] * m.dims[v]
         out.append(tuple(comps))
     return out
 
 
 def hom_dim(m: Rep, n: Rep) -> int:
     return len(hom_space(m, n))
-
-
-def identity_morphism(m: Rep) -> tuple:
-    return tuple(Matrix.identity(m.field, m.dims[v]) for v in m.quiver.vertices)
 
 
 def linear_dual(m: Rep) -> Rep:

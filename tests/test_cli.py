@@ -56,6 +56,18 @@ def test_parse_error_exit_two(quiver_file, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 2
     assert "line 2" in report["error"]
+    for spec in ("F4", "X", "F1000000000000000000000000000057"):
+        code = main(["gate", "--quiver", quiver_file(LOOP), "--field", spec, "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert "--field" in report["error"]
+
+
+def test_large_prime_field_is_quick(quiver_file, capsys):
+    code, report = run_json(
+        capsys, ["gate", "--quiver", quiver_file(LOOP), "--field", "F1000000000000000003", "--json"])
+    assert code == 0
+    assert report["config"]["field"] == "F1000000000000000003"
 
 
 def test_stabilization_exit_four(quiver_file, capsys):
@@ -239,6 +251,28 @@ def test_bad_object_spec_exits_two(quiver_file, capsys):
     report2 = json.loads(capsys.readouterr().out)
     assert code2 == 2
     assert "out of range" in report2["error"]
+    # vertices are 1-based; a bad vertex or a side mismatch is an input error
+    cases = [
+        (LOOP, ["--module", "simple:5", "--target", "A"], "vertex 5 out of range 1..1"),
+        (LOOP, ["--module", "uniserial:0:2", "--target", "A"], "vertex 0 out of range 1..1"),
+        (LOOP, ["--module", "free:0", "--target", "A"], "vertex 0 out of range 1..1"),
+        (TWO_CYCLE, ["--module", "C", "--target", "simple:3"], "vertex 3 out of range 1..2"),
+        (LOOP, ["--module", "injective:1", "--target", "simple:1"], "side mismatch"),
+        (LOOP, ["--module", "free:1:-1", "--target", "A"], "degree -1 below 0"),
+        (LOOP, ["--module", "uniserial:1:0", "--target", "A"], "length 0 below 1"),
+        (LOOP, ["--module", "C", "--target", "simple:1", "--deg", "-1"], "--deg -1"),
+    ]
+    for text, argv, message in cases:
+        code = main(["ext", "--quiver", quiver_file(text), *argv, "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert message in report["error"]
+    for family, message in (("injective:1,simple:1", "mixes left and right"),
+                            ("simple:2", "vertex 2 out of range 1..1")):
+        code = main(["cy", "--quiver", quiver_file(LOOP), "--family", family, "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert message in report["error"]
 
 
 def test_ext_injective_against_algebra(quiver_file, capsys):

@@ -29,6 +29,18 @@ def test_field_parse():
         Field.parse("R")
 
 
+def test_field_primality_is_deterministic_and_bounded():
+    assert Field(2**61 - 1).characteristic == 2**61 - 1
+    # 561 is a Carmichael number; 3825123056546413051 is a strong
+    # pseudoprime to every prime base up to 23
+    for composite in (561, 3825123056546413051):
+        with pytest.raises(ValueError, match="prime"):
+            Field(composite)
+    # 2^89 - 1 is prime but beyond the proven range of the base set
+    with pytest.raises(ValueError, match="bound"):
+        Field(2**89 - 1)
+
+
 def test_rank_empty_and_identity():
     assert rank(Matrix.zeros(Q, 0, 0)) == 0
     assert rank(Matrix.identity(Q, 2)) == 2

@@ -202,12 +202,12 @@ def test_cy_no_arrow():
 
 
 def test_dualizing_report_texts():
-    loop_report = dualizing_report(LOOP, 8, 6, Q)
+    loop_report = dualizing_report(nakayama(LOOP, 8, 6, Q))
     assert "CY-1" in loop_report["summary"]
     assert loop_report["shift"] == 1
-    two_report = dualizing_report(TWO_CYCLE, 10, 8, Q)
+    two_report = dualizing_report(nakayama(TWO_CYCLE, 10, 8, Q))
     assert "not inner" in two_report["summary"]
-    zero_report = dualizing_report(NO_ARROW, 6, 4, Q)
+    zero_report = dualizing_report(nakayama(NO_ARROW, 6, 4, Q))
     assert zero_report["shift"] == 0
 
 

@@ -64,7 +64,7 @@ def test_all_reports_serialize():
         inner_test(TWO_CYCLE, identity_twist(TWO_CYCLE), Q),
         chi_probe(TWO_CYCLE, 8, Q),
         cy_check(TWO_CYCLE, [s], 10, 8, Q),
-        dualizing_report(TWO_CYCLE, 10, 8, Q),
+        dualizing_report(nakayama(TWO_CYCLE, 10, 8, Q)),
     ]
     for payload in payloads:
         text = _roundtrips(payload)
