@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 
 import pytest
@@ -216,6 +218,33 @@ def test_ext_comodule_certificates_and_finality():
     large = ext_comodule_C(TWO_CYCLE, 0, 1, 13, Q)
     assert small.graded_dims == large.graded_dims
     assert small.certificate["window"] == 4
+
+
+# Ext^1_C(C, S_1) on both quivers has kernel classes that mix vertex blocks,
+# so its report depends on the column order of the strip matrix; the fixture
+# holds every (j, i) report at trunc 6, recorded on a trusted commit
+EXT_C_QUIVERS = {
+    "fork": parse_quiver("vertices: 3\narrow a 1 2\narrow b 1 3\n")[0],
+    "transitive": parse_quiver("vertices: 3\narrow a 1 2\narrow b 1 3\narrow c 2 3\n")[0],
+}
+EXT_C_FIXTURE = json.loads(
+    (pathlib.Path(__file__).parent / "fixtures" / "ext_comodule_C.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("key", sorted(EXT_C_FIXTURE))
+def test_ext_comodule_reports_pinned(key):
+    name, j, i = key.split()
+    report = ext_comodule_C(EXT_C_QUIVERS[name], int(j) - 1, int(i), 6, Q)
+    got = json.loads(json.dumps(report.describe()))
+    got["rep_dims"] = list(report.rep.dims) if report.rep is not None else None
+    assert got == EXT_C_FIXTURE[key]
+
+
+def test_ext_comodule_mixed_kernel_classes():
+    report = ext_comodule_C(EXT_C_QUIVERS["fork"], 0, 1, 6, Q)
+    assert report.total_dim == 3 and report.vertex_support == {1: 1, 2: 1}
+    assert report.note.startswith("kernel classes mix vertex blocks")
+    assert report.rep is None
 
 
 # ----------------------------------------------------------------- rational part
