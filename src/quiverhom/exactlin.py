@@ -223,9 +223,8 @@ class Matrix:
         return Matrix(f, [[f.mul(c, a) for a in row] for row in self.entries], cols=self.cols)
 
     def transpose(self) -> "Matrix":
-        if self.rows == 0 or self.cols == 0:
-            return Matrix.zeros(self.field, self.cols, self.rows)
-        return Matrix(self.field, [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Matrix(self.field, [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
+                      cols=self.rows)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
@@ -334,14 +333,14 @@ def cokernel_data(m: Matrix):
     left = kernel_basis(m.transpose())
     dim = m.rows - rank(m)
     assert len(left) == dim
-    proj = Matrix(m.field, [list(v) for v in left]) if left else Matrix.zeros(m.field, 0, m.rows)
+    proj = Matrix(m.field, [list(v) for v in left], cols=m.rows)
     return dim, proj
 
 
 def solve(m: Matrix, b) -> tuple | None:
     """A particular solution x of m x = b, or None if inconsistent."""
     f = m.field
-    aug = m.hstack(Matrix(f, [[x] for x in b]) if m.rows else Matrix.zeros(f, 0, 1))
+    aug = m.hstack(Matrix(f, [[x] for x in b], cols=1))
     a, pivots = _rref(aug)
     if m.cols in pivots:
         return None

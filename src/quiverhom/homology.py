@@ -30,6 +30,7 @@ from .quiver import (
 from .repmod import (
     GradedPresentation,
     Rep,
+    _free_cover,
     _path_basis_rep,
     _reverse_path,
     arrow_ends,
@@ -126,35 +127,23 @@ def _entry_matmul(fld: Field, a, b):
 def free_term_basis(table, gens, degree: int, target: int | None = None) -> list:
     """Basis [(gen index, path)] of the degree-d piece of a free left term,
     restricted to the paths ending at `target` when one is given."""
-    out = []
-    for g, (gv, gd) in enumerate(gens):
-        ell = degree - gd
-        if ell < 0 or ell > table.max_len:
-            continue
-        for p in table.by_length[ell]:
-            if p.source == gv and (target is None or p.target == target):
-                out.append((g, p))
-    return out
+    return [(g, p) for g, (gv, gd) in enumerate(gens)
+            for p in table.paths(source=gv, target=target, length=degree - gd)]
 
 
 def free_diff_matrix(fld: Field, table, gens_rows, gens_cols, entries, degree: int,
                      target: int | None = None) -> Matrix:
     """Degree-d matrix of a differential on the path bases of free terms,
     restricted to the paths ending at `target` when one is given."""
-    rows = free_term_basis(table, gens_rows, degree, target)
-    cols = free_term_basis(table, gens_cols, degree, target)
-    index = {bp: i for i, bp in enumerate(rows)}
-    f = fld
-    mat = [[f.zero] * len(cols) for _ in rows]
-    for j, (r, p) in enumerate(cols):
+    def images(lab):
+        r, p = lab
         for g in range(len(gens_rows)):
             for q, c in entries[g][r].coeffs.items():
-                if q.target != p.source:
-                    continue
-                i = index.get((g, compose(p, q)))
-                if i is not None:
-                    mat[i][j] = f.add(mat[i][j], c)
-    return Matrix(f, mat) if rows else Matrix.zeros(f, 0, len(cols))
+                if q.target == p.source:
+                    yield (g, compose(p, q)), c
+
+    return _label_matrix(fld, free_term_basis(table, gens_rows, degree, target),
+                         free_term_basis(table, gens_cols, degree, target), images)
 
 
 # ----------------------------------------------------------------------
@@ -187,57 +176,23 @@ def standard_resolution(m: Rep, degrees=None) -> FreeComplex:
         raise ValueError("standard_resolution expects a left module")
     if degrees is None:
         m, degrees = graded_form(m)
-    f = m.field
-    q = m.quiver
-    gens0 = []
-    index0 = {}
-    assignment = []
-    for v in q.vertices:
-        for i in range(m.dims[v]):
-            index0[(v, i)] = len(gens0)
-            gens0.append((v, degrees[v][i]))
-            assignment.append((v, i))
-    gens1 = []
-    cols = []
-    for ai, a in enumerate(q.arrows):
-        dom, cod = a.source, a.target
-        mat = m.maps[ai]
-        for c in range(m.dims[dom]):
-            gens1.append((cod, degrees[dom][c] + 1))
-            col = {index0[(dom, c)]: AlgElement.dual_path(f, Path(a.source, a.target, (ai,)))}
-            for r in range(m.dims[cod]):
-                if not f.is_zero(mat[r, c]):
-                    prev = col.get(index0[(cod, r)], AlgElement.zero(f))
-                    col[index0[(cod, r)]] = prev - AlgElement(f, {trivial_path(cod): mat[r, c]})
-            cols.append(col)
-    entries = tuple(
-        tuple(cols[r].get(g, AlgElement.zero(f)) for r in range(len(gens1)))
-        for g in range(len(gens0))
-    )
-    return FreeComplex(q, f, {0: tuple(gens0), 1: tuple(gens1)}, {1: entries},
-                       augmentation=(m, degrees, tuple(assignment)))
+    gens0, gens1, entries = _free_cover(m, degrees)
+    assignment = tuple((v, i) for v in m.quiver.vertices for i in range(m.dims[v]))
+    return FreeComplex(m.quiver, m.field, {0: gens0, 1: gens1}, {1: entries},
+                       augmentation=(m, degrees, assignment))
 
 
 def augmentation_matrix(cx: FreeComplex, table, degree: int):
     """Degree-d matrix of the augmentation term0 -> M and the M-side basis."""
     m, degrees, assignment = cx.augmentation
-    f = cx.fld
-    target_basis = []
-    tindex = {}
-    for v in m.quiver.vertices:
-        for i, d in enumerate(degrees[v]):
-            if d == degree:
-                tindex[(v, i)] = len(target_basis)
-                target_basis.append((v, i))
-    cols = free_term_basis(table, cx.terms[0], degree)
-    mat = [[f.zero] * len(cols) for _ in target_basis]
-    for j, (g, p) in enumerate(cols):
-        v0, i0 = assignment[g]
-        act = path_action(m, p)
-        for r in range(m.dims[p.target]):
-            if (p.target, r) in tindex and not f.is_zero(act[r, i0]):
-                mat[tindex[(p.target, r)]][j] = act[r, i0]
-    return (Matrix(f, mat) if target_basis else Matrix.zeros(f, 0, len(cols)), target_basis)
+    target_basis = [(v, i) for v in m.quiver.vertices for i, d in enumerate(degrees[v]) if d == degree]
+
+    def images(lab):
+        g, p = lab
+        return (((p.target, r), x) for r, x in enumerate(path_action(m, p).column(assignment[g][1])))
+
+    return (_label_matrix(cx.fld, target_basis, free_term_basis(table, cx.terms[0], degree), images),
+            target_basis)
 
 
 def resolution_exact_through(cx: FreeComplex, table, max_degree: int) -> bool:
@@ -389,7 +344,7 @@ def ext_fd(m: Rep, n: Rep, i: int, with_basis: bool = False) -> ExtReport:
                 [amb[offset + r * m.dims[dom] + c] for c in range(m.dims[dom])]
                 for r in range(n.dims[cod])
             ]
-            per_arrow.append(Matrix(f, block, cols=m.dims[dom]) if block else Matrix.zeros(f, n.dims[cod], m.dims[dom]))
+            per_arrow.append(Matrix(f, block, cols=m.dims[dom]))
             offset += n.dims[cod] * m.dims[dom]
         cocycles.append(tuple(per_arrow))
     report.note = "basis: cocycle representatives, one matrix per arrow"
@@ -481,6 +436,22 @@ def _push(fld: Field, labels, vec, move, dst_index: dict) -> tuple:
     return out, landed
 
 
+def _label_matrix(fld: Field, rows, cols, images) -> Matrix:
+    """The matrix on labelled bases whose column j is images(cols[j]).
+
+    images(label) yields (row label, coefficient) pairs; coefficients on the
+    same row add up, and row labels outside `rows` drop out.
+    """
+    index = {lab: i for i, lab in enumerate(rows)}
+    mat = [[fld.zero] * len(cols) for _ in rows]
+    for j, lab in enumerate(cols):
+        for row, c in images(lab):
+            i = index.get(row)
+            if i is not None:
+                mat[i][j] = fld.add(mat[i][j], c)
+    return Matrix(fld, mat, cols=len(cols))
+
+
 def _left_mult(quiver: Quiver, ai: int):
     """Label move (g, p) -> (g, a p): left multiplication by arrow ai."""
     a = quiver.arrows[ai]
@@ -502,8 +473,16 @@ def _strip_last(quiver: Quiver, ai: int):
                         if lab[1].length and lab[1].arrows[-1] == ai else None)
 
 
-def _regenerate(trans: dict):
-    """Label move (g, q) -> (trans[g], q) along a generator translation."""
+def _regenerate(src_gens, dst_gens, move):
+    """Label move (g, q) -> (g', q) along a generator translation: g' is the
+    generator of `dst_gens` whose label `move` sends to the label of g in
+    `src_gens`; generators of `src_gens` that nothing reaches drop out."""
+    src_index = {lab: g for g, lab in enumerate(src_gens)}
+    trans = {}
+    for k, lab in enumerate(dst_gens):
+        g = src_index.get(move(lab))
+        if g is not None:
+            trans[g] = k
     return lambda lab: (trans[lab[0]], lab[1]) if lab[0] in trans else None
 
 
@@ -520,22 +499,15 @@ def _graded_rep(quiver: Quiver, side: str, fld: Field, fibers: dict, image) -> R
     class (d, j) of fiber dom as coordinates over the classes (d2, r) of fiber
     cod, or None for a zero image.
     """
-    dims = [len(fibers[v]) for v in quiver.vertices]
-    index = {(v,) + key: pos for v in quiver.vertices for pos, key in enumerate(fibers[v])}
-    maps = []
-    for ai, a in enumerate(quiver.arrows):
-        dom, cod = arrow_ends(side, a)
-        mat = [[fld.zero] * dims[dom] for _ in range(dims[cod])]
-        for d, j in fibers[dom]:
-            hit = image(ai, dom, cod, d, j)
-            if hit is None:
-                continue
-            d2, coords = hit
-            for r, val in enumerate(coords):
-                if not fld.is_zero(val):
-                    mat[index[(cod, d2, r)]][index[(dom, d, j)]] = val
-        maps.append(Matrix(fld, mat) if dims[cod] and dims[dom] else Matrix.zeros(fld, dims[cod], dims[dom]))
-    return Rep(quiver, side, fld, dims, maps)
+    def arrow_matrix(ai, dom, cod):
+        def images(key):
+            hit = image(ai, dom, cod, *key)
+            return () if hit is None else (((hit[0], r), val) for r, val in enumerate(hit[1]))
+
+        return _label_matrix(fld, fibers[cod], fibers[dom], images)
+
+    maps = [arrow_matrix(ai, *arrow_ends(side, a)) for ai, a in enumerate(quiver.arrows)]
+    return Rep(quiver, side, fld, [len(fibers[v]) for v in quiver.vertices], maps)
 
 
 # ----------------------------------------------------------------------
@@ -558,39 +530,23 @@ class AlgebraExtEngine:
         self.trunc = trunc
         self.table = enumerate_paths(quiver, trunc)
 
-    def hom_basis(self, cx: FreeComplex, k: int, d: int, w: int) -> list:
-        out = []
-        for g, (gv, gd) in enumerate(cx.terms[k]):
-            ell = d + gd
-            if ell < 0 or ell > self.trunc:
-                continue
-            for q in self.table.by_length[ell]:
-                if q.target == gv and q.source == w:
-                    out.append((g, q))
-        return out
-
-    def hom_matrix(self, cx: FreeComplex, d: int, w: int) -> Matrix:
-        f = self.fld
-        rows = self.hom_basis(cx, 1, d, w)
-        cols = self.hom_basis(cx, 0, d, w)
-        index = {bp: i for i, bp in enumerate(rows)}
-        entries = cx.diffs[1]
-        mat = [[f.zero] * len(cols) for _ in rows]
-        for j, (g, q) in enumerate(cols):
-            for r in range(len(cx.terms[1])):
-                for u, c in entries[g][r].coeffs.items():
-                    if u.source != q.target:
-                        continue
-                    i = index.get((r, compose(u, q)))
-                    if i is not None:
-                        mat[i][j] = f.add(mat[i][j], c)
-        return Matrix(f, mat) if rows else Matrix.zeros(f, 0, len(cols))
-
     def block(self, cx: FreeComplex, i: int, d: int, w: int) -> _Block:
-        mat = self.hom_matrix(cx, d, w)
+        def labels(k):
+            return [(g, q) for g, (gv, gd) in enumerate(cx.terms[k])
+                    for q in self.table.paths(source=w, target=gv, length=d + gd)]
+
+        def images(lab):
+            g, q = lab
+            for r, entry in enumerate(cx.diffs[1][g]):
+                for u, c in entry.coeffs.items():
+                    if u.source == q.target:
+                        yield (r, compose(u, q)), c
+
+        rows, cols = labels(1), labels(0)
+        mat = _label_matrix(self.fld, rows, cols, images)
         if i == 0:
-            return _Block(self.hom_basis(cx, 0, d, w), "ker", kernel=kernel_basis(mat))
-        return _Block(self.hom_basis(cx, 1, d, w), "coker", quotient=Quotient(mat))
+            return _Block(cols, "ker", kernel=kernel_basis(mat))
+        return _Block(rows, "coker", quotient=Quotient(mat))
 
     def degree_range(self, cx: FreeComplex) -> tuple:
         degs = [gd for k in (0, 1) for _, gd in cx.terms[k]]
@@ -708,40 +664,19 @@ def ext_comodule_C(quiver: Quiver, j: int, i: int, trunc: int, fld: Field | None
     if i >= 2:
         return ExtReport("ext_comodule_C", i, 0, note="hereditary scope: gldim <= 1", field=fld)
     table = enumerate_paths(quiver, trunc)
-    outgoing = quiver.arrows_from(j)
 
-    def dst_basis(d):
-        if d < 0:
-            return []
-        return [p for p in table.by_length[d] if p.target == j]
-
-    def src_basis(d):
-        if d + 1 < 0 or d + 1 > trunc:
-            return []
-        out = []
-        for ai in outgoing:
-            head = quiver.arrows[ai].target
-            for p in table.by_length[d + 1]:
-                if p.target == head:
-                    out.append((ai, p))
-        return out
+    def strip(lab):
+        hit = _strip_last(quiver, lab[0])(lab)
+        return () if hit is None else ((hit[1], fld.one),)
 
     dims_by_degree = {}
     support_acc = {}
     mixed = False
     d_hi = trunc - 1
     for d in range(-1, d_hi + 1):
-        rows = dst_basis(d)
-        cols = src_basis(d)
-        index = {p: r for r, p in enumerate(rows)}
-        mat = [[fld.zero] * len(cols) for _ in rows]
-        for c, (ai, p) in enumerate(cols):
-            if p.length and p.arrows[-1] == ai:
-                stripped = Path(p.source, quiver.arrows[ai].source, p.arrows[:-1])
-                r = index.get(stripped)
-                if r is not None:
-                    mat[r][c] = fld.one
-        matx = Matrix(fld, mat) if rows else Matrix.zeros(fld, 0, len(cols))
+        cols = [(ai, p) for ai in quiver.arrows_from(j)
+                for p in table.paths(target=quiver.arrows[ai].target, length=d + 1)]
+        matx = _label_matrix(fld, table.paths(target=j, length=d), cols, strip)
         if i == 0:
             dim = matx.rows - rank(matx)
             dims_by_degree[d] = dim
@@ -830,7 +765,7 @@ class PresentationModel:
         dst = self.block(d + 1, a.target)
         move = _left_mult(self.quiver, arrow_index)
         cols = [_class_image(self.fld, src, dst, move, j) for j in range(src.dim)]
-        return Matrix.from_columns(self.fld, cols, dst.dim) if cols else Matrix.zeros(self.fld, dst.dim, 0)
+        return Matrix.from_columns(self.fld, cols, dst.dim)
 
 
 @dataclass
@@ -922,9 +857,7 @@ def rational_part(pres: GradedPresentation, trunc: int) -> RationalPartReport:
         img = actions[(d, ai)].apply(torsion[d][dom][j])
         if all(f.is_zero(x) for x in img):
             return None
-        dst_vecs = torsion[d + 1][cod]
-        cols = Matrix.from_columns(f, dst_vecs, len(img)) if dst_vecs else Matrix.zeros(f, len(img), 0)
-        sol = solve(cols, img)
+        sol = solve(Matrix.from_columns(f, torsion[d + 1][cod], len(img)), img)
         if sol is None:
             raise AssertionError("torsion not closed under the radical action")
         return d + 1, sol
@@ -941,21 +874,13 @@ def _kill_matrix(model: PresentationModel, d: int, v: int, k: int) -> Matrix:
     """Stacked matrix of all length-k path composites out of block (d, v)."""
     f = model.fld
     blk_dim = model.dim(d, v)
-    pieces = []
-    paths_k = [p for p in model.table.by_length[k] if p.source == v]
-    for p in paths_k:
+    rows = []
+    for p in model.table.paths(source=v, length=k):
         cur = Matrix.identity(f, blk_dim)
-        dd = d
-        for ai in p.arrows:
-            cur = model.arrow_action(dd, ai) * cur
-            dd += 1
-        pieces.append(cur)
-    if not pieces:
-        return Matrix.zeros(f, 0, blk_dim)
-    acc = pieces[0]
-    for more in pieces[1:]:
-        acc = acc.vstack(more)
-    return acc
+        for step, ai in enumerate(p.arrows):
+            cur = model.arrow_action(d + step, ai) * cur
+        rows.extend(cur.entries)
+    return Matrix(f, rows, cols=blk_dim)
 
 
 # ----------------------------------------------------------------------
@@ -1030,12 +955,10 @@ def hom_into_C(pres: GradedPresentation, trunc: int) -> HomIntoCReport:
         if d - 1 not in kernels:
             return None
         cols, kern = kernels[d]
-        kern_n = kernels[d - 1][1]
         img, landed = _push(f, cols, kern[j], _strip_last(q, ai), indexes[d - 1])
         if not landed:
             return None
-        colmat = Matrix.from_columns(f, kern_n, len(img)) if kern_n else Matrix.zeros(f, len(img), 0)
-        sol = solve(colmat, img)
+        sol = solve(Matrix.from_columns(f, kernels[d - 1][1], len(img)), img)
         if sol is None:
             raise AssertionError("strip action left the kernel")
         return d - 1, sol
@@ -1131,24 +1054,18 @@ def dual_resolution_check(pres: GradedPresentation, trunc: int, depth: int) -> d
 
 
 def _truncated_free_model(quiver: Quiver, u: int, m: int, fld: Field, table) -> tuple:
-    """(left Rep, degrees, fiber path lists) for A e_u / J^m.
+    """(left Rep, degrees, generator labels) for A e_u / J^m.
 
-    Fiber lists are ordered by (length, enumeration) so that stage m embeds
-    into stage m+1 with stable indices.
+    labels[k] names the generators of term k of its standard resolution in
+    their order there: (vertex, fiber path) for term 0 and (arrow, tail
+    fiber path) for term 1, so stages and summands translate by label.
     """
     paths = [p for p in table.paths(source=u) if p.length < m]
     fibers = {v: [p for p in paths if p.target == v] for v in quiver.vertices}
     degrees = tuple(tuple(p.length for p in fibers[v]) for v in quiver.vertices)
-    return _path_basis_rep(quiver, "left", fld, paths, "append_last"), degrees, fibers
-
-
-def _gens1_semantic(model_fibers, quiver):
-    """Map flat gens1 index -> (arrow index, basis path of the tail fiber)."""
-    out = []
-    for ai, a in enumerate(quiver.arrows):
-        for p in model_fibers[a.source]:
-            out.append((ai, p))
-    return out
+    labels = ([(v, p) for v in quiver.vertices for p in fibers[v]],
+              [(ai, p) for ai, a in enumerate(quiver.arrows) for p in fibers[a.source]])
+    return _path_basis_rep(quiver, "left", fld, paths, "append_last"), degrees, labels
 
 
 @dataclass
@@ -1210,15 +1127,15 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
         raise StabilizationError("m_max too small for any stabilized degree",
                                  f"increase m_max to at least {n + 2}")
     engine = AlgebraExtEngine(rep_q, fld, trunc)
-    # stage data per summand u: models, resolutions, blocks
-    models = {}
+    k_term = 0 if i == 0 else 1
+    # stage data per summand u: resolutions, generator labels, blocks
     resolutions = {}
+    gens = {}
     for u in rep_q.vertices:
         for m in range(1, m_max + 1):
-            rep, degrees, fibers = _truncated_free_model(rep_q, u, m, fld, engine.table)
-            models[(u, m)] = (rep, degrees, fibers)
+            rep, degrees, labels = _truncated_free_model(rep_q, u, m, fld, engine.table)
             resolutions[(u, m)] = standard_resolution(rep, degrees)
-    k_term = 0 if i == 0 else 1
+            gens[(u, m)] = labels[k_term]
     blocks = {}
 
     def get_block(u, m, d, w):
@@ -1227,34 +1144,13 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
             blocks[key] = engine.block(resolutions[(u, m)], i, d, w)
         return blocks[key]
 
-    def gens_translation(u, m):
-        """Flat generator index at stage m -> flat index at stage m+1."""
-        rep_m, _, fib_m = models[(u, m)]
-        rep_n, _, fib_n = models[(u, m + 1)]
-        trans0 = {}
-        pos_m = 0
-        offsets_n = {}
-        pos = 0
-        for v in rep_q.vertices:
-            offsets_n[v] = pos
-            pos += rep_n.dims[v]
-        for v in rep_q.vertices:
-            for idx_p in range(rep_m.dims[v]):
-                trans0[pos_m] = offsets_n[v] + idx_p
-                pos_m += 1
-        sem_m = _gens1_semantic(fib_m, rep_q)
-        sem_n = _gens1_semantic(fib_n, rep_q)
-        lookup_n = {lab: k for k, lab in enumerate(sem_n)}
-        trans1 = {k: lookup_n[lab] for k, lab in enumerate(sem_m)}
-        return trans0 if k_term == 0 else trans1
-
     def transition_matrix(u, m, d, w):
         """Induced map on classes: stage m -> stage m+1 at block (d, w)."""
         src = get_block(u, m, d, w)
         dst = get_block(u, m + 1, d, w)
         if not src.dim:
             return Matrix.zeros(fld, dst.dim, 0)
-        move = _regenerate(gens_translation(u, m))
+        move = _regenerate(gens[(u, m)], gens[(u, m + 1)], lambda lab: lab)
         cols = [_class_image(fld, src, dst, move, j) for j in range(src.dim)]
         return Matrix.from_columns(fld, cols, dst.dim)
 
@@ -1297,7 +1193,7 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
         twist_note = "identically zero"
     cycle_products = {}
     if i == n and twist_sigma is not None and all(twist_sigma[v] == v for v in rep_q.vertices):
-        cycle_products = _cycle_products(rep_q, fld, models, get_block, n, m_max, k_term)
+        cycle_products = _cycle_products(rep_q, fld, gens, get_block, n, m_max)
     return LocalCohReport(i, n, dims, stabilized_at, ell_max, twist_sigma, twist_note,
                           cycle_products, fld, side)
 
@@ -1337,7 +1233,7 @@ def _match_twist(quiver: Quiver, dims: dict, ell_max: int):
     return tuple(matches[0]), note
 
 
-def _cycle_products(quiver, fld, models, get_block, n, m_max, k_term):
+def _cycle_products(quiver, fld, gens, get_block, n, m_max):
     """Ratio of right-route to left-route composites around each cycle.
 
     Both composites connect the same stabilized one-dimensional blocks; the
@@ -1346,121 +1242,47 @@ def _cycle_products(quiver, fld, models, get_block, n, m_max, k_term):
     one-dimensional (true on the disjoint-cycle instances with identity
     vertex twist); returns {} when that fails.
     """
-    cycles = _simple_cycles(quiver)
     out = {}
-    m_star = m_max
-    for cyc in cycles:
-        arrows = cyc
-        length = len(arrows)
-        d0 = -length - n
+    for cyc in _simple_cycles(quiver):
+        d0 = -len(cyc) - n
         if -d0 + 1 > m_max:
             continue
-        u0 = quiver.arrows[arrows[0]].source
-        w0 = u0
-        # right-route: within summand u0, arrow actions move (d, t(b)) -> (d+1, s(b))
-        kappa = None
-        d = d0
-        w = w0
-        val = fld.one
-        ok = True
-        order = []
-        cur_w = w0
-        for _ in range(length):
-            b = next((ai for ai in arrows if quiver.arrows[ai].target == cur_w), None)
-            if b is None:
-                ok = False
-                break
-            order.append(b)
-            cur_w = quiver.arrows[b].source
-        if ok:
-            for b in order:
-                src = get_block(u0, m_star, d, w)
-                dst = get_block(u0, m_star, d + 1, quiver.arrows[b].source)
-                if src.dim != 1 or dst.dim != 1:
-                    ok = False
-                    break
-                coord = _class_image(fld, src, dst, _right_mult(quiver, b), 0)
-                if fld.is_zero(coord[0]):
-                    ok = False
-                    break
-                val = fld.mul(val, coord[0])
-                d += 1
-                w = quiver.arrows[b].source
-            kappa = val if ok else None
-        # left-route: across summands, rho_b-induced maps move summand s(b) to t(b)
-        mu = None
-        if ok:
-            d = d0
-            u = u0
-            val = fld.one
-            order2 = []
-            cur_u = u0
-            for _ in range(length):
-                b = next((ai for ai in arrows if quiver.arrows[ai].source == cur_u), None)
-                if b is None:
-                    ok = False
-                    break
-                order2.append(b)
-                cur_u = quiver.arrows[b].target
-            if ok:
-                for b in order2:
-                    src_u = quiver.arrows[b].source
-                    dst_u = quiver.arrows[b].target
-                    src = get_block(src_u, m_star, d, w0)
-                    dst = get_block(dst_u, m_star, d + 1, w0)
-                    if src.dim != 1 or dst.dim != 1:
-                        ok = False
-                        break
-                    coord = _left_action_coord(quiver, fld, models, get_block,
-                                               b, src_u, dst_u, m_star, d, w0, k_term)
-                    if coord is None or fld.is_zero(coord):
-                        ok = False
-                        break
-                    val = fld.mul(val, coord)
-                    d += 1
-                mu = val if ok else None
-        if ok and kappa is not None and mu is not None:
+        u0 = quiver.arrows[cyc[0]].source
+        # right route: within summand u0, arrow actions move (d, t(b)) -> (d+1, s(b))
+        kappa = _route_product(fld, (
+            (get_block(u0, m_max, d0 + k, quiver.arrows[b].target),
+             get_block(u0, m_max, d0 + k + 1, quiver.arrows[b].source),
+             _right_mult(quiver, b))
+            for k, b in enumerate(reversed(cyc))))
+        if kappa is None:
+            continue
+        # left route: across summands, right multiplication by b on the
+        # quotient modules moves summand s(b) to t(b)
+        mu = _route_product(fld, (
+            (get_block(quiver.arrows[b].source, m_max, d0 + k, u0),
+             get_block(quiver.arrows[b].target, m_max, d0 + k + 1, u0),
+             _regenerate(gens[(quiver.arrows[b].source, m_max)], gens[(quiver.arrows[b].target, m_max)],
+                         _right_mult(quiver, b)))
+            for k, b in enumerate(cyc)))
+        if mu is not None:
             label = "-".join(quiver.arrows[ai].label for ai in cyc)
             out[label] = fld.mul(kappa, fld.inv(mu))
     return out
 
 
-def _left_action_coord(quiver, fld, models, get_block, b, src_u, dst_u, m, d, w, k_term):
-    """1x1 matrix entry of the map Ext(summand src_u) -> Ext(summand dst_u)
-    induced by right multiplication with arrow b on the quotient modules."""
-    _, _, fib_s = models[(src_u, m)]
-    _, _, fib_d = models[(dst_u, m)]
-    a = quiver.arrows[b]
-    arrow_path = Path(a.source, a.target, (b,))
-    # generator translation: gens(res of dst summand) -> gens(res of src summand)
-    # following p |-> compose(p, b); contravariantly this pushes Hom classes
-    # from the src summand's Ext to the dst summand's Ext.
-    if k_term == 0:
-        sem_d = [p for v in quiver.vertices for p in fib_d[v]]
-        lookup_s = {}
-        pos = 0
-        for v in quiver.vertices:
-            for p in fib_s[v]:
-                lookup_s[p] = pos
-                pos += 1
-        trans = {}
-        for gd_idx, p in enumerate(sem_d):
-            if p.length + 1 <= m - 1 and p.source == a.target:
-                comp = compose(p, arrow_path)
-                if comp in lookup_s:
-                    trans[lookup_s[comp]] = gd_idx
-    else:
-        sem_d = _gens1_semantic(fib_d, quiver)
-        sem_s = _gens1_semantic(fib_s, quiver)
-        lookup_s = {lab: k for k, lab in enumerate(sem_s)}
-        trans = {}
-        for gd_idx, (ai, p) in enumerate(sem_d):
-            if p.source == a.target and p.length + 1 <= m - 1:
-                gs_idx = lookup_s.get((ai, compose(p, arrow_path)))
-                if gs_idx is not None:
-                    trans[gs_idx] = gd_idx
-    coord = _class_image(fld, get_block(src_u, m, d, w), get_block(dst_u, m, d + 1, w), _regenerate(trans), 0)
-    return coord[0] if coord else None
+def _route_product(fld: Field, steps):
+    """Product of the 1x1 maps along a route of (src, dst, move) steps, or
+    None once a block is not one-dimensional or a map vanishes.  `steps` is
+    consumed lazily, so no block past the first failing step is built."""
+    val = fld.one
+    for src, dst, move in steps:
+        if src.dim != 1 or dst.dim != 1:
+            return None
+        coord = _class_image(fld, src, dst, move, 0)[0]
+        if fld.is_zero(coord):
+            return None
+        val = fld.mul(val, coord)
+    return val
 
 
 def _simple_cycles(quiver: Quiver) -> list:

@@ -175,16 +175,16 @@ class PathTable:
                 self._index[p] = (ell, k)
 
     def paths(self, source=None, target=None, length=None) -> list:
-        lengths = range(self.max_len + 1) if length is None else [length]
-        out = []
-        for ell in lengths:
-            for p in self.by_length[ell]:
-                if source is not None and p.source != source:
-                    continue
-                if target is not None and p.target != target:
-                    continue
-                out.append(p)
-        return out
+        """The table's paths with the given ends and length, in `by_length`
+        order; a length outside 0..max_len selects none."""
+        if length is None:
+            lengths = range(self.max_len + 1)
+        elif 0 <= length <= self.max_len:
+            lengths = (length,)
+        else:
+            return []
+        return [p for ell in lengths for p in self.by_length[ell]
+                if (source is None or p.source == source) and (target is None or p.target == target)]
 
     def count(self, source: int, target: int, length: int) -> int:
         return sum(1 for p in self.by_length[length] if p.source == source and p.target == target)

@@ -194,7 +194,7 @@ def _path_basis_rep(quiver: Quiver, side: str, field: Field, paths: list, action
                 if v != cod:
                     raise AssertionError("path action left its expected fiber")
                 m[i][j] = field.one
-        maps.append(Matrix(field, m) if dims[cod] and dims[dom] else Matrix.zeros(field, dims[cod], dims[dom]))
+        maps.append(Matrix(field, m, cols=dims[dom]))
     return Rep(quiver, side, field, dims, maps)
 
 
@@ -265,7 +265,7 @@ def uniserial(quiver: Quiver, start: int, length: int, side: str = "left", field
     for _ in range(length - 1):
         outs = walk_quiver.arrows_from(v)
         if len(outs) != 1:
-            raise ValueError(f"vertex {v} does not have a unique continuation")
+            raise ValueError(f"vertex {v + 1} does not have a unique continuation")
         path_arrows.append(outs[0])
         v = walk_quiver.arrows[outs[0]].target
     basis = []  # (vertex, depth)
@@ -290,7 +290,7 @@ def uniserial(quiver: Quiver, start: int, length: int, side: str = "left", field
                 nxt = pos + 1
                 i = fibers[cod].index(nxt)
                 m[i][j] = field.one
-        maps.append(Matrix(field, m) if dims[cod] and dims[dom] else Matrix.zeros(field, dims[cod], dims[dom]))
+        maps.append(Matrix(field, m, cols=dims[dom]))
     return Rep(quiver, side, field, dims, maps)
 
 
@@ -334,7 +334,7 @@ def commutation_matrix(m: Rep, n: Rep) -> Matrix:
                     idx = offsets[dom] + k * m.dims[dom] + c
                     row[idx] = f.sub(row[idx], an[r, k])
                 rows.append(row)
-    return Matrix(f, rows) if rows else Matrix.zeros(f, 0, total)
+    return Matrix(f, rows, cols=total)
 
 
 def hom_space(m: Rep, n: Rep) -> list:
@@ -357,7 +357,7 @@ def hom_space(m: Rep, n: Rep) -> list:
                 [vec[offset + r * m.dims[v] + c] for c in range(m.dims[v])]
                 for r in range(n.dims[v])
             ]
-            comps.append(Matrix(f, block) if n.dims[v] and m.dims[v] else Matrix.zeros(f, n.dims[v], m.dims[v]))
+            comps.append(Matrix(f, block, cols=m.dims[v]))
             offset += n.dims[v] * m.dims[v]
         out.append(tuple(comps))
     return out
@@ -677,11 +677,7 @@ def _chain_basis(m: Rep):
         cols = per_fiber_vectors[v]
         if len(cols) != m.dims[v]:
             raise GradingError("fiber basis count mismatch")
-        base_change[v] = (
-            Matrix.from_columns(f, [tuple(c) for c in cols], m.dims[v])
-            if m.dims[v]
-            else Matrix.zeros(f, 0, 0)
-        )
+        base_change[v] = Matrix.from_columns(f, [tuple(c) for c in cols], m.dims[v])
         if m.dims[v] and inverse(base_change[v]) is None:
             raise GradingError("fiber chain vectors not independent")
     degs = tuple(tuple(per_fiber_degs[v]) for v in m.quiver.vertices)
@@ -747,14 +743,14 @@ def random_graded_rep(quiver: Quiver, rng, side: str = "left", field: Field | No
                 else:
                     row.append(field.zero)
             rows.append(row)
-        maps.append(Matrix(field, rows) if dims[cod] and dims[dom] else Matrix.zeros(field, dims[cod], dims[dom]))
+        maps.append(Matrix(field, rows, cols=dims[dom]))
     rep = Rep(quiver, side, field, dims, maps)
     # conjugate by unipotent random matrices to hide the grading
     conj = {}
     for v in quiver.vertices:
         n = dims[v]
         mat = [[field.one if i == j else (field.of(rng.randint(-1, 1)) if i < j else field.zero) for j in range(n)] for i in range(n)]
-        conj[v] = Matrix(field, mat) if n else Matrix.zeros(field, 0, 0)
+        conj[v] = Matrix(field, mat)
     new_maps = []
     for ai, a in enumerate(quiver.arrows):
         dom, cod = arrow_ends(side, a)
@@ -840,32 +836,35 @@ def presentation_of_rep(m: Rep) -> GradedPresentation:
     that wants presentations.
     """
     rep, degs = graded_form(m)
+    return GradedPresentation(m.quiver, m.side, m.field, *_free_cover(rep, degs))
+
+
+def _free_cover(m: Rep, degrees) -> tuple:
+    """(generators, relations, entries) of the standard presentation of a
+    graded module, in the conventions of GradedPresentation.
+
+    One generator per basis vector (v, i) of degree degrees[v][i], in vertex
+    order; one relation per arrow a and basis vector x of its domain fiber,
+    a . x - (the arrow action on x), of degree one more than x.
+    """
     f = m.field
+    first = {}
     gens = []
-    gen_index = {}
     for v in m.quiver.vertices:
-        for i, d in enumerate(degs[v]):
-            gen_index[(v, i)] = len(gens)
-            gens.append((v, d))
+        first[v] = len(gens)
+        gens.extend((v, d) for d in degrees[v])
     rels = []
-    entries_cols = []
-    # relation per (arrow, domain basis vector): a . x_(dom,c) - sum coeffs x_(cod,r)
+    cols = []
     for ai, a in enumerate(m.quiver.arrows):
         dom, cod = arrow_ends(m.side, a)
-        mat = rep.maps[ai]
         for c in range(m.dims[dom]):
-            col = {g: AlgElement.zero(f) for g in range(len(gens))}
-            arrow_path = Path(a.source, a.target, (ai,))
-            col[gen_index[(dom, c)]] = AlgElement.dual_path(f, arrow_path)
+            col = {first[dom] + c: AlgElement.dual_path(f, Path(a.source, a.target, (ai,)))}
             for r in range(m.dims[cod]):
-                if not f.is_zero(mat[r, c]):
-                    tv = trivial_path(cod)
-                    col[gen_index[(cod, r)]] = col[gen_index[(cod, r)]] - AlgElement(
-                        f, {tv: mat[r, c]}
-                    )
-            rels.append((cod, degs[dom][c] + 1))
-            entries_cols.append(col)
-    entries = tuple(
-        tuple(entries_cols[r][g] for r in range(len(rels))) for g in range(len(gens))
-    )
-    return GradedPresentation(m.quiver, m.side, f, tuple(gens), tuple(rels), entries)
+                x = m.maps[ai][r, c]
+                if not f.is_zero(x):
+                    g = first[cod] + r
+                    col[g] = col.get(g, AlgElement.zero(f)) - AlgElement(f, {trivial_path(cod): x})
+            rels.append((cod, degrees[dom][c] + 1))
+            cols.append(col)
+    entries = tuple(tuple(col.get(g, AlgElement.zero(f)) for col in cols) for g in range(len(gens)))
+    return tuple(gens), tuple(rels), entries

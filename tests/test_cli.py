@@ -260,6 +260,8 @@ def test_bad_object_spec_exits_two(quiver_file, capsys):
         (LOOP, ["--module", "injective:1", "--target", "simple:1"], "side mismatch"),
         (LOOP, ["--module", "free:1:-1", "--target", "A"], "degree -1 below 0"),
         (LOOP, ["--module", "uniserial:1:0", "--target", "A"], "length 0 below 1"),
+        (KRONECKER, ["--module", "uniserial:1:2", "--target", "A"],
+         "vertex 1 does not have a unique continuation"),
         (LOOP, ["--module", "C", "--target", "simple:1", "--deg", "-1"], "--deg -1"),
     ]
     for text, argv, message in cases:

@@ -85,6 +85,10 @@ def test_enumerate_two_cycle_parity():
             ends = [p.target for p in table.paths(source=s, length=ell)]
             assert len(ends) == 1
             assert ends[0] == (s if ell % 2 == 0 else 1 - s)
+    # lengths outside the table select no paths
+    assert table.paths(source=0, length=-1) == []
+    assert table.paths(source=0, length=5) == []
+    assert table.paths(source=0, target=1, length=3) == [p for p in table.by_length[3] if p.source == 0]
 
 
 def test_enumerate_no_arrows():
