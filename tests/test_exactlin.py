@@ -157,3 +157,57 @@ def test_prime_field_fraction_coercion():
     assert F5.of(Fraction(-1, 3)) == F5.mul(F5.of(-1), F5.inv(3))
     with pytest.raises(ZeroDivisionError):
         F5.of(Fraction(1, 5))
+
+
+def test_field_of_values():
+    # each input kind coerces to the same value and type as the reference
+    # rules: Fraction over Q, an int in [0, p) over F_p
+    for n in (0, 5, -3, 10**30, -(10**30)):
+        assert Q.of(n) == Fraction(n) and type(Q.of(n)) is Fraction
+    for b in (True, False):
+        assert Q.of(b) == Fraction(int(b)) and type(Q.of(b)) is Fraction
+    half = Fraction(-1, 2)
+    assert Q.of(half) is half
+    for p in (5, 7, 2147483647):
+        fld = Field(p)
+        for n in (0, 5, -3, p, -p - 1, 10**30, -(10**30)):
+            assert fld.of(n) == n % p and type(fld.of(n)) is int
+        assert fld.of(True) == 1 and type(fld.of(True)) is int
+        assert fld.of(False) == 0 and type(fld.of(False)) is int
+        assert fld.of(Fraction(-2, 3)) == (-2 * pow(3, -1, p)) % p
+        assert fld.of(Fraction(6, 1)) == 6 % p
+
+
+SUBSPACE_FIELDS = [Q, Field(7), Field(2147483647)]
+
+
+def _random_matrices(fld, seed, count=120):
+    """Random matrices up to 6 x 6, empty shapes included; half of them are
+    products through a narrower middle, so rank deficiency is common."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        r, c = rng.randint(0, 6), rng.randint(0, 6)
+        if rng.random() < 0.5:
+            m = Matrix(fld, [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(c)]
+                             for _ in range(r)], cols=c)
+        else:
+            k = rng.randint(0, min(r, c))
+            left = Matrix(fld, [[rng.randint(-3, 3) for _ in range(k)] for _ in range(r)], cols=k)
+            right = Matrix(fld, [[rng.randint(-3, 3) for _ in range(c)] for _ in range(k)], cols=c)
+            m = left * right
+        assert (m.rows, m.cols) == (r, c)
+        yield m
+
+
+@pytest.mark.parametrize("fld", SUBSPACE_FIELDS, ids=repr)
+def test_subspace_primitives_random(fld):
+    for m in _random_matrices(fld, 4242):
+        assert rank(m) == rank(m.transpose())
+        quot = Quotient(m)
+        assert quot.dim == m.rows - rank(m)
+        assert (quot.projection.rows, quot.projection.cols) == (quot.dim, m.rows)
+        assert (quot.projection * m).is_zero_matrix()
+        basis = kernel_basis(m)
+        assert len(basis) == m.cols - rank(m)
+        for vec in basis:
+            assert all(fld.is_zero(x) for x in m.apply(vec))
