@@ -83,6 +83,8 @@ class Field:
 
         In prime characteristic a fraction p/q becomes p * q^(-1) mod p,
         never a truncated integer."""
+        if type(n) is int:
+            return n % self.characteristic if self.characteristic else Fraction(n)
         if self.characteristic == 0:
             return n if isinstance(n, Fraction) else Fraction(n)
         if isinstance(n, Fraction):
@@ -305,23 +307,8 @@ def rank(m: Matrix) -> int:
 
 
 def kernel_basis(m: Matrix) -> list:
-    """Canonical basis of the right kernel, as column-vector tuples.
-
-    One basis vector per non-pivot column: entry 1 there, pivot rows filled
-    from the reduced echelon form.  Deterministic for a given matrix.
-    """
-    f = m.field
-    a, pivots = _rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for c in free:
-        v = [f.zero] * m.cols
-        v[c] = f.one
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(a[r][c])
-        basis.append(tuple(v))
-    return basis
+    """Canonical basis of the right kernel, as column-vector tuples (see Kernel)."""
+    return Kernel(m).basis
 
 
 def cokernel_data(m: Matrix):
@@ -330,11 +317,8 @@ def cokernel_data(m: Matrix):
     The projection has full row rank equal to the dimension and satisfies
     projection * m = 0; its rows are the canonical left-kernel basis.
     """
-    left = kernel_basis(m.transpose())
-    dim = m.rows - rank(m)
-    assert len(left) == dim
-    proj = Matrix(m.field, [list(v) for v in left], cols=m.rows)
-    return dim, proj
+    left = Kernel(m.transpose()).basis
+    return len(left), Matrix(m.field, left, cols=m.rows)
 
 
 def solve(m: Matrix, b) -> tuple | None:
@@ -362,19 +346,92 @@ def inverse(m: Matrix) -> Matrix | None:
     return Matrix(f, [row[m.rows:] for row in a[: m.rows]])
 
 
+def _combine(f: Field, vectors, coords, n: int) -> tuple:
+    """The linear combination sum_j coords[j] * vectors[j] in field^n."""
+    out = [f.zero] * n
+    for c, vec in zip(coords, vectors):
+        if not f.is_zero(c):
+            for i, x in enumerate(vec):
+                out[i] = f.add(out[i], f.mul(c, x))
+    return tuple(out)
+
+
+class Kernel:
+    """Canonical model of ker(m) inside V = field^cols(m), from one elimination.
+
+    `basis` has one vector per non-pivot column c of the reduced echelon
+    form: entry 1 at c, 0 at the other non-pivot columns, the pivot entries
+    read off the echelon form.  The coordinates of a kernel vector are
+    therefore its entries at the non-pivot columns; `coordinates` checks the
+    vector against the combination they give, and `lift` forms it.
+    """
+
+    __slots__ = ("field", "ambient_dim", "dim", "basis", "_free")
+
+    def __init__(self, m: Matrix):
+        f = m.field
+        a, pivots = _rref(m)
+        pivot_set = set(pivots)
+        self.field = f
+        self.ambient_dim = m.cols
+        self._free = [c for c in range(m.cols) if c not in pivot_set]
+        self.basis = []
+        for c in self._free:
+            v = [f.zero] * m.cols
+            v[c] = f.one
+            for r, pc in enumerate(pivots):
+                v[pc] = f.neg(a[r][c])
+            self.basis.append(tuple(v))
+        self.dim = len(self.basis)
+
+    def coordinates(self, vec) -> tuple:
+        """Coordinates of a kernel vector in `basis`; ValueError for a vector
+        outside the kernel."""
+        f = self.field
+        if len(vec) == self.ambient_dim:
+            coords = tuple(vec[c] for c in self._free)
+            if all(f.is_zero(f.sub(x, y)) for x, y in zip(vec, self.lift(coords))):
+                return coords
+        raise ValueError("vector is not in the kernel")
+
+    def lift(self, coords) -> tuple:
+        """The kernel vector with the given coordinates."""
+        return _combine(self.field, self.basis, coords, self.ambient_dim)
+
+
 class Quotient:
     """Canonical model of V / im(m) for V = field^rows(m).
 
-    `dim` is the quotient dimension; `reduce(v)` gives coordinates of the
-    class of v in the canonical quotient basis (rows of the projection).
+    `dim` is the quotient dimension; `coordinates(v)` gives the coordinates
+    of the class of v in the canonical quotient basis (rows of the
+    projection), and `lift(c)` an ambient vector whose class has them.
     """
 
-    __slots__ = ("field", "ambient_dim", "dim", "projection")
+    __slots__ = ("field", "ambient_dim", "dim", "projection", "_section")
 
     def __init__(self, m: Matrix):
         self.field = m.field
         self.ambient_dim = m.rows
         self.dim, self.projection = cokernel_data(m)
+        self._section = None
 
-    def reduce(self, vec) -> tuple:
+    def coordinates(self, vec) -> tuple:
         return self.projection.apply(vec)
+
+    def lift(self, coords) -> tuple:
+        """An ambient vector whose class has the given coordinates.
+
+        Section vector j solves projection x = e_j with zeros off the pivot
+        columns; all of them come from one elimination of [projection | I],
+        computed on the first lift.  The projection has full row rank, so
+        every pivot lies among its own columns and the row operations are
+        those of solving for each e_j alone.
+        """
+        f, n = self.field, self.ambient_dim
+        if self._section is None:
+            a, pivots = _rref(self.projection.hstack(Matrix.identity(f, self.dim)))
+            self._section = [[f.zero] * n for _ in range(self.dim)]
+            for r, pc in enumerate(pivots):
+                for j, x in enumerate(a[r][n:]):
+                    self._section[j][pc] = x
+        return _combine(f, self._section, coords, n)

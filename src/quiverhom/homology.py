@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import Field, Matrix, Quotient, inverse, kernel_basis, rank, solve
+from .exactlin import Field, Kernel, Matrix, Quotient, inverse, kernel_basis, rank
 from .pathcoalg import AlgElement, convolve
 from .quiver import (
     Path,
@@ -334,8 +334,8 @@ def ext_fd(m: Rep, n: Rep, i: int, with_basis: bool = False) -> ExtReport:
         return report
     quot = Quotient(big)
     cocycles = []
-    for j in range(quot.dim):
-        amb = _quotient_lift(f, quot, _unit(f, quot.dim, j))
+    for unit in Matrix.identity(f, quot.dim).entries:
+        amb = quot.lift(unit)
         per_arrow = []
         offset = 0
         for ai, a in enumerate(q.arrows):
@@ -356,36 +356,16 @@ def ext_fd(m: Rep, n: Rep, i: int, with_basis: bool = False) -> ExtReport:
 # graded blocks: labels, classes, label moves, and the Rep they assemble into
 
 
-def _unit(fld: Field, n: int, j: int) -> tuple:
-    return tuple(fld.one if t == j else fld.zero for t in range(n))
-
-
-def _quotient_lift(f: Field, quot: Quotient, coords):
-    """An ambient vector whose class has the given quotient coordinates."""
-    out = [f.zero] * quot.ambient_dim
-    proj = quot.projection
-    for j, c in enumerate(coords):
-        if f.is_zero(c):
-            continue
-        col = solve(proj, _unit(f, proj.rows, j))
-        if col is None:
-            raise AssertionError("quotient projection not surjective")
-        for idx, x in enumerate(col):
-            out[idx] = f.add(out[idx], f.mul(c, x))
-    return out
-
-
 class _Block:
-    """One graded block: basis labels and the classes of a kernel or cokernel on them."""
+    """One graded block: basis labels and the Kernel or Quotient whose classes
+    live on them."""
 
-    __slots__ = ("labels", "kind", "kernel", "quotient", "dim", "_index")
+    __slots__ = ("labels", "space", "dim", "_index")
 
-    def __init__(self, labels, kind, kernel=None, quotient=None):
+    def __init__(self, labels, space):
         self.labels = labels
-        self.kind = kind
-        self.kernel = kernel
-        self.quotient = quotient
-        self.dim = len(kernel) if kind == "ker" else quotient.dim
+        self.space = space
+        self.dim = space.dim
         self._index = None
 
     @property
@@ -394,27 +374,6 @@ class _Block:
         if self._index is None:
             self._index = {lab: i for i, lab in enumerate(self.labels)}
         return self._index
-
-    def coordinates(self, fld, vec):
-        if self.kind == "coker":
-            return self.quotient.reduce(vec)
-        if not self.kernel:
-            return ()
-        cols = Matrix.from_columns(fld, self.kernel, len(vec))
-        sol = solve(cols, vec)
-        if sol is None:
-            raise AssertionError("vector not in kernel block")
-        return sol
-
-    def lift(self, fld, coords):
-        if self.kind == "coker":
-            return _quotient_lift(fld, self.quotient, coords)
-        out = [fld.zero] * len(self.labels)
-        for c, vec in zip(coords, self.kernel):
-            if not fld.is_zero(c):
-                for idx, x in enumerate(vec):
-                    out[idx] = fld.add(out[idx], fld.mul(c, x))
-        return out
 
 
 def _push(fld: Field, labels, vec, move, dst_index: dict) -> tuple:
@@ -486,23 +445,33 @@ def _regenerate(src_gens, dst_gens, move):
     return lambda lab: (trans[lab[0]], lab[1]) if lab[0] in trans else None
 
 
-def _class_image(fld: Field, src: _Block, dst: _Block, move, j: int) -> tuple:
-    """Coordinates in `dst` of basis class j of `src` moved along `move`."""
-    amb = src.lift(fld, _unit(fld, src.dim, j))
-    return dst.coordinates(fld, _push(fld, src.labels, amb, move, dst.index)[0])
+def _induced_map(fld: Field, src: _Block, dst: _Block, move) -> Matrix:
+    """Matrix of the map on classes src -> dst induced by a label move: column
+    j holds the coordinates in `dst` of basis class j of `src` moved along
+    `move`."""
+    cols = []
+    for unit in Matrix.identity(fld, src.dim).entries:
+        moved = _push(fld, src.labels, src.space.lift(unit), move, dst.index)[0]
+        try:
+            cols.append(dst.space.coordinates(moved))
+        except ValueError:
+            raise AssertionError("vector not in kernel block") from None
+    return Matrix.from_columns(fld, cols, dst.dim)
 
 
 def _graded_rep(quiver: Quiver, side: str, fld: Field, fibers: dict, image) -> Rep:
     """The Rep whose fiber at v has the graded classes fibers[v], keyed (degree, j).
 
-    image(ai, dom, cod, d, j) gives (d2, coords), the image under arrow ai of
-    class (d, j) of fiber dom as coordinates over the classes (d2, r) of fiber
-    cod, or None for a zero image.
+    image(ai, dom, cod, d) gives (d2, matrix) or None for a zero map: column
+    j of the matrix is the image under arrow ai of class (d, j) of fiber dom,
+    as coordinates over the classes (d2, r) of fiber cod.
     """
     def arrow_matrix(ai, dom, cod):
+        hits = {d: image(ai, dom, cod, d) for d in {d for d, _ in fibers[dom]}}
+
         def images(key):
-            hit = image(ai, dom, cod, *key)
-            return () if hit is None else (((hit[0], r), val) for r, val in enumerate(hit[1]))
+            hit = hits[key[0]]
+            return () if hit is None else (((hit[0], r), x) for r, x in enumerate(hit[1].column(key[1])))
 
         return _label_matrix(fld, fibers[cod], fibers[dom], images)
 
@@ -545,8 +514,8 @@ class AlgebraExtEngine:
         rows, cols = labels(1), labels(0)
         mat = _label_matrix(self.fld, rows, cols, images)
         if i == 0:
-            return _Block(cols, "ker", kernel=kernel_basis(mat))
-        return _Block(rows, "coker", quotient=Quotient(mat))
+            return _Block(cols, Kernel(mat))
+        return _Block(rows, Quotient(mat))
 
     def degree_range(self, cx: FreeComplex) -> tuple:
         degs = [gd for k in (0, 1) for _, gd in cx.terms[k]]
@@ -626,11 +595,11 @@ def ext_vs_algebra(m: Rep, i: int, trunc: int, want_rep: bool = True) -> ExtRepo
         if blk.dim:
             support[w] = support.get(w, 0) + blk.dim
     if want_rep:
-        def image(ai, dom, cod, d, j):
+        def image(ai, dom, cod, d):
             dst = blocks.get((d + 1, cod))
             if dst is None or not dst.dim:
                 return None
-            return d + 1, _class_image(m.field, blocks[(d, dom)], dst, _right_mult(m.quiver, ai), j)
+            return d + 1, _induced_map(m.field, blocks[(d, dom)], dst, _right_mult(m.quiver, ai))
 
         fibers = {w: [(d, j) for d in range(d_min, d_max + 1) for j in range(blocks[(d, w)].dim)]
                   for w in m.quiver.vertices}
@@ -742,6 +711,7 @@ class PresentationModel:
         self.fld = pres.field
         self.table = enumerate_paths(self.quiver, trunc)
         self._blocks = {}
+        self._actions = {}
 
     def block(self, d: int, v: int) -> _Block:
         """Block (d, v): the F0 labels ending at v modulo the relation image."""
@@ -749,8 +719,7 @@ class PresentationModel:
         if key not in self._blocks:
             p = self.pres
             image = free_diff_matrix(self.fld, self.table, p.generators, p.relations, p.entries, d, v)
-            self._blocks[key] = _Block(free_term_basis(self.table, p.generators, d, v), "coker",
-                                       quotient=Quotient(image))
+            self._blocks[key] = _Block(free_term_basis(self.table, p.generators, d, v), Quotient(image))
         return self._blocks[key]
 
     def dim(self, d: int, v: int | None = None) -> int:
@@ -760,12 +729,12 @@ class PresentationModel:
 
     def arrow_action(self, d: int, arrow_index: int) -> Matrix:
         """Left multiplication by an arrow: block (d, source) -> (d+1, target)."""
-        a = self.quiver.arrows[arrow_index]
-        src = self.block(d, a.source)
-        dst = self.block(d + 1, a.target)
-        move = _left_mult(self.quiver, arrow_index)
-        cols = [_class_image(self.fld, src, dst, move, j) for j in range(src.dim)]
-        return Matrix.from_columns(self.fld, cols, dst.dim)
+        key = (d, arrow_index)
+        if key not in self._actions:
+            a = self.quiver.arrows[arrow_index]
+            self._actions[key] = _induced_map(self.fld, self.block(d, a.source), self.block(d + 1, a.target),
+                                              _left_mult(self.quiver, arrow_index))
+        return self._actions[key]
 
 
 @dataclass
@@ -810,9 +779,7 @@ def rational_part(pres: GradedPresentation, trunc: int) -> RationalPartReport:
         per_vertex = {}
         decided = True
         for v in q.vertices:
-            blk_dim = model.dim(d, v)
-            if blk_dim == 0:
-                per_vertex[v] = []
+            if model.dim(d, v) == 0:
                 continue
             k_top = d_hi - d
             if exact_mode:
@@ -821,10 +788,9 @@ def rational_part(pres: GradedPresentation, trunc: int) -> RationalPartReport:
                 decided = False
                 break
             ranks = []
-            kern = None
             for k in range(1, k_top + 1):
-                kern = kernel_basis(_kill_matrix(model, d, v, k))
-                ranks.append(len(kern))
+                kern = Kernel(_kill_matrix(model, d, v, k))
+                ranks.append(kern.dim)
             if exact_mode and d + k_top >= module_zero_from:
                 per_vertex[v] = kern
                 continue
@@ -836,7 +802,7 @@ def rational_part(pres: GradedPresentation, trunc: int) -> RationalPartReport:
         if not decided:
             break
         torsion[d] = per_vertex
-        dims_by_degree[d] = sum(len(b) for b in per_vertex.values())
+        dims_by_degree[d] = sum(kern.dim for kern in per_vertex.values())
         certified_through = d
     first_zero = _stable_zero_from(dims_by_degree, d_lo, certified_through, window)
     if first_zero is None:
@@ -847,22 +813,20 @@ def rational_part(pres: GradedPresentation, trunc: int) -> RationalPartReport:
         )
     # drop the (certified-zero) tail so the assembled carrier is exactly Gamma
     torsion = {d: pv for d, pv in torsion.items() if d < first_zero or dims_by_degree.get(d, 0)}
-    actions = {}
 
-    def image(ai, dom, cod, d, j):
-        if d + 1 not in torsion:
+    def image(ai, dom, cod, d):
+        dst = torsion.get(d + 1, {}).get(cod)
+        if dst is None:
             return None
-        if (d, ai) not in actions:
-            actions[(d, ai)] = model.arrow_action(d, ai)
-        img = actions[(d, ai)].apply(torsion[d][dom][j])
-        if all(f.is_zero(x) for x in img):
-            return None
-        sol = solve(Matrix.from_columns(f, torsion[d + 1][cod], len(img)), img)
-        if sol is None:
-            raise AssertionError("torsion not closed under the radical action")
-        return d + 1, sol
+        action = model.arrow_action(d, ai)
+        try:
+            cols = [dst.coordinates(action.apply(vec)) for vec in torsion[d][dom].basis]
+        except ValueError:
+            raise AssertionError("torsion not closed under the radical action") from None
+        return d + 1, Matrix.from_columns(f, cols, dst.dim)
 
-    fibers = {v: [(d, j) for d in sorted(torsion) for j in range(len(torsion[d][v]))] for v in q.vertices}
+    fibers = {v: [(d, j) for d in sorted(torsion) if v in torsion[d] for j in range(torsion[d][v].dim)]
+              for v in q.vertices}
     rep = _graded_rep(pres.quiver, pres.side, f, fibers, image)
     cert = {"window": window, "zero_from_degree": first_zero,
             "certified_through": certified_through,
@@ -927,9 +891,9 @@ def hom_into_C(pres: GradedPresentation, trunc: int) -> HomIntoCReport:
     for d in range(d_lo, d_hi + 1):
         cols = free_term_basis(model.table, pres_l.generators, d)
         big = free_diff_matrix(f, model.table, pres_l.generators, pres_l.relations, pres_l.entries, d)
-        kern = kernel_basis(big.transpose())
+        kern = Kernel(big.transpose())
         kernels[d] = (cols, kern)
-        dims_by_degree[d] = len(kern)
+        dims_by_degree[d] = kern.dim
     phi = {}
     phi_pass = True
     for d in range(d_lo, d_hi + 1):
@@ -942,7 +906,7 @@ def hom_into_C(pres: GradedPresentation, trunc: int) -> HomIntoCReport:
     # last step and lowers the degree by one
     fibers = {v: [] for v in q.vertices}
     for d, (cols, kern) in sorted(kernels.items()):
-        for j, vec in enumerate(kern):
+        for j, vec in enumerate(kern.basis):
             verts = {cols[idx][1].target for idx, x in enumerate(vec) if not f.is_zero(x)}
             if len(verts) != 1:
                 # kernel elements are target-homogeneous because the induced
@@ -951,17 +915,17 @@ def hom_into_C(pres: GradedPresentation, trunc: int) -> HomIntoCReport:
             fibers[verts.pop()].append((d, j))
     indexes = {d: {lab: i for i, lab in enumerate(cols)} for d, (cols, _) in kernels.items()}
 
-    def image(ai, dom, cod, d, j):
+    def image(ai, dom, cod, d):
         if d - 1 not in kernels:
             return None
         cols, kern = kernels[d]
-        img, landed = _push(f, cols, kern[j], _strip_last(q, ai), indexes[d - 1])
-        if not landed:
-            return None
-        sol = solve(Matrix.from_columns(f, kernels[d - 1][1], len(img)), img)
-        if sol is None:
-            raise AssertionError("strip action left the kernel")
-        return d - 1, sol
+        dst = kernels[d - 1][1]
+        move = _strip_last(q, ai)
+        try:
+            images = [dst.coordinates(_push(f, cols, vec, move, indexes[d - 1])[0]) for vec in kern.basis]
+        except ValueError:
+            raise AssertionError("strip action left the kernel") from None
+        return d - 1, Matrix.from_columns(f, images, dst.dim)
 
     out_side = "right" if pres.side == "left" else "left"
     rep = _graded_rep(pres.quiver, out_side, f, fibers, image)
@@ -1144,16 +1108,6 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
             blocks[key] = engine.block(resolutions[(u, m)], i, d, w)
         return blocks[key]
 
-    def transition_matrix(u, m, d, w):
-        """Induced map on classes: stage m -> stage m+1 at block (d, w)."""
-        src = get_block(u, m, d, w)
-        dst = get_block(u, m + 1, d, w)
-        if not src.dim:
-            return Matrix.zeros(fld, dst.dim, 0)
-        move = _regenerate(gens[(u, m)], gens[(u, m + 1)], lambda lab: lab)
-        cols = [_class_image(fld, src, dst, move, j) for j in range(src.dim)]
-        return Matrix.from_columns(fld, cols, dst.dim)
-
     dims = {}
     stabilized_at = {}
     for u in rep_q.vertices:
@@ -1171,10 +1125,12 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
                     if last_dim is not None and blk.dim != last_dim:
                         ok = False
                     last_dim = blk.dim
-                if ok:
+                if ok and last_dim:
                     for m in range(birth, m_max):
-                        t = transition_matrix(u, m, d, w)
-                        if t.rows != t.cols or (t.rows and inverse(t) is None):
+                        # the induced map on classes, stage m -> stage m+1, is square here
+                        t = _induced_map(fld, get_block(u, m, d, w), get_block(u, m + 1, d, w),
+                                         _regenerate(gens[(u, m)], gens[(u, m + 1)], lambda lab: lab))
+                        if inverse(t) is None:
                             ok = False
                             break
                 if not ok:
@@ -1278,7 +1234,7 @@ def _route_product(fld: Field, steps):
     for src, dst, move in steps:
         if src.dim != 1 or dst.dim != 1:
             return None
-        coord = _class_image(fld, src, dst, move, 0)[0]
+        coord = _induced_map(fld, src, dst, move)[0, 0]
         if fld.is_zero(coord):
             return None
         val = fld.mul(val, coord)

@@ -126,19 +126,25 @@ def natural_map(q: Quiver, vertex: int, trunc: int, side: str = "left", fld: Fie
     """
     fld = fld or Field(0)
     n = global_dimension(q)
-    s = simple(q, vertex, side, fld)
-    report = ext_vs_algebra(s, n, trunc, want_rep=False)
+    return _support_vertex(ext_vs_algebra(simple(q, vertex, side, fld), n, trunc, want_rep=False), vertex)
+
+
+def _support_vertex(report, vertex: int) -> int:
+    """The unique support vertex of a one-dimensional Ext^n(S_vertex, A)."""
     support = report.vertex_support or {}
     if report.total_dim != 1 or len(support) != 1:
         raise NotASRegularError(
-            f"Ext^{n}(S_{vertex + 1}, A) is not simple: dimension {report.total_dim}",
+            f"Ext^{report.degree}(S_{vertex + 1}, A) is not simple: dimension {report.total_dim}",
             witness=report.describe(),
         )
     return next(iter(support))
 
 
 def natural_map_permutation(q: Quiver, trunc: int, side: str = "left", fld: Field | None = None) -> tuple:
-    perm = tuple(natural_map(q, v, trunc, side, fld) for v in q.vertices)
+    return _bijection(q, tuple(natural_map(q, v, trunc, side, fld) for v in q.vertices))
+
+
+def _bijection(q: Quiver, perm: tuple) -> tuple:
     if sorted(perm) != list(q.vertices):
         raise NotASRegularError(f"natural map {perm} is not a bijection")
     return perm
@@ -204,7 +210,7 @@ def nakayama(q: Quiver, trunc: int, m_max: int, fld: Field | None = None) -> Nak
     if not verdict.as_regular:
         raise NotASRegularError("instance is not AS-regular", witness=verdict.failures)
     n = verdict.gldim
-    nat = natural_map_permutation(q, trunc, "left", fld)
+    nat = _bijection(q, tuple(_support_vertex(verdict.tables["left"][v][n], v) for v in q.vertices))
     lc = local_cohomology(q, n, m_max, trunc, fld, side="left")
     if lc.twist_sigma is None:
         raise NotASRegularError(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .exactlin import Field, Matrix, inverse, kernel_basis, rank
 from .pathcoalg import AlgElement
-from .quiver import Path, Quiver, opposite, trivial_path
+from .quiver import Path, Quiver, extend, opposite, trivial_path
 
 
 class NotNilpotentError(ValueError):
@@ -260,38 +260,15 @@ def uniserial(quiver: Quiver, start: int, length: int, side: str = "left", field
     """
     field = field or Field(0)
     walk_quiver = quiver if side == "left" else opposite(quiver)
-    v = start
-    path_arrows = []
+    walk = [trivial_path(start)]
     for _ in range(length - 1):
+        v = walk[-1].target
         outs = walk_quiver.arrows_from(v)
         if len(outs) != 1:
             raise ValueError(f"vertex {v + 1} does not have a unique continuation")
-        path_arrows.append(outs[0])
-        v = walk_quiver.arrows[outs[0]].target
-    basis = []  # (vertex, depth)
-    v = start
-    basis.append((v, 0))
-    for k, ai in enumerate(path_arrows):
-        v = walk_quiver.arrows[ai].target
-        basis.append((v, k + 1))
-    fibers = {u: [] for u in quiver.vertices}
-    for pos, (u, depth) in enumerate(basis):
-        fibers[u].append(pos)
-    dims = [len(fibers[u]) for u in quiver.vertices]
-    maps = []
-    for ai, a in enumerate(quiver.arrows):
-        dom, cod = arrow_ends(side, a)
-        m = [[field.zero] * dims[dom] for _ in range(dims[cod])]
-        for j, pos in enumerate(fibers[dom]):
-            # basis vector pos advances one step along the walk when this
-            # arrow is the walk arrow at its depth
-            depth = basis[pos][1]
-            if depth < length - 1 and path_arrows[depth] == ai:
-                nxt = pos + 1
-                i = fibers[cod].index(nxt)
-                m[i][j] = field.one
-        maps.append(Matrix(field, m, cols=dims[dom]))
-    return Rep(quiver, side, field, dims, maps)
+        walk.append(extend(walk_quiver, walk[-1], outs[0]))
+    rep = _path_basis_rep(walk_quiver, "left", field, walk, "append_last")
+    return rep if side == "left" else _from_opposite(quiver, rep, side, field)
 
 
 def _reverse_path(p: Path) -> Path:

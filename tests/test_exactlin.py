@@ -6,6 +6,7 @@ import pytest
 
 from quiverhom.exactlin import (
     Field,
+    Kernel,
     Matrix,
     Quotient,
     cokernel_data,
@@ -139,8 +140,8 @@ def test_quotient_reduce():
     m = Matrix(Q, [[1], [2]])
     quot = Quotient(m)
     assert quot.dim == 1
-    assert quot.reduce((1, 2)) == (Fraction(0),)
-    nonzero = quot.reduce((1, 0))
+    assert quot.coordinates((1, 2)) == (Fraction(0),)
+    nonzero = quot.coordinates((1, 0))
     assert any(x != 0 for x in nonzero)
 
 
@@ -207,7 +208,23 @@ def test_subspace_primitives_random(fld):
         assert quot.dim == m.rows - rank(m)
         assert (quot.projection.rows, quot.projection.cols) == (quot.dim, m.rows)
         assert (quot.projection * m).is_zero_matrix()
-        basis = kernel_basis(m)
-        assert len(basis) == m.cols - rank(m)
-        for vec in basis:
+        for unit in Matrix.identity(fld, quot.dim).entries:
+            assert quot.lift(unit) == solve(quot.projection, unit)
+        kern = Kernel(m)
+        assert kern.basis == kernel_basis(m)
+        assert kern.dim == m.cols - rank(m)
+        for vec in kern.basis:
             assert all(fld.is_zero(x) for x in m.apply(vec))
+        rng = random.Random(m.rows * 7 + m.cols)
+        for space in (quot, kern):
+            coords = tuple(fld.of(rng.randint(-5, 5)) for _ in range(space.dim))
+            assert space.coordinates(space.lift(coords)) == coords
+        # a vector m does not kill lies outside the kernel, also after adding
+        # a kernel vector to it
+        for c in range(m.cols):
+            column = m.column(c)
+            if any(not fld.is_zero(x) for x in column):
+                off = list(kern.lift(tuple(fld.one for _ in range(kern.dim))))
+                off[c] = fld.add(off[c], fld.one)
+                with pytest.raises(ValueError):
+                    kern.coordinates(off)

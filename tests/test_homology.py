@@ -18,6 +18,7 @@ from quiverhom.repmod import (
 )
 from quiverhom.homology import (
     FreeComplex,
+    PresentationModel,
     RepComplex,
     StabilizationError,
     dual_resolution_check,
@@ -255,6 +256,14 @@ def test_rational_part_of_free_is_zero():
         for v in quiv.vertices:
             r = rational_part(truncated_free(quiv, v, 10, "left", Q), 10)
             assert r.rep.total_dim == 0
+
+
+def test_arrow_action_is_memoized_per_degree_and_arrow():
+    model = PresentationModel(truncated_free(THREE_CYCLE, 0, 6, "left", Q), 6)
+    action = model.arrow_action(1, 1)
+    # P_1 = A e_1 / J^7: degree 1 at vertex 2 is the arrow a, and b maps it to b a
+    assert action == Matrix(Q, [[1]])
+    assert model.arrow_action(1, 1) is action
 
 
 def test_rational_part_detects_summand():

@@ -40,7 +40,7 @@ def test_natural_map_values():
 
 
 def test_natural_map_rejects_non_regular():
-    with pytest.raises(NotASRegularError):
+    with pytest.raises(NotASRegularError, match=r"^Ext\^1\(S_2, A\) is not simple: dimension"):
         natural_map(KRONECKER, 1, 10)
 
 
