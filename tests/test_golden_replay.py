@@ -7,8 +7,8 @@ Two checks, both against outputs recorded on a trusted commit:
   for byte with the same exit code;
 - engine outputs the golden set does not pin (the dual-resolution row
   table, Hom into C and the rational part with their module maps, Ext
-  against the algebra with its module maps, Ext bases, and `ext` CLI
-  reports) must equal `tests/fixtures/engine_outputs.json` on the example
+  against the algebra with its module maps, Ext bases, `ext` CLI reports,
+  and standard resolutions before and after minimalization) must equal `tests/fixtures/engine_outputs.json` on the example
   quivers.
 
 Rewrite the fixture, on a trusted commit only, with
@@ -36,7 +36,9 @@ from quiverhom.homology import (
     ext_fd,
     ext_vs_algebra,
     hom_into_C,
+    minimalize,
     rational_part,
+    standard_resolution,
 )
 from quiverhom.pathcoalg import AlgElement
 from quiverhom.quiver import Path, parse_quiver
@@ -195,6 +197,25 @@ def _ext_outputs(name):
     return out
 
 
+def _element(el) -> list:
+    return sorted([list(p.arrows), str(c)] for p, c in el.coeffs.items())
+
+
+def _resolution(cx) -> dict:
+    return {"generators": [list(g) for g in cx.terms[0]],
+            "relations": [list(r) for r in cx.terms[1]],
+            "entries": [[_element(el) for el in row] for row in cx.diffs[1]]}
+
+
+def _resolution_outputs(name):
+    q, fld = _quiver(name)
+    out = {}
+    for label, m in _modules(q, fld).items():
+        cx = standard_resolution(m)
+        out[label] = {"standard": _resolution(cx), "minimal": _resolution(minimalize(cx))}
+    return out
+
+
 def _cli_outputs(name):
     path = f"examples_quivers/{name}.quiver"
     q, _ = _quiver(name)
@@ -213,7 +234,7 @@ def _cli_outputs(name):
 SECTIONS = {f"{kind} {name}": (fn, name)
             for name in EXAMPLES
             for kind, fn in (("presentations", _presentation_outputs), ("ext", _ext_outputs),
-                             ("cli", _cli_outputs))}
+                             ("cli", _cli_outputs), ("resolutions", _resolution_outputs))}
 
 
 def _compute(section):
