@@ -5,7 +5,9 @@ mathematical verdicts (not AS-regular, not CY) are successful runs and exit
 zero; nonzero exits are reserved for computation failures:
 
     2  parse or input error (parse errors carry line numbers; vertices in
-       object specs are 1-based)
+       object specs are 1-based), including a module with no path-length
+       grading: gradings are found on acyclic quivers and disjoint unions
+       of cycles only
     3  growth-gate rejection without --force
     4  stabilization / truncation failure (the report names the smallest
        parameter change expected to fix it)
@@ -45,6 +47,7 @@ from .regularity import (
     nakayama,
 )
 from .repmod import (
+    GradingError,
     Rep,
     euler_pairing,
     hom_dim,
@@ -393,10 +396,8 @@ def cmd_verify(args) -> tuple:
     # injective roundtrips through both one-sided local cohomologies; only
     # meaningful where the twisted-column identification exists
     try:
-        inj_fail = 0
-        for v in quiver.vertices:
-            if not duality_roundtrip_injective(quiver, v, args.mmax, args.trunc, fld)["passes"]:
-                inj_fail += 1
+        verdicts = duality_roundtrip_injective(quiver, args.mmax, args.trunc, fld)
+        inj_fail = sum(1 for verdict in verdicts if not verdict["passes"])
         suite["injective_roundtrip"] = {"cases": quiver.vertex_count, "failures": inj_fail}
     except (StabilizationError, ValueError):
         suite["injective_roundtrip"] = {
@@ -538,6 +539,16 @@ def _render_text(report: dict, stream) -> None:
     walk({k: v for k, v in report.items() if k not in ("schema", "command")})
 
 
+def _fail(args, code: int, **fields) -> int:
+    """Print an error report (JSON under --json, else one stderr line) and
+    return the exit code."""
+    if args.json:
+        print(json.dumps({"schema": SCHEMA_VERSION, "command": args.command, **fields}, sort_keys=True))
+    else:
+        print(f"error: {fields['error']}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -551,21 +562,12 @@ def main(argv=None) -> int:
     try:
         report, code = COMMANDS[args.command](args)
     except CliError as exc:
-        report = {"schema": SCHEMA_VERSION, "command": args.command,
-                  "error": str(exc)}
-        if args.json:
-            print(json.dumps(report, sort_keys=True))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return _fail(args, exc.code, error=str(exc))
+    except GradingError as exc:
+        return _fail(args, EXIT_PARSE, error=f"no path-length grading ({exc}); the grading scope "
+                                             "is acyclic quivers and disjoint unions of cycles")
     except StabilizationError as exc:
-        report = {"schema": SCHEMA_VERSION, "command": args.command,
-                  "error": str(exc), "suggestion": exc.suggestion}
-        if args.json:
-            print(json.dumps(report, sort_keys=True))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STABILIZATION
+        return _fail(args, EXIT_STABILIZATION, error=str(exc), suggestion=exc.suggestion)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     report["timings"] = {"total_ms": elapsed_ms}
     if args.json:

@@ -30,7 +30,6 @@ from .quiver import (
 from .repmod import (
     GradedPresentation,
     Rep,
-    _free_cover,
     _path_basis_rep,
     _reverse_path,
     arrow_ends,
@@ -38,6 +37,7 @@ from .repmod import (
     graded_form,
     hom_space,
     linear_dual,
+    presentation_of_rep,
     zero_rep,
 )
 
@@ -63,65 +63,7 @@ def reverse_alg(el: AlgElement) -> AlgElement:
 
 
 # ----------------------------------------------------------------------
-# free complexes of left modules
-
-
-@dataclass
-class FreeComplex:
-    """Bounded complex of free left modules; generators tagged (vertex, degree).
-
-    diffs[k] maps term k to term k-1: entries[row][col] is an AlgElement
-    supported on paths from the row generator's vertex to the column
-    generator's vertex, homogeneous of degree (col degree - row degree); the
-    component map is x |-> x . entry.
-
-    augmentation, when present, is (rep, degrees, assignment): the
-    augmentation of term 0 onto a graded left module, assignment[g] being the
-    (vertex, fiber index) basis vector hit by generator g.
-    """
-
-    quiver: Quiver
-    fld: Field
-    terms: dict
-    diffs: dict
-    augmentation: tuple | None = None
-
-    def validate(self) -> None:
-        for k, entries in self.diffs.items():
-            rows = self.terms.get(k - 1, ())
-            cols = self.terms.get(k, ())
-            if len(entries) != len(rows) or any(len(r) != len(cols) for r in entries):
-                raise ValueError(f"diff {k}: shape mismatch")
-            for g, (gv, gd) in enumerate(rows):
-                for r, (rv, rd) in enumerate(cols):
-                    for p in entries[g][r].coeffs:
-                        if p.source != gv or p.target != rv:
-                            raise ValueError(f"diff {k} entry ({g},{r}) has bad support")
-                        if p.length != rd - gd:
-                            raise ValueError(f"diff {k} entry ({g},{r}) not homogeneous")
-        for k in sorted(self.diffs):
-            if k + 1 in self.diffs:
-                for row in _entry_matmul(self.fld, self.diffs[k], self.diffs[k + 1]):
-                    for el in row:
-                        if not el.is_zero():
-                            raise ValueError(f"d_{k} d_{k+1} != 0")
-
-
-def _entry_matmul(fld: Field, a, b):
-    """Entry matrix of the composite of two free-module maps (a after b)."""
-    rows = len(a)
-    mid = len(b)
-    cols = len(b[0]) if b else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = AlgElement.zero(fld)
-            for k in range(mid):
-                acc = acc + convolve(b[k][j], a[i][k])
-            row.append(acc)
-        out.append(row)
-    return out
+# free terms of left presentations
 
 
 def free_term_basis(table, gens, degree: int, target: int | None = None) -> list:
@@ -164,102 +106,77 @@ def path_action(rep: Rep, p: Path) -> Matrix:
     return cur
 
 
-def standard_resolution(m: Rep, degrees=None) -> FreeComplex:
+def standard_resolution(m: Rep, degrees=None) -> GradedPresentation:
     """Standard two-term projective resolution of a nilpotent left module:
 
     0 -> (+)_(a in Q1) A e_head(a) (x) M_tail(a) -> (+)_v A e_v (x) M_v -> M -> 0
 
-    with differential p (x) mu |-> p a (x) mu - p (x) a mu.  Homogeneous once
-    M carries its path-length grading (supplied or found automatically).
+    with differential p (x) mu |-> p a (x) mu - p (x) a mu, as the left
+    presentation of M: generators are term 0, relations term 1, entries the
+    differential.  Homogeneous once M carries its path-length grading
+    (supplied or found automatically).
     """
     if m.side != "left":
         raise ValueError("standard_resolution expects a left module")
-    if degrees is None:
-        m, degrees = graded_form(m)
-    gens0, gens1, entries = _free_cover(m, degrees)
-    assignment = tuple((v, i) for v in m.quiver.vertices for i in range(m.dims[v]))
-    return FreeComplex(m.quiver, m.field, {0: gens0, 1: gens1}, {1: entries},
-                       augmentation=(m, degrees, assignment))
+    return presentation_of_rep(m, degrees)
 
 
-def augmentation_matrix(cx: FreeComplex, table, degree: int):
-    """Degree-d matrix of the augmentation term0 -> M and the M-side basis."""
-    m, degrees, assignment = cx.augmentation
-    target_basis = [(v, i) for v in m.quiver.vertices for i, d in enumerate(degrees[v]) if d == degree]
+def augmentation_matrix(m: Rep, degrees, table, degree: int):
+    """Degree-d matrix of the augmentation of standard_resolution(m, degrees)
+    onto M, and the M-side basis; generator g hits the g-th basis vector of
+    M in vertex order."""
+    fiber = [(v, i) for v in m.quiver.vertices for i in range(m.dims[v])]
+    target_basis = [(v, i) for v, i in fiber if degrees[v][i] == degree]
+    gens = [(v, degrees[v][i]) for v, i in fiber]
 
     def images(lab):
         g, p = lab
-        return (((p.target, r), x) for r, x in enumerate(path_action(m, p).column(assignment[g][1])))
+        return (((p.target, r), x) for r, x in enumerate(path_action(m, p).column(fiber[g][1])))
 
-    return (_label_matrix(cx.fld, target_basis, free_term_basis(table, cx.terms[0], degree), images),
+    return (_label_matrix(m.field, target_basis, free_term_basis(table, gens, degree), images),
             target_basis)
 
 
-def resolution_exact_through(cx: FreeComplex, table, max_degree: int) -> bool:
-    """Degreewise exactness of 0 -> term1 -> term0 -> M -> 0."""
+def resolution_exact_through(m: Rep, table, max_degree: int) -> bool:
+    """Degreewise exactness of 0 -> F1 -> F0 -> M -> 0 for the standard
+    resolution of a left module, on its graded form."""
+    m, degrees = graded_form(m)
+    pres = standard_resolution(m, degrees)
     for d in range(max_degree + 1):
-        d1 = free_diff_matrix(cx.fld, table, cx.terms[0], cx.terms[1], cx.diffs[1], d)
-        aug, _ = augmentation_matrix(cx, table, d)
+        d1 = free_diff_matrix(m.field, table, pres.generators, pres.relations, pres.entries, d)
+        aug, _ = augmentation_matrix(m, degrees, table, d)
         if aug.rows and not (aug * d1).is_zero_matrix():
             return False
-        n0 = len(free_term_basis(table, cx.terms[0], d))
-        n1 = len(free_term_basis(table, cx.terms[1], d))
-        if rank(d1) != n1 or rank(aug) + n1 != n0:
+        if rank(d1) != d1.cols or rank(aug) + d1.cols != d1.rows:
             return False
     return True
 
 
-def minimalize(cx: FreeComplex) -> FreeComplex:
-    """Homotopy-equivalent complex with all differential entries in the radical.
+def minimalize(pres: GradedPresentation) -> GradedPresentation:
+    """The same left module presented with every entry in the radical.
 
-    Gaussian elimination of unit entries (nonzero scalars on a trivial path);
-    the resulting ranks are the Betti numbers.
+    Cancels unit entries (nonzero scalars on a trivial path) one at a time,
+    the first by generator, then relation, then path; the generators and
+    relations left are the Betti numbers.
     """
-    f = cx.fld
-    terms = {k: list(v) for k, v in cx.terms.items()}
-    diffs = {k: [list(row) for row in v] for k, v in cx.diffs.items()}
-
-    def find_unit(entries):
-        for g, row in enumerate(entries):
-            for r, el in enumerate(row):
-                for p, c in el.coeffs.items():
-                    if p.length == 0:
-                        return g, r, c
-        return None
-
-    changed = True
-    while changed:
-        changed = False
-        for k in sorted(diffs):
-            entries = diffs[k]
-            if not entries or not entries[0]:
-                continue
-            hit = find_unit(entries)
-            if hit is None:
-                continue
-            g0, r0, unit = hit
-            inv_el = AlgElement(f, {trivial_path(terms[k - 1][g0][0]): f.inv(unit)})
-            rows = [g for g in range(len(terms[k - 1])) if g != g0]
-            cols = [r for r in range(len(terms[k])) if r != r0]
-            new_entries = []
-            for g in rows:
-                new_row = []
-                for r in cols:
-                    correction = convolve(convolve(entries[g0][r], inv_el), entries[g][r0])
-                    new_row.append(entries[g][r] - correction)
-                new_entries.append(new_row)
-            diffs[k] = new_entries
-            if k + 1 in diffs:
-                diffs[k + 1] = [diffs[k + 1][r] for r in cols]
-            if k - 1 in diffs:
-                diffs[k - 1] = [[row[g] for g in rows] for row in diffs[k - 1]]
-            terms[k - 1] = [terms[k - 1][g] for g in rows]
-            terms[k] = [terms[k][r] for r in cols]
-            changed = True
+    if pres.side != "left":
+        raise ValueError("minimalize expects a left presentation")
+    f = pres.field
+    gens, rels = list(pres.generators), list(pres.relations)
+    entries = [list(row) for row in pres.entries]
+    while True:
+        hit = next(((g, r, c) for g, row in enumerate(entries) for r, el in enumerate(row)
+                    for p, c in el.coeffs.items() if p.length == 0), None)
+        if hit is None:
             break
-    return FreeComplex(cx.quiver, f,
-                       {k: tuple(v) for k, v in terms.items()},
-                       {k: tuple(tuple(row) for row in v) for k, v in diffs.items()})
+        g0, r0, unit = hit
+        inv_el = AlgElement(f, {trivial_path(gens[g0][0]): f.inv(unit)})
+        entries = [[entries[g][r] - convolve(convolve(entries[g0][r], inv_el), entries[g][r0])
+                    for r in range(len(rels)) if r != r0]
+                   for g in range(len(gens)) if g != g0]
+        del gens[g0], rels[r0]
+    return GradedPresentation(pres.quiver, "left", f, tuple(gens), tuple(rels),
+                              tuple(tuple(row) for row in entries))
 
 
 # ----------------------------------------------------------------------
@@ -499,26 +416,26 @@ class AlgebraExtEngine:
         self.trunc = trunc
         self.table = enumerate_paths(quiver, trunc)
 
-    def block(self, cx: FreeComplex, i: int, d: int, w: int) -> _Block:
-        def labels(k):
-            return [(g, q) for g, (gv, gd) in enumerate(cx.terms[k])
+    def block(self, pres: GradedPresentation, i: int, d: int, w: int) -> _Block:
+        def labels(gens):
+            return [(g, q) for g, (gv, gd) in enumerate(gens)
                     for q in self.table.paths(source=w, target=gv, length=d + gd)]
 
         def images(lab):
             g, q = lab
-            for r, entry in enumerate(cx.diffs[1][g]):
+            for r, entry in enumerate(pres.entries[g]):
                 for u, c in entry.coeffs.items():
                     if u.source == q.target:
                         yield (r, compose(u, q)), c
 
-        rows, cols = labels(1), labels(0)
+        rows, cols = labels(pres.relations), labels(pres.generators)
         mat = _label_matrix(self.fld, rows, cols, images)
         if i == 0:
             return _Block(cols, Kernel(mat))
         return _Block(rows, Quotient(mat))
 
-    def degree_range(self, cx: FreeComplex) -> tuple:
-        degs = [gd for k in (0, 1) for _, gd in cx.terms[k]]
+    def degree_range(self, pres: GradedPresentation) -> tuple:
+        degs = [gd for _, gd in pres.generators + pres.relations]
         top = max(degs) if degs else 0
         return (-top, self.trunc - top)
 
@@ -559,8 +476,8 @@ def ext_vs_algebra(m: Rep, i: int, trunc: int, want_rep: bool = True) -> ExtRepo
                          rep=zero_rep(m.quiver, "right", m.field) if want_rep else None,
                          certificate={"stable_from": 0, "window": window}, field=m.field)
     engine = AlgebraExtEngine(m.quiver, m.field, trunc)
-    cx = standard_resolution(m)
-    d_min, d_max = engine.degree_range(cx)
+    pres = standard_resolution(m)
+    d_min, d_max = engine.degree_range(pres)
     if d_max - d_min + 1 < window + 1:
         raise StabilizationError(
             "truncation too small to host a certificate window",
@@ -570,7 +487,7 @@ def ext_vs_algebra(m: Rep, i: int, trunc: int, want_rep: bool = True) -> ExtRepo
     dims_by_degree = {}
     for d in range(d_min, d_max + 1):
         for w in m.quiver.vertices:
-            blk = blocks[(d, w)] = engine.block(cx, i, d, w)
+            blk = blocks[(d, w)] = engine.block(pres, i, d, w)
             dims_by_degree[d] = dims_by_degree.get(d, 0) + blk.dim
     stable_from = _stable_zero_from(dims_by_degree, d_min, d_max, window)
     if stable_from is None:
@@ -1100,6 +1017,9 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
             rep, degrees, labels = _truncated_free_model(rep_q, u, m, fld, engine.table)
             resolutions[(u, m)] = standard_resolution(rep, degrees)
             gens[(u, m)] = labels[k_term]
+    # generator translation along the surjection of stage m + 1 onto stage m
+    stage_moves = {(u, m): _regenerate(gens[(u, m)], gens[(u, m + 1)], lambda lab: lab)
+                   for u in rep_q.vertices for m in range(1, m_max)}
     blocks = {}
 
     def get_block(u, m, d, w):
@@ -1129,7 +1049,7 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
                     for m in range(birth, m_max):
                         # the induced map on classes, stage m -> stage m+1, is square here
                         t = _induced_map(fld, get_block(u, m, d, w), get_block(u, m + 1, d, w),
-                                         _regenerate(gens[(u, m)], gens[(u, m + 1)], lambda lab: lab))
+                                         stage_moves[(u, m)])
                         if inverse(t) is None:
                             ok = False
                             break
@@ -1384,51 +1304,49 @@ def duality_roundtrip(x, m_max: int | None = None, trunc: int | None = None,
         raise ValueError(f"unknown roundtrip object kind {kind!r}")
     if m_max is None or trunc is None:
         raise ValueError("injective roundtrip needs m_max and trunc")
-    return duality_roundtrip_injective(quiver, vertex, m_max, trunc, fld)
+    return duality_roundtrip_injective(quiver, m_max, trunc, fld)[vertex]
 
 
-def duality_roundtrip_injective(quiver: Quiver, vertex: int, m_max: int, trunc: int,
-                                fld: Field | None = None) -> dict:
-    """F then G on the truncated injective at a vertex.
+def duality_roundtrip_injective(quiver: Quiver, m_max: int, trunc: int,
+                                fld: Field | None = None) -> list:
+    """F then G on the truncated injective at each vertex, one verdict per vertex.
 
     F(e_i C) is the i-th right-index column of the stabilized local
     cohomology (a twisted coalgebra column, shifted by the global dimension);
-    G runs the mirrored machinery on the opposite quiver.  The verdict checks
+    G runs the mirrored machinery on the opposite quiver.  A verdict checks
     that the composite's bigraded dimensions reproduce the truncated
-    injective degreewise through the certified window.
+    injective degreewise through the certified window.  Each one-sided local
+    cohomology is computed once; the right one only when some F image is
+    concentrated on a single column.
     """
     from .quiver import path_count_matrix
 
     fld = fld or Field(0)
     n = 0 if not quiver.arrows else 1
     h_left = local_cohomology(quiver, n, m_max, trunc, fld, side="left")
-    ell_max = h_left.max_degree
-    f_dims = {(u, ell): h_left.dim(u, vertex, ell) for u in quiver.vertices for ell in range(ell_max + 1)}
     # the degree-0 slice locates the coalgebra column F(X) is supported on
-    carriers = [u for u in quiver.vertices if f_dims.get((u, 0), 0)]
-    if n == 0:
-        carriers = [vertex]
-    if len(carriers) != 1:
-        return {"object": f"truncated injective at {vertex + 1}", "passes": False,
-                "reason": "F image not concentrated on a single column"}
-    c = carriers[0]
-    h_right = local_cohomology(quiver, n, m_max, trunc, fld, side="right")
-    ell_both = min(ell_max, h_right.max_degree)
-    expected = [path_count_matrix(quiver, ell) for ell in range(ell_both + 1)]
-    passes = True
-    table = []
-    for ell in range(ell_both + 1):
-        for v in quiver.vertices:
-            got = h_right.dim(v, c, ell)
-            want = expected[ell][vertex][v]
-            table.append({"degree": ell, "vertex": v + 1, "roundtrip": got, "original": want})
-            if got != want:
-                passes = False
-    return {
-        "object": f"truncated injective at vertex {vertex + 1}",
-        "passes": passes,
-        "column": c + 1,
-        "shift": n,
-        "checked_degrees": ell_both,
-        "table": table,
-    }
+    carriers = [[vertex] if n == 0 else [u for u in quiver.vertices if h_left.dim(u, vertex, 0)]
+                for vertex in quiver.vertices]
+    if any(len(cs) == 1 for cs in carriers):
+        h_right = local_cohomology(quiver, n, m_max, trunc, fld, side="right")
+        ell_both = min(h_left.max_degree, h_right.max_degree)
+        expected = [path_count_matrix(quiver, ell) for ell in range(ell_both + 1)]
+    verdicts = []
+    for vertex, cs in enumerate(carriers):
+        if len(cs) != 1:
+            verdicts.append({"object": f"truncated injective at {vertex + 1}", "passes": False,
+                             "reason": "F image not concentrated on a single column"})
+            continue
+        c = cs[0]
+        table = [{"degree": ell, "vertex": v + 1, "roundtrip": h_right.dim(v, c, ell),
+                  "original": expected[ell][vertex][v]}
+                 for ell in range(ell_both + 1) for v in quiver.vertices]
+        verdicts.append({
+            "object": f"truncated injective at vertex {vertex + 1}",
+            "passes": all(row["roundtrip"] == row["original"] for row in table),
+            "column": c + 1,
+            "shift": n,
+            "checked_degrees": ell_both,
+            "table": table,
+        })
+    return verdicts

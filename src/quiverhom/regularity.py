@@ -39,8 +39,7 @@ def global_dimension(q: Quiver) -> int:
     expected = 0 if not q.arrows else 1
     observed = 0
     for v in q.vertices:
-        cx = minimalize(standard_resolution(simple(q, v, "left")))
-        if cx.terms.get(1):
+        if minimalize(standard_resolution(simple(q, v, "left"))).relations:
             observed = 1
     if observed != expected:
         raise AssertionError("resolution length disagrees with hereditary expectation")

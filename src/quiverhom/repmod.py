@@ -511,22 +511,6 @@ def direct_sum(m: Rep, n: Rep) -> Rep:
 # gradings
 
 
-def rep_grading(m: Rep):
-    """Degrees per fiber basis vector making every arrow map homogeneous of
-    degree +1, or raise GradingError.
-
-    Two strategies: a vertex level function (covers acyclic instances), then
-    fiberwise nilpotent chain bases (covers serial instances such as disjoint
-    cycles).  The result is always verified before being returned.
-    """
-    try:
-        degs = _level_grading(m)
-    except GradingError:
-        degs = _chain_grading(m)
-    _verify_grading(m, degs)
-    return degs
-
-
 def _level_grading(m: Rep):
     q = m.quiver
     level = {}
@@ -556,17 +540,9 @@ def _level_grading(m: Rep):
     return tuple(tuple(level[v] + shift for _ in range(m.dims[v])) for v in m.quiver.vertices)
 
 
-def _chain_grading(m: Rep):
-    """Grading from a fiber-compatible chain basis of the total radical operator.
-
-    Returns degrees for a NEW basis; callers needing the rewritten module use
-    graded_form which applies the change of basis.
-    """
-    degs, _ = _chain_basis(m)
-    return degs
-
-
 def _chain_basis(m: Rep):
+    """(degrees, per-fiber change of basis) from a fiber-compatible chain
+    basis of the total radical operator; the degrees grade the new basis."""
     f = m.field
     total = m.total_dim
     if total == 0:
@@ -662,7 +638,13 @@ def _chain_basis(m: Rep):
 
 
 def graded_form(m: Rep):
-    """(isomorphic Rep, degrees) with every arrow map homogeneous of degree +1."""
+    """(isomorphic Rep, degrees) with every arrow map homogeneous of degree +1,
+    or raise GradingError.
+
+    Two strategies: a vertex level function (acyclic instances) on m as it
+    stands, then fiberwise nilpotent chain bases (serial instances such as
+    disjoint cycles) with the change of basis applied.
+    """
     try:
         degs = _level_grading(m)
         _verify_grading(m, degs)
@@ -804,26 +786,17 @@ def truncated_free(quiver: Quiver, vertex: int, n: int, side: str = "left", fiel
     return GradedPresentation(quiver, side, field, ((vertex, 0),), (), ((),))
 
 
-def presentation_of_rep(m: Rep) -> GradedPresentation:
-    """Presentation of a finite-dimensional module from its graded form.
-
-    Generators are the graded basis vectors; relations express each arrow
-    action, cokernel-style: the presented module of the returned datum is
-    isomorphic to m.  Used to feed finite-dimensional modules to machinery
-    that wants presentations.
-    """
-    rep, degs = graded_form(m)
-    return GradedPresentation(m.quiver, m.side, m.field, *_free_cover(rep, degs))
-
-
-def _free_cover(m: Rep, degrees) -> tuple:
-    """(generators, relations, entries) of the standard presentation of a
-    graded module, in the conventions of GradedPresentation.
+def presentation_of_rep(m: Rep, degrees=None) -> GradedPresentation:
+    """The standard presentation of a finite-dimensional module, on its
+    graded form unless `degrees` grades m as it stands.
 
     One generator per basis vector (v, i) of degree degrees[v][i], in vertex
     order; one relation per arrow a and basis vector x of its domain fiber,
-    a . x - (the arrow action on x), of degree one more than x.
+    a . x - (the arrow action on x), of degree one more than x.  The
+    presented module is isomorphic to m.
     """
+    if degrees is None:
+        m, degrees = graded_form(m)
     f = m.field
     first = {}
     gens = []
@@ -844,4 +817,4 @@ def _free_cover(m: Rep, degrees) -> tuple:
             rels.append((cod, degrees[dom][c] + 1))
             cols.append(col)
     entries = tuple(tuple(col.get(g, AlgElement.zero(f)) for col in cols) for g in range(len(gens)))
-    return tuple(gens), tuple(rels), entries
+    return GradedPresentation(m.quiver, m.side, f, tuple(gens), tuple(rels), entries)

@@ -78,6 +78,17 @@ def test_stabilization_exit_four(quiver_file, capsys):
     assert "increase" in report["suggestion"]
 
 
+def test_module_outside_grading_scope_exits_two(quiver_file, capsys):
+    # a two-cycle with a transit arrow into it: some random modules have no
+    # path-length grading, which is an input error, not a crash
+    path = quiver_file("vertices: 3\narrow x 1 2\narrow y 2 1\narrow z 3 1\n")
+    code, report = run_json(
+        capsys, ["verify", "--quiver", path, "--seed", "1", "--cases", "4", "--trunc", "6", "--json"])
+    assert code == 2
+    assert set(report) == {"schema", "command", "error"}
+    assert "acyclic quivers and disjoint unions of cycles" in report["error"]
+
+
 def test_ext_comodule_command(quiver_file, capsys):
     code, report = run_json(
         capsys, ["ext", "--quiver", quiver_file(TWO_CYCLE), "--module", "C",

@@ -201,18 +201,18 @@ def _element(el) -> list:
     return sorted([list(p.arrows), str(c)] for p, c in el.coeffs.items())
 
 
-def _resolution(cx) -> dict:
-    return {"generators": [list(g) for g in cx.terms[0]],
-            "relations": [list(r) for r in cx.terms[1]],
-            "entries": [[_element(el) for el in row] for row in cx.diffs[1]]}
+def _resolution(pres) -> dict:
+    return {"generators": [list(g) for g in pres.generators],
+            "relations": [list(r) for r in pres.relations],
+            "entries": [[_element(el) for el in row] for row in pres.entries]}
 
 
 def _resolution_outputs(name):
     q, fld = _quiver(name)
     out = {}
     for label, m in _modules(q, fld).items():
-        cx = standard_resolution(m)
-        out[label] = {"standard": _resolution(cx), "minimal": _resolution(minimalize(cx))}
+        pres = standard_resolution(m)
+        out[label] = {"standard": _resolution(pres), "minimal": _resolution(minimalize(pres))}
     return out
 
 

@@ -16,7 +16,6 @@ from quiverhom.repmod import (
     linear_dual,
     random_graded_rep,
     rep_from_matrices,
-    rep_grading,
     simple,
     truncated_free,
     truncated_free_rep,
@@ -208,7 +207,7 @@ def test_euler_pairing_values():
 
 def test_grading_uniserial():
     m = uniserial(LOOP, 0, 4, "left", Q)
-    degs = rep_grading(m)
+    _, degs = graded_form(m)
     assert sorted(degs[0]) == [0, 1, 2, 3]
 
 
