@@ -44,12 +44,14 @@ def _is_prime(n: int) -> bool:
 class Field:
     """The rationals (characteristic 0) or F_p for a prime p."""
 
-    __slots__ = ("characteristic",)
+    __slots__ = ("characteristic", "zero", "one")
 
     def __init__(self, characteristic: int = 0):
         if characteristic != 0 and not _is_prime(characteristic):
             raise ValueError(f"characteristic must be 0 or a prime, got {characteristic}")
         self.characteristic = characteristic
+        self.zero = self.of(0)
+        self.one = self.of(1)
 
     @classmethod
     def parse(cls, text: str) -> "Field":
@@ -97,14 +99,6 @@ class Field:
             return (num * pow(den, -1, self.characteristic)) % self.characteristic
         return int(n) % self.characteristic
 
-    @property
-    def zero(self):
-        return self.of(0)
-
-    @property
-    def one(self):
-        return self.of(1)
-
     def add(self, a, b):
         return (a + b) % self.characteristic if self.characteristic else a + b
 
@@ -131,7 +125,13 @@ class Field:
 
 
 class Matrix:
-    """Immutable dense matrix with exact entries over a fixed field."""
+    """Immutable dense matrix with exact entries over a fixed field.
+
+    Dense tuples are the storage; elimination (`_rref`) copies the nonzeros
+    into sparse rows.  `Matrix(field, entries)` coerces every entry with
+    `Field.of`, and the operations below build their results with
+    `_normalized`, which takes entries already in normal form as they are.
+    """
 
     __slots__ = ("field", "rows", "cols", "entries")
 
@@ -148,17 +148,24 @@ class Matrix:
     # constructors ------------------------------------------------------
 
     @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
+    def _normalized(cls, field: Field, entries: tuple, cols: int) -> "Matrix":
+        """A matrix on a tuple of equal-length row tuples whose entries are
+        already normalized scalars of `field`; nothing is coerced or checked."""
         m = cls.__new__(cls)
         m.field = field
-        m.rows = rows
+        m.rows = len(entries)
         m.cols = cols
-        m.entries = tuple((field.zero,) * cols for _ in range(rows))
+        m.entries = entries
         return m
 
     @classmethod
+    def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
+        return cls._normalized(field, tuple((field.zero,) * cols for _ in range(rows)), cols)
+
+    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [[field.one if i == j else field.zero for j in range(n)] for i in range(n)])
+        return cls._normalized(field, tuple(tuple(field.one if i == j else field.zero for j in range(n))
+                                            for i in range(n)), n)
 
     @classmethod
     def from_columns(cls, field: Field, columns, rows: int) -> "Matrix":
@@ -189,16 +196,18 @@ class Matrix:
     def __add__(self, other):
         self._compat(other)
         f = self.field
-        return Matrix(f, [[f.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)], cols=self.cols)
+        return Matrix._normalized(f, tuple(tuple(f.add(a, b) for a, b in zip(r1, r2))
+                                           for r1, r2 in zip(self.entries, other.entries)), self.cols)
 
     def __sub__(self, other):
         self._compat(other)
         f = self.field
-        return Matrix(f, [[f.sub(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)], cols=self.cols)
+        return Matrix._normalized(f, tuple(tuple(f.sub(a, b) for a, b in zip(r1, r2))
+                                           for r1, r2 in zip(self.entries, other.entries)), self.cols)
 
     def __neg__(self):
         f = self.field
-        return Matrix(f, [[f.neg(a) for a in row] for row in self.entries], cols=self.cols)
+        return Matrix._normalized(f, tuple(tuple(f.neg(a) for a in row) for row in self.entries), self.cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -216,28 +225,28 @@ class Matrix:
                     b = ork[j]
                     if not f.is_zero(b):
                         new[j] = f.add(new[j], f.mul(a, b))
-            out.append(new)
-        return Matrix(f, out, cols=other.cols)
+            out.append(tuple(new))
+        return Matrix._normalized(f, tuple(out), other.cols)
 
     def scale(self, c) -> "Matrix":
         f = self.field
         c = f.of(c)
-        return Matrix(f, [[f.mul(c, a) for a in row] for row in self.entries], cols=self.cols)
+        return Matrix._normalized(f, tuple(tuple(f.mul(c, a) for a in row) for row in self.entries), self.cols)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-                      cols=self.rows)
+        columns = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return Matrix._normalized(self.field, columns, self.rows)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("hstack: row mismatch")
-        return Matrix(self.field, [r1 + r2 for r1, r2 in zip(self.entries, other.entries)],
-                      cols=self.cols + other.cols)
+        return Matrix._normalized(self.field, tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)),
+                                  self.cols + other.cols)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("vstack: col mismatch")
-        return Matrix(self.field, list(self.entries) + list(other.entries), cols=self.cols)
+        return Matrix._normalized(self.field, self.entries + other.entries, self.cols)
 
     def column(self, j: int) -> tuple:
         return tuple(self.entries[i][j] for i in range(self.rows))
@@ -268,37 +277,90 @@ def _dot(field, u, v):
     return acc
 
 
-def _rref(m: Matrix):
-    """Reduced row echelon form; returns (rows as list of lists, pivot column list).
+def _subtract(row: dict, coef, tail, p: int) -> None:
+    """row -= coef * (pivot row) over the pivot row's nonzeros `tail`
+    (its pivot column excluded; the caller has removed it from row)."""
+    if p:
+        for j, x in tail:
+            y = (row.get(j, 0) - coef * x) % p
+            if y:
+                row[j] = y
+            else:
+                del row[j]
+    else:
+        for j, x in tail:
+            y = row.get(j, 0) - coef * x
+            if y:
+                row[j] = y
+            else:
+                del row[j]
 
-    Fractions are renormalized by the pivot at every elimination step, which
-    keeps numerators and denominators small at desk scale.
+
+def _rref(m: Matrix):
+    """Reduced row echelon form: (the nonzero rows as lists, their pivot columns).
+
+    Sparse Gauss-Jordan.  Each row is a dict {column: nonzero}; a pivot is
+    found with `c in row`, and an update touches only the pivot row's
+    nonzeros.  Over F_p the entries are ints reduced inline mod p.  Over Q an
+    integral entry is kept as an int, so a Fraction appears only after a
+    division by a pivot other than +-1; every output entry is a Fraction.
+    The reduced echelon form is unique, so the result does not depend on the
+    pivot row chosen; the kernel prefers a pivot +-1 over Q, then the row
+    with the fewest nonzeros.
     """
     f = m.field
-    a = [list(row) for row in m.entries]
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not f.is_zero(a[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = f.inv(a[r][c])
-        a[r] = [f.mul(inv, x) for x in a[r]]
-        for i in range(nrows):
-            if i != r and not f.is_zero(a[i][c]):
-                coef = a[i][c]
-                a[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+    p = f.characteristic
+    if p:
+        pending = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
+    else:
+        pending = [{j: (x.numerator if x.denominator == 1 else x) for j, x in enumerate(row) if x}
+                   for row in m.entries]
+    pending = [row for row in pending if row]
+    done = []  # (pivot column, row with pivot entry 1), forward-reduced
+    for c in range(m.cols):
+        if not pending:
             break
-    return a, pivots
+        candidates = [row for row in pending if c in row]
+        if not candidates:
+            continue
+        pool = candidates
+        if not p:
+            pool = [row for row in candidates if row[c] in (1, -1)] or candidates
+        src = min(pool, key=len)
+        pv = src[c]
+        if pv == 1:
+            prow = src
+        elif p:
+            inv = pow(pv, -1, p)
+            prow = {j: x * inv % p for j, x in src.items()}
+        elif pv == -1:
+            prow = {j: -x for j, x in src.items()}
+        else:
+            inv = 1 / Fraction(pv)
+            prow = {}
+            for j, x in src.items():
+                y = x * inv
+                prow[j] = y.numerator if y.denominator == 1 else y
+        tail = [(j, x) for j, x in prow.items() if j != c]
+        for row in candidates:
+            if row is not src:
+                _subtract(row, row.pop(c), tail, p)
+        pending = [row for row in pending if row and row is not src]
+        done.append((c, prow))
+    # back substitution, last pivot first, so each pivot row used is final
+    for k in range(len(done) - 1, 0, -1):
+        c, prow = done[k]
+        tail = [(j, x) for j, x in prow.items() if j != c]
+        for _, row in done[:k]:
+            if c in row:
+                _subtract(row, row.pop(c), tail, p)
+    out = []
+    for _, row in done:
+        dense = [f.zero] * m.cols
+        for j, x in row.items():
+            dense[j] = x if p or type(x) is Fraction else Fraction(x)
+        out.append(dense)
+    return out, [c for c, _ in done]
 
 
 def rank(m: Matrix) -> int:
@@ -318,20 +380,7 @@ def cokernel_data(m: Matrix):
     projection * m = 0; its rows are the canonical left-kernel basis.
     """
     left = Kernel(m.transpose()).basis
-    return len(left), Matrix(m.field, left, cols=m.rows)
-
-
-def solve(m: Matrix, b) -> tuple | None:
-    """A particular solution x of m x = b, or None if inconsistent."""
-    f = m.field
-    aug = m.hstack(Matrix(f, [[x] for x in b], cols=1))
-    a, pivots = _rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [f.zero] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = a[r][m.cols]
-    return tuple(x)
+    return len(left), Matrix._normalized(m.field, tuple(left), m.rows)
 
 
 def inverse(m: Matrix) -> Matrix | None:
@@ -341,9 +390,9 @@ def inverse(m: Matrix) -> Matrix | None:
     f = m.field
     aug = m.hstack(Matrix.identity(f, m.rows))
     a, pivots = _rref(aug)
-    if len(pivots) < m.rows or any(p >= m.rows for p in pivots[: m.rows]):
+    if pivots != list(range(m.rows)):
         return None
-    return Matrix(f, [row[m.rows:] for row in a[: m.rows]])
+    return Matrix._normalized(f, tuple(tuple(row[m.rows:]) for row in a), m.rows)
 
 
 def _combine(f: Field, vectors, coords, n: int) -> tuple:

@@ -9,16 +9,60 @@ from quiverhom.exactlin import (
     Kernel,
     Matrix,
     Quotient,
+    _rref,
     cokernel_data,
     inverse,
     kernel_basis,
     rank,
-    solve,
 )
 
 
 Q = Field(0)
 F5 = Field(5)
+
+
+def dense_rref(m: Matrix):
+    """Reference reduced row echelon form: dense Gauss-Jordan through the
+    Field operations, first nonzero entry as pivot.  Returns every row (the
+    zero rows last) and the pivot columns."""
+    f = m.field
+    a = [list(row) for row in m.entries]
+    nrows, ncols = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if not f.is_zero(a[i][c]):
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        inv = f.inv(a[r][c])
+        a[r] = [f.mul(inv, x) for x in a[r]]
+        for i in range(nrows):
+            if i != r and not f.is_zero(a[i][c]):
+                coef = a[i][c]
+                a[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots
+
+
+def solve(m: Matrix, b) -> tuple | None:
+    """A particular solution x of m x = b (zero at the free columns), or
+    None if inconsistent; read off the reference echelon form."""
+    f = m.field
+    a, pivots = dense_rref(m.hstack(Matrix(f, [[x] for x in b], cols=1)))
+    if m.cols in pivots:
+        return None
+    x = [f.zero] * m.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = a[r][m.cols]
+    return tuple(x)
 
 
 def test_field_parse():
@@ -228,3 +272,48 @@ def test_subspace_primitives_random(fld):
                 off[c] = fld.add(off[c], fld.one)
                 with pytest.raises(ValueError):
                     kern.coordinates(off)
+
+
+RREF_FIELDS = [Q, Field(2), Field(7), Field(2147483647)]
+
+
+def _rref_matrices(fld, seed, count=150):
+    """Random matrices up to 9 x 9, 0-row and 0-column shapes included.
+    Over Q the entries include non-integral fractions, so pivots other than
+    +-1 and fractional intermediate entries occur."""
+    rng = random.Random(seed)
+    scalars = [0, 0, 0, 1, -1, 2, -3, 5]
+    if fld.characteristic == 0:
+        scalars += [Fraction(1, 2), Fraction(-2, 3), Fraction(7, 4)]
+    else:
+        scalars += [fld.characteristic - 1, fld.characteristic + 3]
+    for k in range(count):
+        r, c = rng.randint(0, 9), rng.randint(0, 9)
+        if k % 3 == 0:
+            # a product through a narrower middle: rank deficient
+            mid = rng.randint(0, min(r, c))
+            left = Matrix(fld, [[rng.choice(scalars) for _ in range(mid)] for _ in range(r)], cols=mid)
+            right = Matrix(fld, [[rng.choice(scalars) for _ in range(c)] for _ in range(mid)], cols=c)
+            yield left * right
+        else:
+            yield Matrix(fld, [[rng.choice(scalars) for _ in range(c)] for _ in range(r)], cols=c)
+
+
+@pytest.mark.parametrize("fld", RREF_FIELDS, ids=repr)
+def test_sparse_rref_matches_dense_oracle(fld):
+    shapes = set()
+    for m in _rref_matrices(fld, 6060):
+        rows, pivots = _rref(m)
+        ref_rows, ref_pivots = dense_rref(m)
+        assert pivots == ref_pivots
+        assert rows == ref_rows[:len(ref_pivots)]
+        shapes.add((m.rows == 0, m.cols == 0))
+        for row in rows:
+            assert len(row) == m.cols
+            for x in row:
+                if fld.characteristic == 0:
+                    assert type(x) is Fraction
+                else:
+                    assert type(x) is int and 0 <= x < fld.characteristic
+    assert {(True, False), (False, True)} <= shapes
+
