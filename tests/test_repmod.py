@@ -1,11 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from quiverhom.exactlin import Field
+from quiverhom.exactlin import Field, Matrix, rank
 from quiverhom.quiver import parse_quiver
 from quiverhom.repmod import (
     NotNilpotentError,
+    Rep,
+    arrow_ends,
     direct_sum,
     euler_pairing,
     graded_form,
@@ -242,3 +245,165 @@ def test_truncated_free_no_arrows_is_simple():
     s = simple(NO_ARROW, 0, "left", Q)
     assert free.dims == s.dims
     assert is_isomorphic(free, s)
+
+
+# ----------------------------------------------------------------------
+# nil bound against the dense reference
+
+
+def dense_nil_bound(quiver, side, field, dims, maps) -> int:
+    """The dense reference for Rep's nil bound: multiply each arrow map by
+    the whole unreduced span of the level before, then take the rank of
+    every fiber, until the spans vanish."""
+    spans = {v: Matrix.identity(field, dims[v]) for v in quiver.vertices}
+
+    def total(sp):
+        return sum(rank(m) for m in sp.values())
+
+    total_dim = sum(dims)
+    m = 0
+    current = total(spans)
+    while current > 0:
+        nxt = {v: [] for v in quiver.vertices}
+        for ai, a in enumerate(quiver.arrows):
+            dom, cod = arrow_ends(side, a)
+            if dims[dom] == 0 or dims[cod] == 0:
+                continue
+            nxt[cod].append(maps[ai] * spans[dom])
+        spans = {}
+        for v in quiver.vertices:
+            if nxt[v]:
+                acc = nxt[v][0]
+                for piece in nxt[v][1:]:
+                    acc = acc.hstack(piece)
+                spans[v] = acc
+            else:
+                spans[v] = Matrix.zeros(field, dims[v], 0)
+        m += 1
+        new_total = total(spans)
+        if new_total >= current and new_total > 0:
+            raise NotNilpotentError(
+                "some cycle acts non-nilpotently: not a rational module / comodule"
+            )
+        current = new_total
+        if m > total_dim + 1:
+            raise NotNilpotentError(
+                "radical action does not reach zero: not a rational module / comodule"
+            )
+    return m
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except NotNilpotentError as exc:
+        return (type(exc), str(exc))
+
+
+def _rep_outcome(quiver, side, field, dims, maps):
+    return _outcome(lambda: Rep(quiver, side, field, dims, maps).nil_bound)
+
+
+def _oracle_outcome(quiver, side, field, dims, maps):
+    return _outcome(lambda: dense_nil_bound(quiver, side, field, dims, maps))
+
+
+A3 = parse_quiver("vertices: 3\narrow a 1 2\narrow b 2 3\n")[0]
+# two arrows into vertex 2 and a loop there: images from several arrows meet
+MEET = parse_quiver("vertices: 3\narrow a 1 2\narrow b 3 2\narrow x 2 2\narrow c 2 3\n")[0]
+NIL_QUIVERS = (LOOP, TWO_CYCLE, KRONECKER, NO_ARROW, THREE_CYCLE, A3, MEET)
+NIL_FIELDS = (Q, Field(2), Field(7), Field(2147483647))
+
+
+def _random_scalar(rng, fld):
+    if fld.characteristic == 0 and rng.random() < 0.3:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return rng.randint(-3, 3)
+
+
+def _random_map(rng, fld, rows, cols, shape):
+    """A random rows x cols matrix: "dense", "sparse" (mostly zeros) or
+    "monomial" (at most one nonzero per column, rows may repeat)."""
+    entries = [[0] * cols for _ in range(rows)]
+    for j in range(cols):
+        if shape == "monomial":
+            if rows and rng.random() < 0.8:
+                x = 0
+                while fld.is_zero(fld.of(x)):
+                    x = _random_scalar(rng, fld)
+                entries[rng.randrange(rows)][j] = x
+            continue
+        for i in range(rows):
+            if shape == "dense" or rng.random() < 0.3:
+                entries[i][j] = _random_scalar(rng, fld)
+    return Matrix(fld, entries, cols=cols)
+
+
+def test_nil_bound_matches_dense_oracle_on_random_reps():
+    rng = random.Random(2027)
+    outcomes = {"bound": 0, "raised": 0}
+    for fld in NIL_FIELDS:
+        for quiv in NIL_QUIVERS:
+            for side in ("left", "right"):
+                for trial in range(12):
+                    dims = [rng.randint(0, 3) for _ in quiv.vertices]
+                    # one shape for all arrows, or (every fourth trial) one per arrow
+                    shapes = ("dense", "sparse", "monomial", None)
+                    shape = shapes[trial % 4]
+                    maps = []
+                    for a in quiv.arrows:
+                        dom, cod = arrow_ends(side, a)
+                        maps.append(_random_map(rng, fld, dims[cod], dims[dom], shape or rng.choice(shapes[:3])))
+                    want = _oracle_outcome(quiv, side, fld, dims, maps)
+                    assert _rep_outcome(quiv, side, fld, dims, maps) == want, (fld, quiv, side, dims, maps)
+                    outcomes["raised" if isinstance(want, tuple) else "bound"] += 1
+    # both sides of the check occur often enough to mean something
+    assert outcomes["bound"] >= 150 and outcomes["raised"] >= 100, outcomes
+
+
+def test_nil_bound_matches_dense_oracle_on_graded_reps_and_duals():
+    rng = random.Random(2028)
+    for fld in NIL_FIELDS:
+        for quiv in NIL_QUIVERS:
+            for side in ("left", "right"):
+                for _ in range(4):
+                    rep = random_graded_rep(quiv, rng, side, fld)
+                    for r in (rep, linear_dual(rep)):
+                        assert r.nil_bound == dense_nil_bound(r.quiver, r.side, r.field, r.dims, r.maps)
+
+
+def test_nil_bound_matches_dense_oracle_on_path_basis_models():
+    seen = set()
+    for fld in (Q, Field(7)):
+        for quiv in NIL_QUIVERS:
+            for v in quiv.vertices:
+                for n in range(5):
+                    reps = [truncated_free_rep(quiv, v, n, side, fld) for side in ("left", "right")]
+                    reps += [truncated_injective(quiv, v, n, side, fld) for side in ("left", "right")]
+                    if n:
+                        try:
+                            reps.append(uniserial(quiv, v, n, "left", fld))
+                        except ValueError:
+                            pass
+                    for r in reps:
+                        assert r.nil_bound == dense_nil_bound(r.quiver, r.side, r.field, r.dims, r.maps)
+                        seen.add(r.nil_bound)
+    assert max(seen) >= 5
+
+
+def test_nil_bound_non_nilpotent_message_matches_oracle():
+    # an invertible cycle composite after a nilpotent tail, on both sides
+    cases = [
+        (LOOP, (1,), [[[1]]]),
+        (LOOP, (2,), [[[0, 1], [1, 0]]]),
+        (TWO_CYCLE, (1, 1), [[[1]], [[1]]]),
+        (TWO_CYCLE, (2, 1), [[[1, 0]], [[1], [0]]]),
+        (THREE_CYCLE, (1, 1, 2), [[[-1]], [[1], [0]], [[1, 0]]]),
+    ]
+    for fld in NIL_FIELDS:
+        for quiv, dims, raw in cases:
+            left = [Matrix(fld, r) for r in raw]
+            for side, maps in (("left", left), ("right", [m.transpose() for m in left])):
+                want = _oracle_outcome(quiv, side, fld, dims, maps)
+                assert isinstance(want, tuple) and want[0] is NotNilpotentError
+                assert _rep_outcome(quiv, side, fld, dims, maps) == want
