@@ -315,8 +315,9 @@ def _push(fld: Field, labels, vec, move, dst_index: dict) -> tuple:
 def _label_matrix(fld: Field, rows, cols, images) -> Matrix:
     """The matrix on labelled bases whose column j is images(cols[j]).
 
-    images(label) yields (row label, coefficient) pairs; coefficients on the
-    same row add up, and row labels outside `rows` drop out.
+    images(label) yields (row label, normalized coefficient) pairs;
+    coefficients on the same row add up, and row labels outside `rows` drop
+    out.
     """
     index = {lab: i for i, lab in enumerate(rows)}
     mat = [[fld.zero] * len(cols) for _ in rows]
@@ -325,7 +326,7 @@ def _label_matrix(fld: Field, rows, cols, images) -> Matrix:
             i = index.get(row)
             if i is not None:
                 mat[i][j] = fld.add(mat[i][j], c)
-    return Matrix(fld, mat, cols=len(cols))
+    return Matrix._normalized(fld, tuple(map(tuple, mat)), len(cols))
 
 
 def _left_mult(quiver: Quiver, ai: int):

@@ -11,6 +11,7 @@ Vertices are 1-based in the file format and 0-based internally.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -170,13 +171,17 @@ class PathTable:
                     nxt.append(extend(quiver, p, ai))
             self.by_length[ell + 1] = nxt
         self._index = {}
+        self._by_ends = {}  # (source, target, length) -> paths in by_length order
         for ell, paths in enumerate(self.by_length):
             for k, p in enumerate(paths):
                 self._index[p] = (ell, k)
+                self._by_ends.setdefault((p.source, p.target, ell), []).append(p)
 
     def paths(self, source=None, target=None, length=None) -> list:
         """The table's paths with the given ends and length, in `by_length`
-        order; a length outside 0..max_len selects none."""
+        order, as a fresh list; a length outside 0..max_len selects none."""
+        if source is not None and target is not None and length is not None:
+            return list(self._by_ends.get((source, target, length), ()))
         if length is None:
             lengths = range(self.max_len + 1)
         elif 0 <= length <= self.max_len:
@@ -363,6 +368,7 @@ def _linked_cycles_witness(q: Quiver, cyc_a: dict, cyc_b: dict, transit: Path) -
     return {"kind": "path linking two cycles", "vertex_pair": (u, v), "paths": (p1, p2)}
 
 
+@functools.cache
 def growth_gate(q: Quiver) -> GrowthVerdict:
     """Decide whether per-degree path counts stay bounded as length grows.
 
@@ -371,6 +377,9 @@ def growth_gate(q: Quiver) -> GrowthVerdict:
     for the path coalgebra to be artinian on both sides.  For bounded quivers
     the verdict certifies eventual periodicity of the count matrices by
     exhibiting T with A^(T+P) = A^T for the adjacency matrix A.
+
+    Memoized: a quiver is frozen, so each one gets its verdict once, and
+    later calls return the same GrowthVerdict.
     """
     info = _scc_cycle_data(q)
     for comp in info:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import exactlin
 from .exactlin import Field, Matrix, inverse, kernel_basis, rank
 from .pathcoalg import AlgElement
 from .quiver import Path, Quiver, extend, opposite, trivial_path
@@ -87,34 +88,55 @@ class Rep:
 
 
 def _nil_bound(rep: Rep) -> int:
-    """Least m with J^m M = 0, by iterating the radical action on fibers."""
+    """Least m with J^m M = 0, by propagating a basis of J^m M fiber by fiber.
+
+    Each arrow map is read once as sparse columns, and a basis vector is a
+    dict {coordinate: nonzero}.  Where every image arriving at a fiber is a
+    nonzero multiple of one coordinate vector, those coordinate vectors are
+    the next basis there, found without elimination (distinct coordinate
+    vectors are independent); otherwise one elimination of the images gives
+    it.  Path-basis models and simples never leave the first case.
+    """
     f = rep.field
-    spans = {v: Matrix.identity(f, rep.dims[v]) for v in rep.quiver.vertices}
-
-    def total(sp):
-        return sum(rank(m) for m in sp.values())
-
+    q = rep.quiver
+    arrows = []
+    for ai, a in enumerate(q.arrows):
+        dom, cod = arrow_ends(rep.side, a)
+        if rep.dims[dom] and rep.dims[cod]:
+            columns = [{} for _ in range(rep.dims[dom])]
+            for i, row in enumerate(rep.maps[ai].entries):
+                for j, x in enumerate(row):
+                    if x:
+                        columns[j][i] = x
+            arrows.append((dom, cod, columns))
+    basis = {v: [{i: f.one} for i in range(rep.dims[v])] for v in q.vertices}
     m = 0
-    current = total(spans)
+    current = rep.total_dim
     while current > 0:
-        nxt = {v: [] for v in rep.quiver.vertices}
-        for ai, a in enumerate(rep.quiver.arrows):
-            dom, cod = arrow_ends(rep.side, a)
-            if rep.dims[dom] == 0 or rep.dims[cod] == 0:
-                continue
-            img = rep.maps[ai] * spans[dom]
-            nxt[cod].append(img)
-        spans = {}
-        for v in rep.quiver.vertices:
-            if nxt[v]:
-                acc = nxt[v][0]
-                for piece in nxt[v][1:]:
-                    acc = acc.hstack(piece)
-                spans[v] = acc
+        images = {v: [] for v in q.vertices}
+        for dom, cod, columns in arrows:
+            out = images[cod]
+            for vec in basis[dom]:
+                img = _apply_columns(f, columns, vec)
+                if img:
+                    out.append(img)
+        new_total = 0
+        for v, imgs in images.items():
+            if all(len(img) == 1 for img in imgs):
+                basis[v] = [{i: f.one} for i in sorted({i for img in imgs for i in img})]
             else:
-                spans[v] = Matrix.zeros(f, rep.dims[v], 0)
+                n = rep.dims[v]
+                rows = []
+                for img in imgs:
+                    row = [f.zero] * n
+                    for i, x in img.items():
+                        row[i] = x
+                    rows.append(tuple(row))
+                # looked up on the module, where bench/tracer.py counts eliminations
+                echelon, _ = exactlin._rref(Matrix._normalized(f, tuple(rows), n))
+                basis[v] = [{j: x for j, x in enumerate(row) if x} for row in echelon]
+            new_total += len(basis[v])
         m += 1
-        new_total = total(spans)
         if new_total >= current and new_total > 0:
             raise NotNilpotentError(
                 "some cycle acts non-nilpotently: not a rational module / comodule"
@@ -125,6 +147,19 @@ def _nil_bound(rep: Rep) -> int:
                 "radical action does not reach zero: not a rational module / comodule"
             )
     return m
+
+
+def _apply_columns(f: Field, columns: list, vec: dict) -> dict:
+    """The sparse image of the sparse vector vec under the map whose sparse
+    columns are given, with zero entries dropped; for a multiple of one
+    coordinate vector, the column itself, which spans the same line."""
+    if len(vec) == 1:
+        return columns[next(iter(vec))]
+    out = {}
+    for j, c in vec.items():
+        for i, x in columns[j].items():
+            out[i] = f.add(out.get(i, f.zero), f.mul(c, x))
+    return {i: x for i, x in out.items() if x}
 
 
 def rep_from_matrices(quiver: Quiver, dims, arrow_maps, side: str, field: Field | None = None) -> Rep:
@@ -194,7 +229,7 @@ def _path_basis_rep(quiver: Quiver, side: str, field: Field, paths: list, action
                 if v != cod:
                     raise AssertionError("path action left its expected fiber")
                 m[i][j] = field.one
-        maps.append(Matrix(field, m, cols=dims[dom]))
+        maps.append(Matrix._normalized(field, tuple(map(tuple, m)), dims[dom]))
     return Rep(quiver, side, field, dims, maps)
 
 
@@ -310,8 +345,8 @@ def commutation_matrix(m: Rep, n: Rep) -> Matrix:
                 for k in range(n.dims[dom]):
                     idx = offsets[dom] + k * m.dims[dom] + c
                     row[idx] = f.sub(row[idx], an[r, k])
-                rows.append(row)
-    return Matrix(f, rows, cols=total)
+                rows.append(tuple(row))
+    return Matrix._normalized(f, tuple(rows), total)
 
 
 def hom_space(m: Rep, n: Rep) -> list:
@@ -330,11 +365,11 @@ def hom_space(m: Rep, n: Rep) -> list:
         comps = []
         offset = 0
         for v in m.quiver.vertices:
-            block = [
-                [vec[offset + r * m.dims[v] + c] for c in range(m.dims[v])]
+            block = tuple(
+                vec[offset + r * m.dims[v]:offset + (r + 1) * m.dims[v]]
                 for r in range(n.dims[v])
-            ]
-            comps.append(Matrix(f, block, cols=m.dims[v]))
+            )
+            comps.append(Matrix._normalized(f, block, m.dims[v]))
             offset += n.dims[v] * m.dims[v]
         out.append(tuple(comps))
     return out
@@ -703,7 +738,6 @@ def random_graded_rep(quiver: Quiver, rng, side: str = "left", field: Field | No
                     row.append(field.zero)
             rows.append(row)
         maps.append(Matrix(field, rows, cols=dims[dom]))
-    rep = Rep(quiver, side, field, dims, maps)
     # conjugate by unipotent random matrices to hide the grading
     conj = {}
     for v in quiver.vertices:
@@ -714,9 +748,9 @@ def random_graded_rep(quiver: Quiver, rng, side: str = "left", field: Field | No
     for ai, a in enumerate(quiver.arrows):
         dom, cod = arrow_ends(side, a)
         if dims[cod] and dims[dom]:
-            new_maps.append(inverse(conj[cod]) * rep.maps[ai] * conj[dom])
+            new_maps.append(inverse(conj[cod]) * maps[ai] * conj[dom])
         else:
-            new_maps.append(rep.maps[ai])
+            new_maps.append(maps[ai])
     return Rep(quiver, side, field, dims, new_maps)
 
 

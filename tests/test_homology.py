@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -640,3 +641,39 @@ def test_local_cohomology_loop_against_shift_matrix_oracle():
         oracle = (trunc + 1) - rank(shift)
         assert total == min(m_stage, oracle)
         assert oracle == m_stage
+
+
+def test_engine_built_matrices_hold_normalized_scalars(monkeypatch):
+    """The label, commutation, hom-component and path-basis matrices are
+    built from normalized scalars without coercion: Fraction over Q, int in
+    [0, p) over F_p."""
+    import quiverhom.homology as homology
+    from quiverhom.repmod import commutation_matrix, hom_space, truncated_free_rep
+
+    built = []
+    label_matrix = homology._label_matrix
+
+    def recording(*args):
+        built.append(label_matrix(*args))
+        return built[-1]
+
+    monkeypatch.setattr(homology, "_label_matrix", recording)
+    rng = random.Random(12)
+    for fld in (Q, Field(7), Field(2147483647)):
+        for quiv in (TWO_CYCLE, KRONECKER):
+            m = random_graded_rep(quiv, rng, "left", fld)
+            n = random_graded_rep(quiv, rng, "left", fld)
+            built.append(commutation_matrix(m, n))
+            built.extend(comp for mor in hom_space(m, n) for comp in mor)
+            built.extend(truncated_free_rep(quiv, 0, 3, "left", fld).maps)
+            ext_vs_algebra(m, 1, 12)
+        local_cohomology(TWO_CYCLE, 0, 3, 6, fld)
+        ext_comodule_C(TWO_CYCLE, 0, 1, 6, fld)
+        p = fld.characteristic
+        assert len(built) > 20
+        for mat in built:
+            for row in mat.entries:
+                assert type(row) is tuple and len(row) == mat.cols
+                for x in row:
+                    assert (type(x) is int and 0 <= x < p) if p else type(x) is Fraction
+        built.clear()

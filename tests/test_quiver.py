@@ -89,6 +89,18 @@ def test_enumerate_two_cycle_parity():
     assert table.paths(source=0, length=-1) == []
     assert table.paths(source=0, length=5) == []
     assert table.paths(source=0, target=1, length=3) == [p for p in table.by_length[3] if p.source == 0]
+    # a query with both ends and the length is served from an index: same
+    # paths and order as the scan, and a fresh list each time
+    for text in (KRONECKER, THREE_CYCLE, TWO_LOOPS):
+        table = enumerate_paths(q(text), 4)
+        for s in table.quiver.vertices:
+            for t in table.quiver.vertices:
+                for ell in range(-1, 6):
+                    got = table.paths(source=s, target=t, length=ell)
+                    scan = [p for p in table.paths(source=s, length=ell) if p.target == t]
+                    assert got == scan
+                    got.append(None)
+                    assert table.paths(source=s, target=t, length=ell) == scan
 
 
 def test_enumerate_no_arrows():
@@ -112,6 +124,8 @@ def test_gate_two_cycle_bounded_period_2():
     verdict = growth_gate(q(TWO_CYCLE))
     assert verdict.bounded
     assert verdict.period == 2
+    # memoized: an equal quiver gets the same frozen verdict object
+    assert growth_gate(q(TWO_CYCLE)) is verdict
 
 
 def test_gate_two_loops_unbounded_with_witness():
