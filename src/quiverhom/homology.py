@@ -25,12 +25,12 @@ from .quiver import (
     enumerate_paths,
     growth_gate,
     opposite,
+    path_count_matrix,
     trivial_path,
 )
 from .repmod import (
     GradedPresentation,
     Rep,
-    _path_basis_rep,
     _reverse_path,
     arrow_ends,
     commutation_matrix,
@@ -296,19 +296,20 @@ class _Block:
 def _push(fld: Field, labels, vec, move, dst_index: dict) -> tuple:
     """Move an ambient vector along a map of basis labels.
 
-    Coordinate idx of `vec` is added at dst_index[move(labels[idx])]; labels
-    that `move` sends to None or outside the destination drop out.  Returns
-    the image and whether any nonzero coordinate landed.
+    Coordinate idx of `vec` is added at dst_index[lab] for every label lab
+    that `move(labels[idx])` yields; labels outside the destination drop
+    out.  Returns the image and whether any nonzero coordinate landed.
     """
     out = [fld.zero] * len(dst_index)
     landed = False
     for idx, c in enumerate(vec):
         if fld.is_zero(c):
             continue
-        pos = dst_index.get(move(labels[idx]))
-        if pos is not None:
-            out[pos] = fld.add(out[pos], c)
-            landed = True
+        for lab in move(labels[idx]):
+            pos = dst_index.get(lab)
+            if pos is not None:
+                out[pos] = fld.add(out[pos], c)
+                landed = True
     return out, landed
 
 
@@ -329,38 +330,47 @@ def _label_matrix(fld: Field, rows, cols, images) -> Matrix:
     return Matrix._normalized(fld, tuple(map(tuple, mat)), len(cols))
 
 
+def _arrow_path(quiver: Quiver, ai: int) -> Path:
+    a = quiver.arrows[ai]
+    return Path(a.source, a.target, (ai,))
+
+
 def _left_mult(quiver: Quiver, ai: int):
     """Label move (g, p) -> (g, a p): left multiplication by arrow ai."""
-    a = quiver.arrows[ai]
-    arrow = Path(a.source, a.target, (ai,))
-    return lambda lab: (lab[0], compose(arrow, lab[1])) if lab[1].target == a.source else None
+    arrow = _arrow_path(quiver, ai)
+    return lambda lab: ((lab[0], compose(arrow, lab[1])),) if lab[1].target == arrow.source else ()
 
 
 def _right_mult(quiver: Quiver, ai: int):
     """Label move (g, q) -> (g, q a): right multiplication by arrow ai."""
-    a = quiver.arrows[ai]
-    arrow = Path(a.source, a.target, (ai,))
-    return lambda lab: (lab[0], compose(lab[1], arrow)) if lab[1].source == a.target else None
+    arrow = _arrow_path(quiver, ai)
+    return lambda lab: ((lab[0], compose(lab[1], arrow)),) if lab[1].source == arrow.target else ()
 
 
 def _strip_last(quiver: Quiver, ai: int):
     """Label move (g, c) -> (g, c') where c = a c': strip arrow ai from the end."""
     a = quiver.arrows[ai]
-    return lambda lab: ((lab[0], Path(lab[1].source, a.source, lab[1].arrows[:-1]))
-                        if lab[1].length and lab[1].arrows[-1] == ai else None)
+    return lambda lab: (((lab[0], Path(lab[1].source, a.source, lab[1].arrows[:-1])),)
+                        if lab[1].length and lab[1].arrows[-1] == ai else ())
 
 
-def _regenerate(src_gens, dst_gens, move):
-    """Label move (g, q) -> (g', q) along a generator translation: g' is the
-    generator of `dst_gens` whose label `move` sends to the label of g in
-    `src_gens`; generators of `src_gens` that nothing reaches drop out."""
-    src_index = {lab: g for g, lab in enumerate(src_gens)}
-    trans = {}
-    for k, lab in enumerate(dst_gens):
-        g = src_index.get(move(lab))
-        if g is not None:
-            trans[g] = k
-    return lambda lab: (trans[lab[0]], lab[1]) if lab[0] in trans else None
+def _relation_move(quiver: Quiver, src: GradedPresentation, dst: GradedPresentation, e: Path):
+    """Label move on Hom(F1, A) from stage presentation `src` to `dst`.
+
+    The comparison map of relation terms sends [p2] of `dst` to x [p] of
+    `src` wherever p2 e = x p with x an arrow, so the label (p, y) moves to
+    the sum of the labels (p2, x y); labels name each relation by its index.
+    With e = e_u this is the stage transition m -> m + 1 of summand u; with
+    e an arrow b it is induced by right multiplication A e_t(b) / J^m ->
+    A e_s(b) / J^m.
+    """
+    index = {next(iter(el.coeffs)): r for r, el in enumerate(src.entries[0])}
+    hits = {}
+    for r2, el in enumerate(dst.entries[0]):
+        pe = compose(next(iter(el.coeffs)), e)
+        x = _arrow_path(quiver, pe.arrows[-1])
+        hits.setdefault(index[Path(pe.source, x.source, pe.arrows[:-1])], []).append((r2, x))
+    return lambda lab: ((r2, compose(x, lab[1])) for r2, x in hits.get(lab[0], ()))
 
 
 def _induced_map(fld: Field, src: _Block, dst: _Block, move) -> Matrix:
@@ -553,8 +563,7 @@ def ext_comodule_C(quiver: Quiver, j: int, i: int, trunc: int, fld: Field | None
     table = enumerate_paths(quiver, trunc)
 
     def strip(lab):
-        hit = _strip_last(quiver, lab[0])(lab)
-        return () if hit is None else ((hit[1], fld.one),)
+        return ((p, fld.one) for _, p in _strip_last(quiver, lab[0])(lab))
 
     dims_by_degree = {}
     support_acc = {}
@@ -789,9 +798,11 @@ def hom_into_C(pres: GradedPresentation, trunc: int) -> HomIntoCReport:
     Hom(A e_v<del>, C) is the injective I(v) (paths out of v), so Hom(M, C)
     is the degreewise kernel of the induced map of injectives, whose
     components strip relation entries from the first-traversed end.  The phi
-    check verifies degreewise that these kernel dimensions agree with the
-    dimensions of the module itself, which is the rational part of its dual;
-    the two sides are computed along independent routes.
+    check compares degreewise these kernel dimensions with the dimensions of
+    the module itself, which is the rational part of its dual.  Both sides
+    eliminate the same degree-d matrix of F1 -> F0: whole here, and split by
+    target vertex in PresentationModel.block.  The check therefore catches a
+    fault in that split only; it is not an independent route.
     """
     model = PresentationModel(pres, trunc)
     q = model.quiver
@@ -935,19 +946,17 @@ def dual_resolution_check(pres: GradedPresentation, trunc: int, depth: int) -> d
 # local cohomology via the colimit of Ext(A/J^m, A)
 
 
-def _truncated_free_model(quiver: Quiver, u: int, m: int, fld: Field, table) -> tuple:
-    """(left Rep, degrees, generator labels) for A e_u / J^m.
+def _stage_presentation(quiver: Quiver, u: int, m: int, fld: Field, table) -> GradedPresentation:
+    """Minimal left presentation of A e_u / J^m.
 
-    labels[k] names the generators of term k of its standard resolution in
-    their order there: (vertex, fiber path) for term 0 and (arrow, tail
-    fiber path) for term 1, so stages and summands translate by label.
+    A is hereditary and J^m e_u is free on the paths of length m out of u,
+    so 0 -> (+)_p A e_t(p)<m> -> A e_u -> A e_u / J^m -> 0 resolves it: one
+    generator (u, 0), and relation r = (t(p_r), m) sends its generator to
+    p_r, in the order of `table`, which must hold the paths of length m.
     """
-    paths = [p for p in table.paths(source=u) if p.length < m]
-    fibers = {v: [p for p in paths if p.target == v] for v in quiver.vertices}
-    degrees = tuple(tuple(p.length for p in fibers[v]) for v in quiver.vertices)
-    labels = ([(v, p) for v in quiver.vertices for p in fibers[v]],
-              [(ai, p) for ai, a in enumerate(quiver.arrows) for p in fibers[a.source]])
-    return _path_basis_rep(quiver, "left", fld, paths, "append_last"), degrees, labels
+    paths = table.paths(source=u, length=m)
+    return GradedPresentation(quiver, "left", fld, ((u, 0),), tuple((p.target, m) for p in paths),
+                              (tuple(AlgElement.dual_path(fld, p) for p in paths),))
 
 
 @dataclass
@@ -993,9 +1002,10 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
     through the explicit maps induced by the surjections A/J^(m+1) -> A/J^m;
     a graded piece counts as stabilized once every observed transition from
     its first appearance on is an isomorphism and at least one transition was
-    observed.  The stable bigraded dimensions are matched against the path
-    coalgebra twisted by candidate vertex permutations, and arrow-level cycle
-    products are extracted from the two one-sided module structures.
+    observed.  Each stage is presented by its two-term minimal resolution.
+    The vertex twist sigma is read off the degree-0 slice and checked against
+    the path coalgebra in every degree, and arrow-level cycle products are
+    extracted from the two one-sided module structures.
     """
     fld = fld or Field(0)
     if side == "right":
@@ -1009,24 +1019,21 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
         raise StabilizationError("m_max too small for any stabilized degree",
                                  f"increase m_max to at least {n + 2}")
     engine = AlgebraExtEngine(rep_q, fld, trunc)
-    k_term = 0 if i == 0 else 1
-    # stage data per summand u: resolutions, generator labels, blocks
-    resolutions = {}
-    gens = {}
-    for u in rep_q.vertices:
-        for m in range(1, m_max + 1):
-            rep, degrees, labels = _truncated_free_model(rep_q, u, m, fld, engine.table)
-            resolutions[(u, m)] = standard_resolution(rep, degrees)
-            gens[(u, m)] = labels[k_term]
-    # generator translation along the surjection of stage m + 1 onto stage m
-    stage_moves = {(u, m): _regenerate(gens[(u, m)], gens[(u, m + 1)], lambda lab: lab)
+    # m_max may exceed the engine's truncation by one
+    table = enumerate_paths(rep_q, m_max)
+    stages = {(u, m): _stage_presentation(rep_q, u, m, fld, table)
+              for u in rep_q.vertices for m in range(1, m_max + 1)}
+    # the surjection of stage m + 1 onto stage m lifts to the identity on F0
+    # and to [x p] -> x [p] on F1
+    stage_moves = {(u, m): (_relation_move(rep_q, stages[(u, m)], stages[(u, m + 1)], trivial_path(u))
+                            if i else lambda lab: (lab,))
                    for u in rep_q.vertices for m in range(1, m_max)}
     blocks = {}
 
     def get_block(u, m, d, w):
         key = (u, m, d, w)
         if key not in blocks:
-            blocks[key] = engine.block(resolutions[(u, m)], i, d, w)
+            blocks[key] = engine.block(stages[(u, m)], i, d, w)
         return blocks[key]
 
     dims = {}
@@ -1070,47 +1077,28 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
         twist_note = "identically zero"
     cycle_products = {}
     if i == n and twist_sigma is not None and all(twist_sigma[v] == v for v in rep_q.vertices):
-        cycle_products = _cycle_products(rep_q, fld, gens, get_block, n, m_max)
+        cycle_products = _cycle_products(rep_q, fld, stages, get_block, n, m_max)
     return LocalCohReport(i, n, dims, stabilized_at, ell_max, twist_sigma, twist_note,
                           cycle_products, fld, side)
 
 
 def _match_twist(quiver: Quiver, dims: dict, ell_max: int):
-    """Vertex permutations sigma with H[u][w]_ell == #paths(u -> sigma^{-1}(w), ell)."""
-    from itertools import permutations
+    """The vertex permutation sigma with H[u][w]_ell == #paths(u -> sigma^{-1}(w), ell).
 
-    from .quiver import path_count_matrix
-
+    Path counts in degree 0 form the identity matrix, so H[u][w]_0 = [sigma(u)
+    = w] fixes sigma, and every degree is then checked against it.
+    """
+    vs = quiver.vertices
+    sigma = tuple(next((w for w in vs if dims.get((u, w, 0))), -1) for u in vs)
     counts = [path_count_matrix(quiver, ell) for ell in range(ell_max + 1)]
-    nv = quiver.vertex_count
-    if nv > 8:
-        return None, "vertex count beyond brute-force matching bound"
-    matches = []
-    for perm in permutations(range(nv)):
-        inv = [0] * nv
-        for v, w in enumerate(perm):
-            inv[w] = v
-        good = True
-        for u in range(nv):
-            for w in range(nv):
-                for ell in range(ell_max + 1):
-                    if dims.get((u, w, ell), 0) != counts[ell][u][inv[w]]:
-                        good = False
-                        break
-                if not good:
-                    break
-            if not good:
-                break
-        if good:
-            matches.append(perm)
-    if not matches:
+    if sorted(sigma) != list(vs) or any(dims.get((u, sigma[v], ell), 0) != counts[ell][u][v]
+                                        for ell in range(ell_max + 1) for u in vs for v in vs):
         return None, "no vertex permutation matches the bigraded dimensions"
-    matches.sort()
-    note = f"{len(matches)} matching vertex permutation(s); reporting the lexicographically first"
-    return tuple(matches[0]), note
+    # sigma is unique; the note keeps the wording the reports have always had
+    return sigma, "1 matching vertex permutation(s); reporting the lexicographically first"
 
 
-def _cycle_products(quiver, fld, gens, get_block, n, m_max):
+def _cycle_products(quiver, fld, stages, get_block, n, m_max):
     """Ratio of right-route to left-route composites around each cycle.
 
     Both composites connect the same stabilized one-dimensional blocks; the
@@ -1138,8 +1126,8 @@ def _cycle_products(quiver, fld, gens, get_block, n, m_max):
         mu = _route_product(fld, (
             (get_block(quiver.arrows[b].source, m_max, d0 + k, u0),
              get_block(quiver.arrows[b].target, m_max, d0 + k + 1, u0),
-             _regenerate(gens[(quiver.arrows[b].source, m_max)], gens[(quiver.arrows[b].target, m_max)],
-                         _right_mult(quiver, b)))
+             _relation_move(quiver, stages[(quiver.arrows[b].source, m_max)],
+                            stages[(quiver.arrows[b].target, m_max)], _arrow_path(quiver, b)))
             for k, b in enumerate(cyc)))
         if mu is not None:
             label = "-".join(quiver.arrows[ai].label for ai in cyc)
@@ -1320,8 +1308,6 @@ def duality_roundtrip_injective(quiver: Quiver, m_max: int, trunc: int,
     cohomology is computed once; the right one only when some F image is
     concentrated on a single column.
     """
-    from .quiver import path_count_matrix
-
     fld = fld or Field(0)
     n = 0 if not quiver.arrows else 1
     h_left = local_cohomology(quiver, n, m_max, trunc, fld, side="left")

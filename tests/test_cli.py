@@ -133,6 +133,20 @@ def test_nakayama_not_applicable_exits_zero(quiver_file, capsys):
     assert report["verdicts"]["applicable"] is False
 
 
+def test_nakayama_nine_disjoint_loops(quiver_file, capsys):
+    # nine vertices: the twist is read off degree 0, with no bound on the
+    # vertex count
+    nine_loops = "vertices: 9\n" + "".join(f"arrow x{v} {v} {v}\n" for v in range(1, 10))
+    code, report = run_json(
+        capsys, ["nakayama", "--quiver", quiver_file(nine_loops), "--trunc", "8",
+                 "--mmax", "6", "--json"])
+    assert code == 0
+    assert report["verdicts"] == {"applicable": True, "inner": "yes"}
+    lc = report["tables"]["nakayama"]["local_cohomology"]
+    assert lc["twist_vertex_map"] == list(range(1, 10))
+    assert lc["cycle_products"] == {f"x{v}": "1" for v in range(1, 10)}
+
+
 def test_cy_loop(quiver_file, capsys):
     code, report = run_json(
         capsys, ["cy", "--quiver", quiver_file(LOOP), "--trunc", "8", "--mmax", "6",

@@ -18,18 +18,13 @@ Rewrite the fixture, on a trusted commit only, with
 
 from __future__ import annotations
 
-import importlib.util
-import io
 import json
 import random
 import re
-import sys
-from contextlib import redirect_stdout
 from pathlib import Path as FilePath
 
 import pytest
 
-from quiverhom import cli
 from quiverhom.homology import (
     StabilizationError,
     dual_resolution_check,
@@ -51,27 +46,11 @@ from quiverhom.repmod import (
     truncated_free_rep,
     truncated_injective,
 )
+from replay_golden import load_workloads, run_job  # tests/replay_golden.py
 
 ROOT = FilePath(__file__).resolve().parents[1]
 FIXTURE = ROOT / "tests" / "fixtures" / "engine_outputs.json"
 EXAMPLES = ("point", "loop", "two_cycle", "three_cycle", "kronecker")
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
-def _run_cli(argv) -> tuple:
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = cli.main(argv)
-    report = json.loads(out.getvalue())
-    report.pop("timings", None)
-    return code, json.dumps(report, sort_keys=True)
 
 
 # ----------------------------------------------------------------------
@@ -79,7 +58,7 @@ def _run_cli(argv) -> tuple:
 
 GOLDEN = json.loads((ROOT / "bench" / "golden.json").read_text(encoding="utf-8"))
 _CHEAP = re.compile(r"^(localcoh|asreg|cy|nakayama) --quiver bench/\.work/cycle-1(-2(-3)?)?\.quiver --trunc 12 --json$")
-WORKLOADS = _load_workloads()
+WORKLOADS = load_workloads()
 REPLAYED = sorted(k for k in GOLDEN if _CHEAP.match(k)) + [
     "verify --quiver bench/.work/kronecker.quiver --trunc 12 --seed 3 --cases 8 --json"]
 
@@ -91,7 +70,7 @@ def test_golden_report_replays(key, tmp_path, monkeypatch):
     stem = re.search(r"bench/\.work/(\S+)\.quiver", key).group(1)
     (work / f"{stem}.quiver").write_text(WORKLOADS.quiver_text(stem), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    code, report = _run_cli(key.split())
+    code, report = run_job(key.split())
     assert code == GOLDEN[key]["exit"]
     assert report == GOLDEN[key]["report"]
 
@@ -226,7 +205,7 @@ def _cli_outputs(name):
     out = {}
     for module, target in specs:
         argv = ["ext", "--quiver", path, "--module", module, "--target", target, "--trunc", "8", "--json"]
-        code, report = _run_cli(argv)
+        code, report = run_job(argv)
         out[" ".join(argv)] = {"exit": code, "report": report}
     return out
 

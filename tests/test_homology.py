@@ -15,6 +15,7 @@ from quiverhom.repmod import (
     random_graded_rep,
     simple,
     truncated_free,
+    truncated_free_rep,
     uniserial,
 )
 from quiverhom.homology import (
@@ -59,8 +60,6 @@ def test_standard_resolution_simple_two_cycle():
 
 
 def test_standard_resolution_projective_contractible_first_term():
-    from quiverhom.repmod import truncated_free_rep
-
     # on an acyclic quiver the truncated free is honestly projective, so the
     # first term of the standard resolution cancels completely
     m = truncated_free_rep(KRONECKER, 0, 3, "left", Q)
@@ -388,19 +387,59 @@ def test_local_cohomology_translates_each_stage_pair_once(monkeypatch):
     from quiverhom import homology
 
     calls = []
-    regenerate = homology._regenerate
+    relation_move = homology._relation_move
 
-    def counting(src_gens, dst_gens, move):
-        calls.append((tuple(src_gens), tuple(dst_gens)))
-        return regenerate(src_gens, dst_gens, move)
+    def counting(quiver, src, dst, e):
+        calls.append((src.generators, src.relations, dst.relations, e))
+        return relation_move(quiver, src, dst, e)
 
-    monkeypatch.setattr(homology, "_regenerate", counting)
+    monkeypatch.setattr(homology, "_relation_move", counting)
     m_max = 6
     h1 = local_cohomology(THREE_CYCLE, 1, m_max, m_max, Q)
-    # the twist is a rotation, so no cycle products: every translation is a
+    # the twist is a rotation, so no cycle products: every relation move is a
     # stage transition m -> m + 1 of one summand, built once for all pieces
     assert h1.twist_sigma != (0, 1, 2) and not h1.cycle_products
     assert len(set(calls)) == len(calls) == THREE_CYCLE.vertex_count * (m_max - 1)
+
+
+def test_local_cohomology_builds_no_rep_and_no_standard_resolution(monkeypatch):
+    from quiverhom import homology, repmod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("local cohomology built a Rep or a standard resolution")
+
+    monkeypatch.setattr(homology, "standard_resolution", refuse)
+    monkeypatch.setattr(repmod.Rep, "__init__", refuse)
+    for quiv in (LOOP, TWO_CYCLE, THREE_CYCLE, NO_ARROW):
+        n = 1 if quiv.arrows else 0
+        h = local_cohomology(quiv, n, 6, 6, Q)
+        assert h.twist_sigma is not None
+    assert local_cohomology(LOOP, 1, 6, 6, Q).cycle_products == {"x": Fraction(1)}
+
+
+def test_local_cohomology_nine_cycle_twist_is_rotation():
+    nine_cycle = parse_quiver(
+        "vertices: 9\n" + "".join(f"arrow a{v} {v} {v % 9 + 1}\n" for v in range(1, 10)))[0]
+    h1 = local_cohomology(nine_cycle, 1, 6, 8, Q)
+    assert h1.twist_sigma == tuple((u + 1) % 9 for u in range(9))
+    assert h1.twist_note == "1 matching vertex permutation(s); reporting the lexicographically first"
+
+
+def test_match_twist_needs_a_permutation_in_every_degree():
+    from quiverhom.homology import _match_twist
+
+    no_match = (None, "no vertex permutation matches the bigraded dimensions")
+    swap = {(0, 1, 0): 1, (1, 0, 0): 1, (0, 0, 1): 1, (1, 1, 1): 1}
+    assert _match_twist(TWO_CYCLE, swap, 1) == (
+        (1, 0), "1 matching vertex permutation(s); reporting the lexicographically first")
+    # degree 0 is not a permutation matrix: a doubled entry, a shared
+    # column, a missing row
+    assert _match_twist(TWO_CYCLE, {**swap, (0, 1, 0): 2}, 1) == no_match
+    assert _match_twist(TWO_CYCLE, {**swap, (1, 0, 0): 0, (1, 1, 0): 1}, 1) == no_match
+    assert _match_twist(TWO_CYCLE, {(0, 1, 0): 1, (0, 0, 1): 1, (1, 1, 1): 1}, 1) == no_match
+    assert _match_twist(TWO_CYCLE, {**swap, (0, 0, 0): 1}, 1) == no_match
+    # degree 0 fixes sigma, and a later degree disagrees with it
+    assert _match_twist(TWO_CYCLE, {**swap, (1, 1, 1): 0}, 1) == no_match
 
 
 def test_local_cohomology_no_arrow():
@@ -621,13 +660,12 @@ def test_local_cohomology_loop_against_shift_matrix_oracle():
     """First-principles oracle: over the loop, Ext^1(A/J^m, A) truncated is
     the cokernel of the multiply-by-x^m shift on truncated series, so its
     total dimension is m and each graded piece is one-dimensional."""
-    from quiverhom.homology import AlgebraExtEngine, _truncated_free_model
+    from quiverhom.homology import AlgebraExtEngine, _stage_presentation
 
     trunc = 10
     engine = AlgebraExtEngine(LOOP, Q, trunc)
     for m_stage in range(1, 9):
-        rep, degrees, fibers = _truncated_free_model(LOOP, 0, m_stage, Q, engine.table)
-        pres = standard_resolution(rep, degrees)
+        pres = _stage_presentation(LOOP, 0, m_stage, Q, engine.table)
         total = 0
         for d in range(-m_stage, trunc - m_stage):
             blk = engine.block(pres, 1, d, 0)
@@ -648,7 +686,7 @@ def test_engine_built_matrices_hold_normalized_scalars(monkeypatch):
     built from normalized scalars without coercion: Fraction over Q, int in
     [0, p) over F_p."""
     import quiverhom.homology as homology
-    from quiverhom.repmod import commutation_matrix, hom_space, truncated_free_rep
+    from quiverhom.repmod import commutation_matrix, hom_space
 
     built = []
     label_matrix = homology._label_matrix
@@ -677,3 +715,99 @@ def test_engine_built_matrices_hold_normalized_scalars(monkeypatch):
                 for x in row:
                     assert (type(x) is int and 0 <= x < p) if p else type(x) is Fraction
         built.clear()
+
+
+# ----------------------------------------------------------------- colimit stages against the path-basis model
+
+
+def _path_basis_stage(quiver, u, m, fld):
+    """Reference model of the colimit stage A e_u / J^m: the standard
+    resolution of its path-basis Rep, one generator per path of length < m
+    out of u and one relation per (arrow, such path).  Also returns the
+    generator labels of both terms, (vertex, path) and (arrow, path), in
+    their order there."""
+    rep = truncated_free_rep(quiver, u, m - 1, "left", fld)
+    paths = enumerate_paths(quiver, m - 1).paths(source=u)
+    fibers = {v: [p for p in paths if p.target == v] for v in quiver.vertices}
+    degrees = tuple(tuple(p.length for p in fibers[v]) for v in quiver.vertices)
+    labels = ([(v, p) for v in quiver.vertices for p in fibers[v]],
+              [(ai, p) for ai, a in enumerate(quiver.arrows) for p in fibers[a.source]])
+    return standard_resolution(rep, degrees), labels
+
+
+def _translate(src_labels, dst_labels, move):
+    """Label move (g, q) -> (g', q), where `move` sends generator label g'
+    of `dst_labels` to generator label g of `src_labels`."""
+    index = {lab: g for g, lab in enumerate(src_labels)}
+    trans = {index[move(lab)]: k for k, lab in enumerate(dst_labels) if move(lab) in index}
+    return lambda lab: ((trans[lab[0]], lab[1]),) if lab[0] in trans else ()
+
+
+def _shift_right(quiver, ai):
+    """Generator label (arrow, p) -> (arrow, p b): right multiplication by b."""
+    a = quiver.arrows[ai]
+    return lambda lab: (lab[0], Path(a.source, lab[1].target, (ai,) + lab[1].arrows))
+
+
+ORACLE_QUIVERS = {
+    "loop": "vertices: 1\narrow x 1 1\n",
+    "three_cycle": "vertices: 3\narrow a 1 2\narrow b 2 3\narrow c 3 1\n",
+    "three_cycle_renumbered": "vertices: 3\narrow a 1 3\narrow b 3 2\narrow c 2 1\n",
+    "loop_plus_two_cycle": "vertices: 3\narrow x 1 1\narrow a 2 3\narrow b 3 2\n",
+    "kronecker": "vertices: 2\narrow u 1 2\narrow v 1 2\n",
+    "branching_tree": "vertices: 4\narrow a 1 2\narrow b 3 2\narrow c 2 4\n",
+    "loop_with_tail": "vertices: 2\narrow x 1 1\narrow t 1 2\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_QUIVERS))
+def test_stage_presentations_match_path_basis_model(name):
+    """The minimal stage presentations and their relation moves give the
+    blocks, stage transitions and right-multiplication moves of the
+    path-basis model, up to isomorphism: equal dimensions and ranks."""
+    from quiverhom.homology import (AlgebraExtEngine, _Block, _induced_map, _relation_move,
+                                    _stage_presentation)
+    from quiverhom.quiver import trivial_path
+
+    def rank_of(src: _Block, dst: _Block, move) -> int:
+        return rank(_induced_map(fld, src, dst, move)) if src.dim and dst.dim else 0
+
+    quiv = parse_quiver(ORACLE_QUIVERS[name])[0]
+    compared = 0
+    for fld in (Q, Field(2147483647)):
+        for trunc, m_max in ((5, 5), (5, 6), (6, 4)):
+            engine = AlgebraExtEngine(quiv, fld, trunc)
+            table = enumerate_paths(quiv, max(trunc, m_max))
+            new = {(u, m): _stage_presentation(quiv, u, m, fld, table)
+                   for u in quiv.vertices for m in range(1, m_max + 1)}
+            old = {key: _path_basis_stage(quiv, *key, fld) for key in new}
+            for i in (0, 1):
+                def blocks(u, m, d, w):
+                    return (engine.block(old[(u, m)][0], i, d, w), engine.block(new[(u, m)], i, d, w))
+
+                for (u, m) in new:
+                    # degrees whose labels all lie within the engine's table
+                    for d in range(-m - 1, trunc - m + 1):
+                        for w in quiv.vertices:
+                            b_old, b_new = blocks(u, m, d, w)
+                            assert b_old.dim == b_new.dim, (i, u, m, d, w)
+                            compared += 1
+                            if m < m_max and d <= trunc - m - 1:
+                                n_old, n_new = blocks(u, m + 1, d, w)
+                                stage_old = _translate(old[(u, m)][1][i], old[(u, m + 1)][1][i], lambda lab: lab)
+                                stage_new = (_relation_move(quiv, new[(u, m)], new[(u, m + 1)], trivial_path(u))
+                                             if i else lambda lab: (lab,))
+                                assert (rank_of(b_old, n_old, stage_old)
+                                        == rank_of(b_new, n_new, stage_new)), (i, u, m, d, w)
+                            if i and d < trunc - m:
+                                for b, a in enumerate(quiv.arrows):
+                                    if a.source != u:
+                                        continue
+                                    t_old, t_new = blocks(a.target, m, d + 1, w)
+                                    right_old = _translate(old[(u, m)][1][1], old[(a.target, m)][1][1],
+                                                           _shift_right(quiv, b))
+                                    right_new = _relation_move(quiv, new[(u, m)], new[(a.target, m)],
+                                                               Path(a.source, a.target, (b,)))
+                                    assert (rank_of(b_old, t_old, right_old)
+                                            == rank_of(b_new, t_new, right_new)), (b, u, m, d, w)
+    assert compared > 100
