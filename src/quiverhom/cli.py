@@ -322,7 +322,10 @@ def cmd_localcoh(args) -> tuple:
     quiver, fld = _load(args)
     _gate(quiver, args)
     report = _base_report(args, "localcoh")
-    i = args.index if args.index is not None else (0 if not quiver.arrows else 1)
+    gldim = 0 if not quiver.arrows else 1
+    i = args.index if args.index is not None else gldim
+    if not 0 <= i <= gldim:
+        raise CliError(f"--index {i}: index must be 0..{gldim} (gldim {gldim})", EXIT_PARSE)
     report["config"]["index"] = i
     lc = local_cohomology(quiver, i, args.mmax, args.trunc, fld)
     report["tables"] = {"local_cohomology": lc.describe(),

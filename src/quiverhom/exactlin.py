@@ -7,6 +7,7 @@ Scalars are Fraction (characteristic 0) or ints normalized into [0, p)
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 # Miller-Rabin with the prime bases 2..41 decides primality for every
@@ -127,9 +128,9 @@ class Field:
 class Matrix:
     """Immutable dense matrix with exact entries over a fixed field.
 
-    Dense tuples are the storage; elimination (`_rref`) copies the nonzeros
-    into sparse rows.  `Matrix(field, entries)` coerces every entry with
-    `Field.of`, and the operations below build their results with
+    Dense tuples are the storage; elimination (`_echelon`) copies the
+    nonzeros into sparse rows.  `Matrix(field, entries)` coerces every entry
+    with `Field.of`, and the operations below build their results with
     `_normalized`, which takes entries already in normal form as they are.
     """
 
@@ -296,76 +297,164 @@ def _subtract(row: dict, coef, tail, p: int) -> None:
                 del row[j]
 
 
-def _rref(m: Matrix):
-    """Reduced row echelon form: (the nonzero rows as lists, their pivot columns).
+def _cross(row: dict, a: int, pv: int, tail) -> None:
+    """Clear the entry a (already popped from row) of an integer row with an
+    integer pivot row of pivot pv and nonzeros `tail` off the pivot column:
+    row <- (pv/g) row - (a/g) pivot row, with g = gcd(a, pv) signed so that
+    pv/g > 0, then divide the row by its content.  A row left with one
+    nonzero becomes a unit row."""
+    if pv == 1:
+        t = a
+    elif pv == -1:
+        t = -a
+    else:
+        g = gcd(a, pv)
+        if pv < 0:
+            g = -g
+        s, t = pv // g, a // g
+        if s != 1:
+            for j in row:
+                row[j] *= s
+    _subtract(row, t, tail, 0)
+    if len(row) > 1:
+        g = gcd(*row.values())
+        if g != 1:
+            for j in row:
+                row[j] //= g
+    elif row:
+        for j in row:
+            row[j] = 1
 
-    Sparse Gauss-Jordan.  Each row is a dict {column: nonzero}; a pivot is
-    found with `c in row`, and an update touches only the pivot row's
-    nonzeros.  Over F_p the entries are ints reduced inline mod p.  Over Q an
-    integral entry is kept as an int, so a Fraction appears only after a
-    division by a pivot other than +-1; every output entry is a Fraction.
-    The reduced echelon form is unique, so the result does not depend on the
-    pivot row chosen; the kernel prefers a pivot +-1 over Q, then the row
-    with the fewest nonzeros.
+
+def _primitive(row, zero) -> dict:
+    """The nonzeros {column: int} of a row of rationals, scaled to a
+    primitive integer row: times the lcm of the denominators, divided by the
+    gcd of the numerators.  One nonzero gives a unit row.  Entries that are
+    the object `zero` skip the Fraction truth test."""
+    out = {}
+    den = 1
+    for j, x in enumerate(row):
+        if x is not zero and x:
+            out[j] = x
+            if x.denominator != 1:
+                den = lcm(den, x.denominator)
+    if len(out) < 2:
+        for j in out:
+            out[j] = 1
+        return out
+    if den == 1:
+        for j, x in out.items():
+            out[j] = x.numerator
+    else:
+        for j, x in out.items():
+            out[j] = x.numerator * (den // x.denominator)
+    g = gcd(*out.values())
+    if g != 1:
+        for j in out:
+            out[j] //= g
+    return out
+
+
+def _echelon(m: Matrix) -> list:
+    """Forward elimination: (pivot column, row) pairs in increasing pivot
+    order, one per unit of rank.
+
+    Each row is a dict {column: nonzero} with zeros below every earlier
+    pivot; a pivot is found with `c in row`, and an update touches only the
+    pivot row's nonzeros.  Over F_p the entries are ints reduced inline mod p
+    and each pivot row is scaled to pivot 1.  Over Q every row is a
+    primitive integer row (`_primitive`) and stays one: rows are cleared by
+    cross-multiplication (`_cross`), and no Fraction is built.  The pivot
+    row is one with pivot +-1 over Q if there is one, then the one with the
+    fewest nonzeros.
     """
-    f = m.field
-    p = f.characteristic
+    p = m.field.characteristic
     if p:
         pending = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
+        pending = [row for row in pending if row]
     else:
-        pending = [{j: (x.numerator if x.denominator == 1 else x) for j, x in enumerate(row) if x}
-                   for row in m.entries]
-    pending = [row for row in pending if row]
-    done = []  # (pivot column, row with pivot entry 1), forward-reduced
+        zero = m.field.zero
+        pending = []
+        for row in m.entries:
+            row = _primitive(row, zero)
+            if row:
+                pending.append(row)
+    done = []
     for c in range(m.cols):
         if not pending:
             break
         candidates = [row for row in pending if c in row]
         if not candidates:
             continue
-        pool = candidates
-        if not p:
-            pool = [row for row in candidates if row[c] in (1, -1)] or candidates
-        src = min(pool, key=len)
-        pv = src[c]
-        if pv == 1:
-            prow = src
-        elif p:
-            inv = pow(pv, -1, p)
-            prow = {j: x * inv % p for j, x in src.items()}
-        elif pv == -1:
-            prow = {j: -x for j, x in src.items()}
+        if p:
+            src = min(candidates, key=len)
+            pv = src[c]
+            if pv == 1:
+                prow = src
+            else:
+                inv = pow(pv, -1, p)
+                prow = {j: x * inv % p for j, x in src.items()}
+            tail = [(j, x) for j, x in prow.items() if j != c]
+            for row in candidates:
+                if row is not src:
+                    _subtract(row, row.pop(c), tail, p)
         else:
-            inv = 1 / Fraction(pv)
-            prow = {}
-            for j, x in src.items():
-                y = x * inv
-                prow[j] = y.numerator if y.denominator == 1 else y
-        tail = [(j, x) for j, x in prow.items() if j != c]
-        for row in candidates:
-            if row is not src:
-                _subtract(row, row.pop(c), tail, p)
+            pool = [row for row in candidates if row[c] in (1, -1)] or candidates
+            src = prow = min(pool, key=len)
+            pv = src[c]
+            tail = [(j, x) for j, x in src.items() if j != c]
+            for row in candidates:
+                if row is not src:
+                    _cross(row, row.pop(c), pv, tail)
         pending = [row for row in pending if row and row is not src]
         done.append((c, prow))
-    # back substitution, last pivot first, so each pivot row used is final
+    return done
+
+
+def _rref(m: Matrix):
+    """Reduced row echelon form: (the nonzero rows as lists, their pivot columns).
+
+    The forward phase is `_echelon`; back substitution then clears the
+    entries above each pivot, last pivot first, so each pivot row used is
+    final, with the same row operations as the forward phase.  Over Q the
+    rows stay integral up to here, and the output divides each entry by its
+    row's pivot: every output entry is a Fraction, and the unique reduced
+    echelon form comes out whichever pivot rows were chosen.
+    """
+    f = m.field
+    p = f.characteristic
+    done = _echelon(m)
     for k in range(len(done) - 1, 0, -1):
         c, prow = done[k]
+        pv = prow[c]
         tail = [(j, x) for j, x in prow.items() if j != c]
         for _, row in done[:k]:
             if c in row:
-                _subtract(row, row.pop(c), tail, p)
+                if p:
+                    _subtract(row, row.pop(c), tail, p)
+                else:
+                    _cross(row, row.pop(c), pv, tail)
     out = []
-    for _, row in done:
+    for c, row in done:
         dense = [f.zero] * m.cols
-        for j, x in row.items():
-            dense[j] = x if p or type(x) is Fraction else Fraction(x)
+        if p:
+            for j, x in row.items():
+                dense[j] = x
+        else:
+            pv = row[c]
+            if pv == 1:
+                for j, x in row.items():
+                    dense[j] = Fraction(x)
+            else:
+                for j, x in row.items():
+                    dense[j] = Fraction(x, pv)
         out.append(dense)
     return out, [c for c, _ in done]
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank."""
-    return len(_rref(m)[1])
+    """Exact rank: the forward phase alone."""
+    return len(_echelon(m))
 
 
 def kernel_basis(m: Matrix) -> list:

@@ -318,15 +318,18 @@ def _label_matrix(fld: Field, rows, cols, images) -> Matrix:
 
     images(label) yields (row label, normalized coefficient) pairs;
     coefficients on the same row add up, and row labels outside `rows` drop
-    out.
+    out.  A cell still holding the fill object `fld.zero` takes its first
+    coefficient as it is, since zero + c is c; only a second hit adds.
     """
     index = {lab: i for i, lab in enumerate(rows)}
-    mat = [[fld.zero] * len(cols) for _ in rows]
+    zero = fld.zero
+    mat = [[zero] * len(cols) for _ in rows]
     for j, lab in enumerate(cols):
         for row, c in images(lab):
             i = index.get(row)
             if i is not None:
-                mat[i][j] = fld.add(mat[i][j], c)
+                x = mat[i][j]
+                mat[i][j] = c if x is zero else fld.add(x, c)
     return Matrix._normalized(fld, tuple(map(tuple, mat)), len(cols))
 
 
@@ -1013,6 +1016,9 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
     else:
         rep_q = quiver
     window_length(rep_q)  # gate check
+    if i not in (0, 1):
+        # each stage has a two-term resolution, so Ext^i vanishes for i >= 2
+        raise ValueError(f"index must be 0 or 1, got {i}")
     n = 0 if not rep_q.arrows else 1
     ell_max = m_max - n - 1
     if ell_max < 0:

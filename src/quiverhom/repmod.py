@@ -349,16 +349,20 @@ def commutation_matrix(m: Rep, n: Rep) -> Matrix:
     return Matrix._normalized(f, tuple(rows), total)
 
 
+def _check_pair(m: Rep, n: Rep) -> None:
+    if m.quiver is not n.quiver and m.quiver != n.quiver:
+        raise ValueError("representations live on different quivers")
+    if m.side != n.side:
+        raise ValueError("side mismatch")
+
+
 def hom_space(m: Rep, n: Rep) -> list:
     """Basis of Hom(M, N): tuples of per-vertex matrices commuting with all arrows.
 
     Computed as the kernel of the commutation matrix; basis is canonical
     (echelon kernel of that matrix).
     """
-    if m.quiver is not n.quiver and m.quiver != n.quiver:
-        raise ValueError("representations live on different quivers")
-    if m.side != n.side:
-        raise ValueError("side mismatch")
+    _check_pair(m, n)
     f = m.field
     out = []
     for vec in kernel_basis(commutation_matrix(m, n)):
@@ -376,7 +380,10 @@ def hom_space(m: Rep, n: Rep) -> list:
 
 
 def hom_dim(m: Rep, n: Rep) -> int:
-    return len(hom_space(m, n))
+    """dim Hom(M, N): the nullity of the commutation matrix, from its rank."""
+    _check_pair(m, n)
+    c = commutation_matrix(m, n)
+    return c.cols - rank(c)
 
 
 def linear_dual(m: Rep) -> Rep:

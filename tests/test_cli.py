@@ -166,6 +166,18 @@ def test_localcoh_command(quiver_file, capsys):
     assert report["verdicts"]["matches_twisted_coalgebra"] is True
 
 
+@pytest.mark.parametrize("text, index, gldim", [(LOOP, 2, 1), (LOOP, -1, 1), ("vertices: 2\n", 1, 0)])
+def test_localcoh_index_outside_gldim_exits_two(quiver_file, capsys, text, index, gldim):
+    # A is hereditary, so H^i vanishes for i > gldim; such an index is an
+    # input error, not a table of ones
+    code, report = run_json(
+        capsys, ["localcoh", "--quiver", quiver_file(text), "--index", str(index),
+                 "--trunc", "6", "--json"])
+    assert code == 2
+    assert set(report) == {"schema", "command", "error"}
+    assert f"index must be 0..{gldim} (gldim {gldim})" in report["error"]
+
+
 def test_verify_command(quiver_file, capsys):
     code, report = run_json(
         capsys, ["verify", "--quiver", quiver_file(LOOP), "--trunc", "8",

@@ -1,6 +1,7 @@
 import random
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -9,6 +10,7 @@ from quiverhom.exactlin import (
     Kernel,
     Matrix,
     Quotient,
+    _echelon,
     _rref,
     cokernel_data,
     inverse,
@@ -280,23 +282,37 @@ RREF_FIELDS = [Q, Field(2), Field(7), Field(2147483647)]
 def _rref_matrices(fld, seed, count=150):
     """Random matrices up to 9 x 9, 0-row and 0-column shapes included.
     Over Q the entries include non-integral fractions, so pivots other than
-    +-1 and fractional intermediate entries occur."""
+    +-1 and fractional intermediate entries occur; coprime denominators
+    (10^9 + 7 next to 4), entries near 10^12 and rows scaled by a common
+    factor make the integer kernel's lcm scaling and content removal run."""
     rng = random.Random(seed)
     scalars = [0, 0, 0, 1, -1, 2, -3, 5]
     if fld.characteristic == 0:
-        scalars += [Fraction(1, 2), Fraction(-2, 3), Fraction(7, 4)]
+        scalars += [Fraction(1, 2), Fraction(-2, 3), Fraction(7, 4),
+                    Fraction(1, 10**9 + 7), Fraction(3, 4), 10**12 + 39, -(10**12)]
+        factors = [1, 1, 6, -(10**12), Fraction(5, 10**9 + 7)]
     else:
         scalars += [fld.characteristic - 1, fld.characteristic + 3]
+        factors = None
+
+    def rows(r, c):
+        out = [[rng.choice(scalars) for _ in range(c)] for _ in range(r)]
+        if factors:
+            for row in out:
+                f = rng.choice(factors)
+                row[:] = [f * x for x in row]
+        return out
+
     for k in range(count):
         r, c = rng.randint(0, 9), rng.randint(0, 9)
         if k % 3 == 0:
             # a product through a narrower middle: rank deficient
             mid = rng.randint(0, min(r, c))
-            left = Matrix(fld, [[rng.choice(scalars) for _ in range(mid)] for _ in range(r)], cols=mid)
-            right = Matrix(fld, [[rng.choice(scalars) for _ in range(c)] for _ in range(mid)], cols=c)
+            left = Matrix(fld, rows(r, mid), cols=mid)
+            right = Matrix(fld, rows(mid, c), cols=c)
             yield left * right
         else:
-            yield Matrix(fld, [[rng.choice(scalars) for _ in range(c)] for _ in range(r)], cols=c)
+            yield Matrix(fld, rows(r, c), cols=c)
 
 
 @pytest.mark.parametrize("fld", RREF_FIELDS, ids=repr)
@@ -317,3 +333,24 @@ def test_sparse_rref_matches_dense_oracle(fld):
                     assert type(x) is int and 0 <= x < fld.characteristic
     assert {(True, False), (False, True)} <= shapes
 
+
+@pytest.mark.parametrize("fld", RREF_FIELDS, ids=repr)
+def test_rank_and_echelon_match_dense_oracle(fld):
+    # rank runs the forward phase alone; its rows are the echelon rows that
+    # back substitution starts from: over Q primitive integer rows (ints
+    # whose gcd is 1), over F_p rows with pivot 1
+    shapes = set()
+    for m in _rref_matrices(fld, 6161):
+        ref_pivots = dense_rref(m)[1]
+        assert rank(m) == len(ref_pivots)
+        echelon = _echelon(m)
+        assert [c for c, _ in echelon] == ref_pivots
+        for c, row in echelon:
+            assert min(row) == c
+            assert all(type(x) is int for x in row.values())
+            if fld.characteristic == 0:
+                assert gcd(*row.values()) == 1
+            else:
+                assert row[c] == 1 and all(0 < x < fld.characteristic for x in row.values())
+        shapes.add((m.rows == 0, m.cols == 0))
+    assert {(True, False), (False, True)} <= shapes

@@ -453,6 +453,14 @@ def test_local_cohomology_insufficient_mmax():
         local_cohomology(LOOP, 1, 1, 10, Q)
 
 
+def test_local_cohomology_index_is_zero_or_one():
+    for i in (2, -1):
+        with pytest.raises(ValueError, match="index must be 0 or 1"):
+            local_cohomology(LOOP, i, 4, 6, Q)
+    # above gldim 0, H^1 vanishes (nakayama's off-index check relies on it)
+    assert not any(local_cohomology(NO_ARROW, 1, 4, 6, Q).dims.values())
+
+
 # ----------------------------------------------------------------- dualities
 
 
@@ -715,6 +723,23 @@ def test_engine_built_matrices_hold_normalized_scalars(monkeypatch):
                 for x in row:
                     assert (type(x) is int and 0 <= x < p) if p else type(x) is Fraction
         built.clear()
+
+
+def test_label_matrix_adds_repeated_row_labels():
+    # no engine image hits a row label twice today, so the adding branch is
+    # pinned here: coefficients on one row add up (to zero, too), and labels
+    # outside the rows drop out
+    from quiverhom.homology import _label_matrix
+
+    for fld in (Q, Field(7)):
+        one, two = fld.of(1), fld.of(2)
+        images = {"u": [("a", one), ("b", two), ("a", two), ("z", one)],
+                  "v": [("b", fld.of(-2)), ("b", two), ("a", one)]}
+        mat = _label_matrix(fld, ["a", "b"], ["u", "v"], images.__getitem__)
+        assert mat.entries == ((fld.of(3), one), (two, fld.zero))
+        p = fld.characteristic
+        for x in (x for row in mat.entries for x in row):
+            assert (type(x) is int and 0 <= x < p) if p else type(x) is Fraction
 
 
 # ----------------------------------------------------------------- colimit stages against the path-basis model

@@ -121,6 +121,23 @@ def test_side_mismatch_rejected():
         hom_space(simple(LOOP, 0, "left", Q), simple(LOOP, 0, "right", Q))
 
 
+@pytest.mark.parametrize("fld", [Q, Field(7), Field(2147483647)], ids=repr)
+def test_hom_dim_counts_hom_space(fld):
+    # hom_dim takes the rank of the commutation matrix; hom_space builds the
+    # kernel basis of the same matrix
+    rng = random.Random(47)
+    for quiv in (LOOP, TWO_CYCLE, KRONECKER, THREE_CYCLE):
+        for _ in range(6):
+            m = random_graded_rep(quiv, rng, "left", fld)
+            n = random_graded_rep(quiv, rng, "left", fld)
+            for a, b in ((m, n), (n, m), (m, m), (linear_dual(n), linear_dual(m))):
+                assert hom_dim(a, b) == len(hom_space(a, b))
+    with pytest.raises(ValueError):
+        hom_dim(simple(LOOP, 0, "left", Q), simple(LOOP, 0, "right", Q))
+    with pytest.raises(ValueError):
+        hom_dim(simple(LOOP, 0, "left", Q), simple(TWO_CYCLE, 0, "left", Q))
+
+
 def test_dual_involution_and_hom_dims():
     rng = random.Random(31)
     for quiv in (LOOP, TWO_CYCLE):
