@@ -23,6 +23,8 @@ import json
 import random
 import sys
 import time
+from collections import Counter
+from fractions import Fraction
 
 from .exactlin import Field, Matrix
 from .homology import (
@@ -49,7 +51,9 @@ from .regularity import (
 from .repmod import (
     GradingError,
     Rep,
+    arrow_ends,
     euler_pairing,
+    graded_form,
     hom_dim,
     linear_dual,
     presentation_of_rep,
@@ -79,8 +83,6 @@ def parse_rep_literal(text: str, quiver, fld: Field) -> Rep:
     """Parse the small Rep text format: side line, dims line, one matrix
     block per arrow introduced by 'arrow <label>:'.  Entries are integers or
     fractions p/q."""
-    from fractions import Fraction
-
     side = "left"
     dims = None
     blocks = {}
@@ -108,8 +110,6 @@ def parse_rep_literal(text: str, quiver, fld: Field) -> Rep:
         blocks[current].append([Fraction(tok) for tok in line.split()])
     if dims is None:
         raise CliError("rep literal: missing dims line", EXIT_PARSE)
-    from .repmod import arrow_ends
-
     maps = []
     for ai, a in enumerate(quiver.arrows):
         dom, cod = arrow_ends(side, a)
@@ -408,15 +408,17 @@ def cmd_verify(args) -> tuple:
             "skipped": "no stabilized twisted column at these parameters",
         }
 
-    # phi check on random graded presentations through degree 6
+    # phi check on random graded presentations through degree 6: Hom(M, C)
+    # is the graded dual of M, so its dimensions are M's graded dimension
     phi_fail = 0
     phi_cases = max(3, cases // 10)
     for _ in range(phi_cases):
         m = random_graded_rep(quiver, rng, "left", fld)
         if m.total_dim == 0:
             continue
-        pres = presentation_of_rep(m)
-        if not hom_into_C(pres, min(args.trunc, 8)).phi_check["passes"]:
+        g, degrees = graded_form(m)
+        hom = hom_into_C(presentation_of_rep(g, degrees), min(args.trunc, 8))
+        if hom.dims_by_degree != Counter(d for fiber in degrees for d in fiber):
             phi_fail += 1
     suite["phi_check"] = {"cases": phi_cases, "failures": phi_fail}
 

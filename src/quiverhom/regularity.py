@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .exactlin import Field
 from .homology import (
     LocalCohReport,
+    _simple_cycles,
     ext_comodule_C,
     ext_fd,
     ext_vs_algebra,
@@ -239,8 +240,6 @@ def nakayama(q: Quiver, trunc: int, m_max: int, fld: Field | None = None) -> Nak
     scalars = [fld.one for _ in q.arrows]
     if identity_vertices and lc.cycle_products:
         # place each extracted cycle product on the first arrow of its cycle
-        from .homology import _simple_cycles
-
         for cyc in _simple_cycles(q):
             label = "-".join(q.arrows[ai].label for ai in cyc)
             if label in lc.cycle_products:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import exactlin
 from .exactlin import Field, Matrix, inverse, kernel_basis, rank
 from .pathcoalg import AlgElement
-from .quiver import Path, Quiver, extend, opposite, trivial_path
+from .quiver import Path, Quiver, enumerate_paths, extend, opposite, trivial_path
 
 
 class NotNilpotentError(ValueError):
@@ -170,19 +170,14 @@ def rep_from_matrices(quiver: Quiver, dims, arrow_maps, side: str, field: Field 
     be nilpotent.
     """
     field = field or Field(0)
-    mats = []
-    for ai, raw in enumerate(arrow_maps):
-        mats.append(raw if isinstance(raw, Matrix) else Matrix(field, raw))
+    mats = [raw if isinstance(raw, Matrix) else Matrix(field, raw) for raw in arrow_maps]
     return Rep(quiver, side, field, dims, mats)
 
 
 def zero_rep(quiver: Quiver, side: str, field: Field | None = None) -> Rep:
     field = field or Field(0)
     dims = [0] * quiver.vertex_count
-    maps = []
-    for a in quiver.arrows:
-        dom, cod = arrow_ends(side, a)
-        maps.append(Matrix.zeros(field, 0, 0))
+    maps = [Matrix.zeros(field, 0, 0) for _ in quiver.arrows]
     return Rep(quiver, side, field, dims, maps)
 
 
@@ -261,8 +256,6 @@ def truncated_injective(quiver: Quiver, vertex: int, n: int, side: str = "right"
     fibers by source, arrows strip their first step).  Socle is the simple.
     """
     field = field or Field(0)
-    from .quiver import enumerate_paths
-
     table = enumerate_paths(quiver, n)
     if side == "right":
         paths = table.paths(source=vertex)
@@ -274,8 +267,6 @@ def truncated_injective(quiver: Quiver, vertex: int, n: int, side: str = "right"
 def truncated_free_rep(quiver: Quiver, vertex: int, n: int, side: str = "left", field: Field | None = None) -> Rep:
     """The finite quotient (A e_v) / J^(n+1) (side="left"), or its mirror, as a Rep."""
     field = field or Field(0)
-    from .quiver import enumerate_paths
-
     table = enumerate_paths(quiver, n)
     if side == "left":
         paths = table.paths(source=vertex)
@@ -331,6 +322,7 @@ def commutation_matrix(m: Rep, n: Rep) -> Matrix:
     for v in q.vertices:
         offsets[v] = total
         total += n.dims[v] * m.dims[v]
+    zero = f.zero
     rows = []
     for ai, a in enumerate(q.arrows):
         dom, cod = arrow_ends(m.side, a)
@@ -338,13 +330,18 @@ def commutation_matrix(m: Rep, n: Rep) -> Matrix:
         an = n.maps[ai]
         for r in range(n.dims[cod]):
             for c in range(m.dims[dom]):
-                row = [f.zero] * total
+                row = [zero] * total
                 for k in range(m.dims[cod]):
-                    idx = offsets[cod] + r * m.dims[cod] + k
-                    row[idx] = f.add(row[idx], am[k, c])
+                    x = am[k, c]
+                    if x:
+                        row[offsets[cod] + r * m.dims[cod] + k] = x
                 for k in range(n.dims[dom]):
-                    idx = offsets[dom] + k * m.dims[dom] + c
-                    row[idx] = f.sub(row[idx], an[r, k])
+                    x = an[r, k]
+                    if x:
+                        # a loop (dom = cod) may hit a cell the first sum set
+                        idx = offsets[dom] + k * m.dims[dom] + c
+                        y = row[idx]
+                        row[idx] = f.neg(x) if y is zero else f.sub(y, x)
                 rows.append(tuple(row))
     return Matrix._normalized(f, tuple(rows), total)
 
@@ -563,21 +560,19 @@ def _level_grading(m: Rep):
         stack = [start]
         while stack:
             v = stack.pop()
-            for ai, a in enumerate(q.arrows):
-                pairs = []
-                if a.source == v or a.target == v:
-                    dom, cod = arrow_ends(m.side, a)
-                    pairs.append((dom, cod))
-                for dom, cod in pairs:
-                    if dom in level and cod in level:
-                        if level[cod] != level[dom] + 1:
-                            raise GradingError("no consistent vertex level function")
-                    elif dom in level:
-                        level[cod] = level[dom] + 1
-                        stack.append(cod)
-                    elif cod in level:
-                        level[dom] = level[cod] - 1
-                        stack.append(dom)
+            for a in q.arrows:
+                if a.source != v and a.target != v:
+                    continue
+                dom, cod = arrow_ends(m.side, a)
+                if dom in level and cod in level:
+                    if level[cod] != level[dom] + 1:
+                        raise GradingError("no consistent vertex level function")
+                elif dom in level:
+                    level[cod] = level[dom] + 1
+                    stack.append(cod)
+                elif cod in level:
+                    level[dom] = level[cod] - 1
+                    stack.append(dom)
     shift = -min(level.values()) if level else 0
     return tuple(tuple(level[v] + shift for _ in range(m.dims[v])) for v in m.quiver.vertices)
 

@@ -348,6 +348,39 @@ def test_dual_resolution_exactness_free():
     assert result["passes"]
 
 
+def test_dual_resolution_cover_skips_the_radical_layer():
+    # A / (x) on the loop with the relation entered twice, as x and 2x: the
+    # kernel of F1 -> F0 is free on 2 r1 - r2 in degree 1, so F2 = A e<1>.
+    # Its degree-d pieces for d >= 2 are x^(d-1) times that generator, not
+    # further generators.
+    x = Path(0, 0, (0,))
+    entries = ((AlgElement(Q, {x: Fraction(1)}), AlgElement(Q, {x: Fraction(2)})),)
+    pres = GradedPresentation(LOOP, "left", Q, ((0, 0),), ((0, 1), (0, 1)), entries)
+    result = dual_resolution_check(pres, 12, 6)
+    assert result["passes"]
+    assert [row["dim_F2"] for row in result["rows"]] == [0, 1, 1, 1, 1, 1, 1]
+    assert [row["rank_d1"] for row in result["rows"]] == [0, 1, 1, 1, 1, 1, 1]
+
+
+def test_hom_into_C_and_rational_part_build_no_whole_degree_matrix(monkeypatch):
+    from quiverhom import homology
+
+    whole = homology.free_diff_matrix
+
+    def per_vertex_only(fld, table, gens_rows, gens_cols, entries, degree, target=None):
+        if target is None:
+            raise AssertionError("whole-degree F1 -> F0 matrix built")
+        return whole(fld, table, gens_rows, gens_cols, entries, degree, target)
+
+    monkeypatch.setattr(homology, "free_diff_matrix", per_vertex_only)
+    modules = [uniserial(LOOP, 0, 3, "left", Q), uniserial(TWO_CYCLE, 0, 3, "left", Q),
+               simple(KRONECKER, 0, "left", Q), random_graded_rep(THREE_CYCLE, random.Random(23), "left", Q)]
+    for m in modules:
+        pres = presentation_of_rep(m)
+        assert hom_into_C(pres, 8).rep.total_dim == m.total_dim
+        assert rational_part(pres, 8).rep.total_dim == m.total_dim
+
+
 # ----------------------------------------------------------------- local cohomology
 
 

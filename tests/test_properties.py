@@ -2,6 +2,7 @@
 
 import random
 import zlib
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ from quiverhom.pathcoalg import AlgElement, PathCoalgebra, TruncatedDualAlgebra,
 from quiverhom.quiver import parse_quiver
 from quiverhom.repmod import (
     euler_pairing,
+    graded_form,
     hom_dim,
     linear_dual,
     presentation_of_rep,
@@ -115,13 +117,16 @@ def test_phi_check_through_degree_six(name):
         m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)
         if m.total_dim == 0:
             continue
-        report = hom_into_C(presentation_of_rep(m), 7)
+        g, degrees = graded_form(m)
+        report = hom_into_C(presentation_of_rep(g, degrees), 7)
         degreewise = report.phi_check["degreewise"]
         for d in range(7):
             row = degreewise.get(str(d))
             if row is not None:
                 assert row["hom_into_C"] == row["rational_dual"]
         assert report.phi_check["passes"]
+        # the independent route: Hom(M, C) is the graded dual of M
+        assert report.dims_by_degree == Counter(d for fiber in degrees for d in fiber)
         done += 1
 
 

@@ -9,6 +9,7 @@ from quiverhom.repmod import (
     NotNilpotentError,
     Rep,
     arrow_ends,
+    commutation_matrix,
     direct_sum,
     euler_pairing,
     graded_form,
@@ -424,3 +425,42 @@ def test_nil_bound_non_nilpotent_message_matches_oracle():
                 want = _oracle_outcome(quiv, side, fld, dims, maps)
                 assert isinstance(want, tuple) and want[0] is NotNilpotentError
                 assert _rep_outcome(quiv, side, fld, dims, maps) == want
+
+
+def dense_commutation_matrix(m, n):
+    """Reference for commutation_matrix: every entry summed onto a zero row."""
+    f, q = m.field, m.quiver
+    offsets, total = {}, 0
+    for v in q.vertices:
+        offsets[v] = total
+        total += n.dims[v] * m.dims[v]
+    rows = []
+    for ai, a in enumerate(q.arrows):
+        dom, cod = arrow_ends(m.side, a)
+        for r in range(n.dims[cod]):
+            for c in range(m.dims[dom]):
+                row = [f.zero] * total
+                for k in range(m.dims[cod]):
+                    idx = offsets[cod] + r * m.dims[cod] + k
+                    row[idx] = f.add(row[idx], m.maps[ai][k, c])
+                for k in range(n.dims[dom]):
+                    idx = offsets[dom] + k * m.dims[dom] + c
+                    row[idx] = f.sub(row[idx], n.maps[ai][r, k])
+                rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_commutation_matrix_matches_dense_reference():
+    # loops (LOOP, MEET) hit a cell from both sums; the entries must be the
+    # reference's normalized scalars, of the field's own type
+    rng = random.Random(2029)
+    for fld in NIL_FIELDS:
+        for quiv in NIL_QUIVERS:
+            for side in ("left", "right"):
+                for _ in range(4):
+                    m = random_graded_rep(quiv, rng, side, fld)
+                    n = random_graded_rep(quiv, rng, side, fld)
+                    for a, b in ((m, n), (m, m), (linear_dual(n), linear_dual(m))):
+                        got = commutation_matrix(a, b).entries
+                        assert got == dense_commutation_matrix(a, b)
+                        assert all(type(x) is type(fld.zero) for row in got for x in row)
