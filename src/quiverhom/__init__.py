@@ -20,7 +20,6 @@ from .repmod import (
     hom_dim,
     hom_space,
     identity_twist,
-    is_isomorphic,
     linear_dual,
     presentation_of_rep,
     random_graded_rep,
@@ -37,9 +36,6 @@ from .homology import (
     LocalCohReport,
     StabilizationError,
     dual_resolution_check,
-    dualize_complex,
-    duality_roundtrip,
-    duality_roundtrip_fd,
     duality_roundtrip_injective,
     ext_comodule_C,
     ext_fd,
@@ -60,7 +56,6 @@ from .regularity import (
     global_dimension,
     inner_test,
     nakayama,
-    natural_map,
     serre_twist,
 )
 

@@ -36,10 +36,7 @@ from .repmod import (
     _reverse_path,
     arrow_ends,
     commutation_matrix,
-    graded_form,
-    hom_dim,
     hom_space,
-    linear_dual,
     presentation_of_rep,
     zero_rep,
 )
@@ -95,20 +92,6 @@ def free_diff_matrix(fld: Field, table, gens_rows, gens_cols, entries, degree: i
 # standard resolution and minimalization
 
 
-def path_action(rep: Rep, p: Path) -> Matrix:
-    """Composite of arrow maps along a path, first-traversed arrow first."""
-    f = rep.field
-    if rep.side == "left":
-        cur = Matrix.identity(f, rep.dims[p.source])
-        for ai in p.arrows:
-            cur = rep.maps[ai] * cur
-        return cur
-    cur = Matrix.identity(f, rep.dims[p.target])
-    for ai in reversed(p.arrows):
-        cur = rep.maps[ai] * cur
-    return cur
-
-
 def standard_resolution(m: Rep, degrees=None) -> GradedPresentation:
     """Standard two-term projective resolution of a nilpotent left module:
 
@@ -122,37 +105,6 @@ def standard_resolution(m: Rep, degrees=None) -> GradedPresentation:
     if m.side != "left":
         raise ValueError("standard_resolution expects a left module")
     return presentation_of_rep(m, degrees)
-
-
-def augmentation_matrix(m: Rep, degrees, table, degree: int):
-    """Degree-d matrix of the augmentation of standard_resolution(m, degrees)
-    onto M, and the M-side basis; generator g hits the g-th basis vector of
-    M in vertex order."""
-    fiber = [(v, i) for v in m.quiver.vertices for i in range(m.dims[v])]
-    target_basis = [(v, i) for v, i in fiber if degrees[v][i] == degree]
-    gens = [(v, degrees[v][i]) for v, i in fiber]
-
-    def images(lab):
-        g, p = lab
-        return (((p.target, r), x) for r, x in enumerate(path_action(m, p).column(fiber[g][1])))
-
-    return (_label_matrix(m.field, target_basis, free_term_basis(table, gens, degree), images),
-            target_basis)
-
-
-def resolution_exact_through(m: Rep, table, max_degree: int) -> bool:
-    """Degreewise exactness of 0 -> F1 -> F0 -> M -> 0 for the standard
-    resolution of a left module, on its graded form."""
-    m, degrees = graded_form(m)
-    pres = standard_resolution(m, degrees)
-    for d in range(max_degree + 1):
-        d1 = free_diff_matrix(m.field, table, pres.generators, pres.relations, pres.entries, d)
-        aug, _ = augmentation_matrix(m, degrees, table, d)
-        if aug.rows and not (aug * d1).is_zero_matrix():
-            return False
-        if rank(d1) != d1.cols or rank(aug) + d1.cols != d1.rows:
-            return False
-    return True
 
 
 def minimalize(pres: GradedPresentation) -> GradedPresentation:
@@ -785,20 +737,22 @@ def _kill_matrix(model: PresentationModel, d: int, v: int, k: int) -> Matrix:
 
 
 # ----------------------------------------------------------------------
-# Hom(-, C) and the phi comparison
+# Hom(-, C)
 
 
 @dataclass
 class HomIntoCReport:
+    """Hom_A(M, C) as a module on the other side, and its nonzero dimensions
+    by degree.  Hom(M, C) is the graded dual of M, so these must equal M's
+    graded dimensions; `cli verify` checks that on random modules."""
+
     rep: Rep
     dims_by_degree: dict
-    phi_check: dict
 
     def describe(self) -> dict:
         return {
             "dims_by_degree": {str(k): v for k, v in sorted(self.dims_by_degree.items())},
             "total_dim": self.rep.total_dim,
-            "phi_check": self.phi_check,
         }
 
 
@@ -810,10 +764,7 @@ def hom_into_C(pres: GradedPresentation, trunc: int) -> HomIntoCReport:
     (degree, vertex), the annihilator of the relation image, with basis the
     projection rows of the model's block, dual to its classes.  An arrow
     strips its own last step; on these bases that is the transpose of the
-    model's left action.  Both phi columns are model.dim(d), so the phi
-    check passes by construction; the independent check compares the
-    dimensions with the module's graded dimension (cli verify, the property
-    tests).
+    model's left action.  The dimension in degree d is model.dim(d).
     """
     model = PresentationModel(pres, trunc)
     q = model.quiver
@@ -823,7 +774,7 @@ def hom_into_C(pres: GradedPresentation, trunc: int) -> HomIntoCReport:
     d_lo = min(gen_degs)
     d_hi = trunc + min(gen_degs + rel_degs) if (gen_degs or rel_degs) else trunc
     degrees = range(d_lo, d_hi + 1)
-    dims_by_degree = {d: model.dim(d) for d in degrees}
+    dims_by_degree = {d: n for d in degrees if (n := model.dim(d))}
     fibers = {v: [(d, j) for d in degrees for j in range(model.dim(d, v))] for v in q.vertices}
 
     def image(ai, dom, cod, d):
@@ -833,10 +784,7 @@ def hom_into_C(pres: GradedPresentation, trunc: int) -> HomIntoCReport:
 
     out_side = "right" if pres.side == "left" else "left"
     rep = _graded_rep(pres.quiver, out_side, model.fld, fibers, image)
-    return HomIntoCReport(rep, {d: n for d, n in dims_by_degree.items() if n},
-                          {"passes": True,
-                           "degreewise": {str(d): {"hom_into_C": n, "rational_dual": n}
-                                          for d, n in dims_by_degree.items()}})
+    return HomIntoCReport(rep, dims_by_degree)
 
 
 # ----------------------------------------------------------------------
@@ -1142,125 +1090,7 @@ def _simple_cycles(quiver: Quiver) -> list:
 
 
 # ----------------------------------------------------------------------
-# complexes of representations and the derived dualities
-
-
-@dataclass
-class RepComplex:
-    """Bounded complex of finite-dimensional representations.
-
-    diffs[k] is the tuple of per-vertex matrices of the map term k -> term k-1.
-    """
-
-    terms: dict
-    diffs: dict
-
-    def validate(self) -> None:
-        for k, comps in self.diffs.items():
-            src = self.terms.get(k)
-            dst = self.terms.get(k - 1)
-            if src is None or dst is None:
-                raise ValueError(f"diff {k} without both endpoints")
-            if src.side != dst.side or src.quiver != dst.quiver:
-                raise ValueError("complex mixes sides or quivers")
-            for ai, a in enumerate(src.quiver.arrows):
-                dom, cod = arrow_ends(src.side, a)
-                left = comps[cod] * src.maps[ai]
-                right = dst.maps[ai] * comps[dom]
-                if not (left - right).is_zero_matrix():
-                    raise ValueError(f"diff {k} is not a morphism at arrow {a.label!r}")
-        for k in sorted(self.diffs):
-            if k + 1 in self.diffs:
-                for v in self.terms[k].quiver.vertices:
-                    prod = self.diffs[k][v] * self.diffs[k + 1][v]
-                    if not prod.is_zero_matrix():
-                        raise ValueError(f"d_{k} d_{k+1} != 0 at vertex {v + 1}")
-
-    def cohomology_dims(self) -> dict:
-        """Per homological position, total dimension of ker/im."""
-        out = {}
-        for k, term in self.terms.items():
-            total = 0
-            for v in term.quiver.vertices:
-                out_rank = rank(self.diffs[k][v]) if k in self.diffs else 0
-                in_rank = rank(self.diffs[k + 1][v]) if k + 1 in self.diffs else 0
-                total += term.dims[v] - out_rank - in_rank
-            out[k] = total
-        return out
-
-
-def dualize_complex(c: RepComplex) -> RepComplex:
-    """Termwise linear dual with negated homological degrees and flipped side.
-
-    The double dual is literally the original complex (transpose twice).
-    """
-    terms = {-k: linear_dual(rep) for k, rep in c.terms.items()}
-    diffs = {}
-    for k, comps in c.diffs.items():
-        # d_k: term k -> term k-1 dualizes to dual(term k-1) -> dual(term k),
-        # i.e. the differential at position -(k-1) of the new complex
-        diffs[-(k - 1)] = tuple(mat.transpose() for mat in comps)
-    out = RepComplex(terms, diffs)
-    out.validate()
-    return out
-
-
-def single_term_complex(rep: Rep, position: int = 0) -> RepComplex:
-    return RepComplex({position: rep}, {})
-
-
-def duality_roundtrip_fd(x: Rep) -> dict:
-    """F then G on a finite-dimensional object: the double dual equals X.
-
-    F degenerates to the linear dual because the dual of a finite-dimensional
-    module is already torsion; the verdict checks the literal double-dual
-    equality and the contravariant hom-dimension bookkeeping.
-    """
-    f_image = dualize_complex(single_term_complex(x))
-    g_image = dualize_complex(f_image)
-    back = g_image.terms[0]
-    equal = back.side == x.side and back.dims == x.dims and all(
-        (back.maps[ai] - x.maps[ai]).is_zero_matrix() for ai in range(len(x.quiver.arrows))
-    )
-    hom_self = hom_dim(x, x)
-    hom_dual = hom_dim(f_image.terms[0], f_image.terms[0])
-    return {
-        "object": "finite-dimensional",
-        "passes": bool(equal and hom_self == hom_dual),
-        "double_dual_equal": equal,
-        "hom_dim": hom_self,
-        "hom_dim_dual": hom_dual,
-    }
-
-
-def duality_roundtrip(x, m_max: int | None = None, trunc: int | None = None,
-                      fld: Field | None = None) -> dict:
-    """Roundtrip of the derived duality pair on a truncated quasi-finite object.
-
-    Accepts a finite-dimensional Rep (the functor degenerates to the linear
-    dual, and the roundtrip is the double dual), or the marker
-    ("injective", quiver, vertex) for a truncated injective, where the first
-    functor is the matching column of the stabilized local cohomology shifted
-    by the global dimension.  For one-dimensional simples with a truncation
-    supplied, the verdict also records the top Ext against the algebra, the
-    image of the object under the finitely-generated-side duality.
-    """
-    if isinstance(x, Rep):
-        verdict = duality_roundtrip_fd(x)
-        if trunc is not None and x.total_dim == 1 and x.side == "left":
-            n = 0 if not x.quiver.arrows else 1
-            top = ext_vs_algebra(x, n, trunc, want_rep=False)
-            verdict["top_ext_degree"] = n
-            verdict["top_ext_support"] = {
-                str(v + 1): k for v, k in sorted((top.vertex_support or {}).items())
-            }
-        return verdict
-    kind, quiver, vertex = x
-    if kind != "injective":
-        raise ValueError(f"unknown roundtrip object kind {kind!r}")
-    if m_max is None or trunc is None:
-        raise ValueError("injective roundtrip needs m_max and trunc")
-    return duality_roundtrip_injective(quiver, m_max, trunc, fld)[vertex]
+# the injective roundtrip
 
 
 def duality_roundtrip_injective(quiver: Quiver, m_max: int, trunc: int,

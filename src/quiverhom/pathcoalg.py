@@ -36,11 +36,6 @@ def comultiply(q: Quiver, p: Path) -> list:
     return out
 
 
-def counit(p: Path):
-    """1 on trivial paths, 0 otherwise (as a plain int; callers coerce)."""
-    return 1 if p.length == 0 else 0
-
-
 class PathCoalgebra:
     """Paths of length <= N with comultiplication and counit."""
 

@@ -119,37 +119,6 @@ def as_regular_check(q: Quiver, trunc: int, fld: Field | None = None) -> Regular
     )
 
 
-def natural_map(q: Quiver, vertex: int, trunc: int, side: str = "left", fld: Field | None = None) -> int:
-    """The unique vertex j with Ext^n(S_vertex, A) the simple at j.
-
-    Errors with the failing Ext data when the instance is not AS-regular.
-    """
-    fld = fld or Field(0)
-    n = global_dimension(q)
-    return _support_vertex(ext_vs_algebra(simple(q, vertex, side, fld), n, trunc, want_rep=False), vertex)
-
-
-def _support_vertex(report, vertex: int) -> int:
-    """The unique support vertex of a one-dimensional Ext^n(S_vertex, A)."""
-    support = report.vertex_support or {}
-    if report.total_dim != 1 or len(support) != 1:
-        raise NotASRegularError(
-            f"Ext^{report.degree}(S_{vertex + 1}, A) is not simple: dimension {report.total_dim}",
-            witness=report.describe(),
-        )
-    return next(iter(support))
-
-
-def natural_map_permutation(q: Quiver, trunc: int, side: str = "left", fld: Field | None = None) -> tuple:
-    return _bijection(q, tuple(natural_map(q, v, trunc, side, fld) for v in q.vertices))
-
-
-def _bijection(q: Quiver, perm: tuple) -> tuple:
-    if sorted(perm) != list(q.vertices):
-        raise NotASRegularError(f"natural map {perm} is not a bijection")
-    return perm
-
-
 @dataclass
 class NakayamaReport:
     gldim: int
@@ -210,7 +179,10 @@ def nakayama(q: Quiver, trunc: int, m_max: int, fld: Field | None = None) -> Nak
     if not verdict.as_regular:
         raise NotASRegularError("instance is not AS-regular", witness=verdict.failures)
     n = verdict.gldim
-    nat = _bijection(q, tuple(_support_vertex(verdict.tables["left"][v][n], v) for v in q.vertices))
+    # the natural map: AS-regularity makes each top Ext simple, at one vertex
+    nat = tuple(next(iter(verdict.tables["left"][v][n].vertex_support)) for v in q.vertices)
+    if sorted(nat) != list(q.vertices):
+        raise NotASRegularError(f"natural map {[w + 1 for w in nat]} is not a bijection")
     lc = local_cohomology(q, n, m_max, trunc, fld, side="left")
     if lc.twist_sigma is None:
         raise NotASRegularError(
@@ -233,7 +205,8 @@ def nakayama(q: Quiver, trunc: int, m_max: int, fld: Field | None = None) -> Nak
         orientation = "local-cohomology vertex map equals the inverse of the natural map"
     else:
         raise NotASRegularError(
-            f"vertex maps disagree: natural map {nat}, local cohomology {sigma}"
+            f"vertex maps disagree: natural map {[w + 1 for w in nat]}, "
+            f"local cohomology {[w + 1 for w in sigma]}"
         )
     arrow_map = _arrow_matching(q, sigma)
     identity_vertices = all(sigma[v] == v for v in q.vertices)

@@ -468,54 +468,6 @@ def twist(m: Rep, t: VertexTwist) -> Rep:
     return Rep(m.quiver, m.side, m.field, dims, maps)
 
 
-def is_isomorphic(m: Rep, n: Rep, rng=None, attempts: int = 64) -> bool:
-    """Isomorphism test: equal dimension vectors plus an invertible morphism.
-
-    A found invertible combination is an exact proof.  Combinations are
-    sampled with exact coefficients (seeded when rng given); small hom spaces
-    fall back to a deterministic grid, so failures on the instances used here
-    are genuine.
-    """
-    if m.dims != n.dims:
-        return False
-    if m.total_dim == 0:
-        return True
-    basis = hom_space(m, n)
-    if not basis:
-        return False
-
-    def invertible(coeffs) -> bool:
-        for v in m.quiver.vertices:
-            if m.dims[v] == 0:
-                continue
-            acc = Matrix.zeros(m.field, n.dims[v], m.dims[v])
-            for c, mor in zip(coeffs, basis):
-                if c:
-                    acc = acc + mor[v].scale(m.field.of(c))
-            if rank(acc) < m.dims[v]:
-                return False
-        return True
-
-    k = len(basis)
-    if k <= 2:
-        grid = range(-m.total_dim - 1, m.total_dim + 2)
-        from itertools import product
-
-        for coeffs in product(grid, repeat=k):
-            if any(coeffs) and invertible(coeffs):
-                return True
-        return False
-    import random as _random
-
-    rng = rng or _random.Random(20240901)
-    span = 4 * m.total_dim + 8
-    for _ in range(attempts):
-        coeffs = [rng.randint(-span, span) for _ in range(k)]
-        if any(coeffs) and invertible(coeffs):
-            return True
-    return False
-
-
 def euler_pairing(m: Rep, n: Rep) -> int:
     """The hereditary Euler form: sum of fiber products minus arrow terms.
 
@@ -530,20 +482,6 @@ def euler_pairing(m: Rep, n: Rep) -> int:
         dom, cod = arrow_ends(m.side, a)
         total -= m.dims[dom] * n.dims[cod]
     return total
-
-
-def direct_sum(m: Rep, n: Rep) -> Rep:
-    if m.quiver != n.quiver or m.side != n.side:
-        raise ValueError("incompatible summands")
-    f = m.field
-    dims = [m.dims[v] + n.dims[v] for v in m.quiver.vertices]
-    maps = []
-    for ai, a in enumerate(m.quiver.arrows):
-        dom, cod = arrow_ends(m.side, a)
-        top = m.maps[ai].hstack(Matrix.zeros(f, m.dims[cod], n.dims[dom]))
-        bottom = Matrix.zeros(f, n.dims[cod], m.dims[dom]).hstack(n.maps[ai])
-        maps.append(top.vstack(bottom))
-    return Rep(m.quiver, m.side, f, dims, maps)
 
 
 # ----------------------------------------------------------------------

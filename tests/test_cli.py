@@ -343,3 +343,24 @@ def test_nakayama_report_names_conventions(quiver_file, capsys):
     nak = report["tables"]["nakayama"]
     assert "compose right to left" in nak["convention"]
     assert "natural map" in nak["orientation"]
+
+
+def test_verify_double_dual_roundtrip_catches_a_broken_dual(quiver_file, capsys, monkeypatch):
+    from quiverhom import cli
+    from quiverhom.exactlin import Matrix
+    from quiverhom.repmod import Rep
+
+    def zero_dual(m):
+        side = "right" if m.side == "left" else "left"
+        return Rep(m.quiver, side, m.field, m.dims,
+                   tuple(Matrix.zeros(m.field, mat.cols, mat.rows) for mat in m.maps))
+
+    monkeypatch.setattr(cli, "linear_dual", zero_dual)
+    code, report = run_json(
+        capsys, ["verify", "--quiver", quiver_file(LOOP), "--trunc", "8",
+                 "--cases", "32", "--seed", "1", "--json"])
+    assert code == 0
+    roundtrip = report["tables"]["suite"]["double_dual_roundtrip"]
+    assert roundtrip["cases"] == 4
+    assert roundtrip["failures"] > 0
+    assert report["verdicts"]["all_passed"] is False

@@ -10,6 +10,8 @@ from quiverhom.pathcoalg import AlgElement
 from quiverhom.quiver import Path, enumerate_paths, parse_quiver
 from quiverhom.repmod import (
     GradedPresentation,
+    Rep,
+    graded_form,
     hom_dim,
     presentation_of_rep,
     random_graded_rep,
@@ -20,11 +22,9 @@ from quiverhom.repmod import (
 )
 from quiverhom.homology import (
     PresentationModel,
-    RepComplex,
     StabilizationError,
+    _label_matrix,
     dual_resolution_check,
-    dualize_complex,
-    duality_roundtrip_fd,
     duality_roundtrip_injective,
     ext_comodule_C,
     ext_fd,
@@ -32,11 +32,12 @@ from quiverhom.homology import (
     hom_into_C,
     local_cohomology,
     minimalize,
+    free_diff_matrix,
+    free_term_basis,
     rational_part,
-    resolution_exact_through,
-    single_term_complex,
     standard_resolution,
 )
+from rep_helpers import direct_sum  # tests/rep_helpers.py
 
 Q = Field(0)
 LOOP = parse_quiver("vertices: 1\narrow x 1 1\n")[0]
@@ -47,6 +48,49 @@ NO_ARROW = parse_quiver("vertices: 1\n")[0]
 
 
 # ----------------------------------------------------------------- resolutions
+
+
+def path_action(rep: Rep, p: Path) -> Matrix:
+    """Composite of arrow maps along a path, first-traversed arrow first."""
+    f = rep.field
+    if rep.side == "left":
+        cur = Matrix.identity(f, rep.dims[p.source])
+        for ai in p.arrows:
+            cur = rep.maps[ai] * cur
+        return cur
+    cur = Matrix.identity(f, rep.dims[p.target])
+    for ai in reversed(p.arrows):
+        cur = rep.maps[ai] * cur
+    return cur
+
+
+def augmentation_matrix(m: Rep, degrees, table, degree: int) -> Matrix:
+    """Degree-d matrix of the augmentation of standard_resolution(m, degrees)
+    onto M; generator g hits the g-th basis vector of M in vertex order."""
+    fiber = [(v, i) for v in m.quiver.vertices for i in range(m.dims[v])]
+    target_basis = [(v, i) for v, i in fiber if degrees[v][i] == degree]
+    gens = [(v, degrees[v][i]) for v, i in fiber]
+
+    def images(lab):
+        g, p = lab
+        return (((p.target, r), x) for r, x in enumerate(path_action(m, p).column(fiber[g][1])))
+
+    return _label_matrix(m.field, target_basis, free_term_basis(table, gens, degree), images)
+
+
+def resolution_exact_through(m: Rep, table, max_degree: int) -> bool:
+    """Reference check: degreewise exactness of 0 -> F1 -> F0 -> M -> 0 for
+    the standard resolution of a left module, on its graded form."""
+    m, degrees = graded_form(m)
+    pres = standard_resolution(m, degrees)
+    for d in range(max_degree + 1):
+        d1 = free_diff_matrix(m.field, table, pres.generators, pres.relations, pres.entries, d)
+        aug = augmentation_matrix(m, degrees, table, d)
+        if aug.rows and not (aug * d1).is_zero_matrix():
+            return False
+        if rank(d1) != d1.cols or rank(aug) + d1.cols != d1.rows:
+            return False
+    return True
 
 
 def test_standard_resolution_simple_two_cycle():
@@ -290,8 +334,6 @@ def test_rational_part_finite_dimensional_is_everything():
 def test_rational_part_long_uniserial_not_fooled_by_plateau():
     # kernel chain of the radical action plateaus for three steps before
     # jumping; the exact mode must still count the whole module
-    from quiverhom.repmod import direct_sum
-
     m = direct_sum(simple(LOOP, 0, "left", Q), uniserial(LOOP, 0, 4, "left", Q))
     r = rational_part(presentation_of_rep(m), 10)
     assert r.rep.total_dim == 5
@@ -302,14 +344,12 @@ def test_rational_part_long_uniserial_not_fooled_by_plateau():
 
 def test_hom_into_C_free_is_coalgebra_column():
     report = hom_into_C(truncated_free(LOOP, 0, 8, "left", Q), 8)
-    assert report.phi_check["passes"]
     assert all(report.dims_by_degree[d] == 1 for d in range(9))
 
 
 def test_hom_into_C_simple():
     report = hom_into_C(presentation_of_rep(simple(TWO_CYCLE, 0, "left", Q)), 8)
     assert report.rep.total_dim == 1
-    assert report.phi_check["passes"]
 
 
 def test_hom_into_C_random_phi():
@@ -320,7 +360,6 @@ def test_hom_into_C_random_phi():
             if m.total_dim == 0:
                 continue
             report = hom_into_C(presentation_of_rep(m), 8)
-            assert report.phi_check["passes"]
             assert report.rep.total_dim == m.total_dim
 
 
@@ -497,36 +536,6 @@ def test_local_cohomology_index_is_zero_or_one():
 # ----------------------------------------------------------------- dualities
 
 
-def test_dualize_single_term():
-    m = uniserial(LOOP, 0, 2, "left", Q)
-    c = single_term_complex(m)
-    d = dualize_complex(c)
-    assert d.terms[0].side == "right"
-    dd = dualize_complex(d)
-    assert dd.terms[0].maps[0] == m.maps[0]
-
-
-def test_dualize_two_term_cohomology_swap():
-    # socle inclusion k -> k[x]/x^2 placed in homological degrees 1 and 0
-    s = simple(LOOP, 0, "left", Q)
-    n = uniserial(LOOP, 0, 2, "left", Q)
-    incl = (Matrix(Q, [[0], [1]]),)
-    c = RepComplex({1: s, 0: n}, {1: incl})
-    c.validate()
-    h = c.cohomology_dims()
-    d = dualize_complex(c)
-    hd = d.cohomology_dims()
-    assert {k: v for k, v in h.items()} == {-k: v for k, v in hd.items()}
-
-
-def test_duality_roundtrip_fd_random():
-    rng = random.Random(23)
-    for quiv in (LOOP, TWO_CYCLE):
-        for _ in range(6):
-            m = random_graded_rep(quiv, rng, "left", Q)
-            assert duality_roundtrip_fd(m)["passes"]
-
-
 def test_duality_roundtrip_injectives():
     assert [v["passes"] for v in duality_roundtrip_injective(LOOP, 8, 10, Q)] == [True]
     verdicts = duality_roundtrip_injective(TWO_CYCLE, 8, 10, Q)
@@ -536,25 +545,13 @@ def test_duality_roundtrip_injectives():
     assert [v["passes"] for v in duality_roundtrip_injective(NO_ARROW, 4, 6, Q)] == [True]
 
 
-def test_duality_roundtrip_dispatcher():
-    from quiverhom.homology import duality_roundtrip
-
-    s1 = simple(TWO_CYCLE, 0, "left", Q)
-    verdict = duality_roundtrip(s1, trunc=10)
-    assert verdict["passes"]
-    # the finitely-generated-side duality sends S_1 to the simple at vertex 2
-    assert verdict["top_ext_degree"] == 1
-    assert verdict["top_ext_support"] == {"2": 1}
-    inj = duality_roundtrip(("injective", TWO_CYCLE, 0), m_max=8, trunc=10, fld=Q)
-    assert inj["passes"]
-
-
 def test_ext_fd_cocycle_basis_builds_extensions():
-    from quiverhom.repmod import arrow_ends, direct_sum, is_isomorphic
+    from quiverhom.repmod import arrow_ends
 
     # a cocycle class is a commutation-defect family; gluing it into the
     # block-triangular middle term realizes the extension, and a nonzero
-    # class must give a non-split one
+    # class must give a non-split one; isomorphic modules have endomorphism
+    # spaces of one dimension, so a smaller one proves it
     for quiv, mk in ((LOOP, lambda: uniserial(LOOP, 0, 1, "left", Q)),
                      (TWO_CYCLE, lambda: simple(TWO_CYCLE, 0, "left", Q))):
         m = mk()
@@ -575,7 +572,7 @@ def test_ext_fd_cocycle_basis_builds_extensions():
                     rows[r][n_obj.dims[dom] + c] = cocycle[ai][r, c]
             glued_maps.append(Matrix(f, rows, cols=split.dims[dom]))
         glued = type(split)(quiv, "left", f, split.dims, glued_maps)
-        assert not is_isomorphic(glued, split)
+        assert hom_dim(glued, glued) < hom_dim(split, split)
 
 
 def test_ext_fd_hom_basis_on_request():
@@ -590,8 +587,6 @@ def _ext1_via_resolution(m, n):
     Hom(P0, N) -> Hom(P1, N) over the free resolution of M, using
     Hom(A e_v, N) = N_v.  Exercises the resolution differentials against
     module data, unlike the one-matrix commutation route."""
-    from quiverhom.homology import path_action
-
     f = m.field
     pres = standard_resolution(m)
     gens0, gens1, entries = pres.generators, pres.relations, pres.entries
@@ -655,7 +650,6 @@ def test_right_side_presentations_normalize():
     rr = rational_part(pres, 10)
     assert rr.rep.total_dim == 1
     h = hom_into_C(pres, 8)
-    assert h.phi_check["passes"]
     assert h.rep.side == "left"
     assert h.rep.total_dim == 1
 
@@ -668,7 +662,6 @@ def test_presentation_with_higher_degree_relation():
     assert r.rep.total_dim == 3
     assert r.dims_by_degree == {0: 1, 1: 1, 2: 1}
     h = hom_into_C(pres, 10)
-    assert h.phi_check["passes"]
     assert h.rep.total_dim == 3
     assert dual_resolution_check(pres, 12, 6)["passes"]
 

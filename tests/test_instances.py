@@ -115,9 +115,10 @@ def test_functor_values_as_module_structures():
     """
     import random
 
+    from rep_helpers import assert_isomorphic
+
     from quiverhom.repmod import (
         VertexTwist,
-        is_isomorphic,
         linear_dual,
         presentation_of_rep,
         random_graded_rep,
@@ -146,10 +147,10 @@ def test_functor_values_as_module_structures():
                 continue
             dual = linear_dual(m)
             pres = presentation_of_rep(m)
-            assert is_isomorphic(rational_part(pres, trunc).rep, m)
-            assert is_isomorphic(hom_into_C(pres, trunc).rep, dual)
+            assert_isomorphic(rational_part(pres, trunc).rep, m)
+            assert_isomorphic(hom_into_C(pres, trunc).rep, dual)
             e1 = ext_vs_algebra(m, 1, trunc).rep
-            assert is_isomorphic(e1, twist(dual, t_inv))
+            assert_isomorphic(e1, twist(dual, t_inv))
             done += 1
 
 
@@ -212,13 +213,15 @@ def test_force_allows_finite_dimensional_work_on_unbounded_quiver():
 def test_grading_across_mixed_components():
     import random
 
-    from quiverhom.repmod import graded_form, is_isomorphic, random_graded_rep
+    from rep_helpers import assert_isomorphic
+
+    from quiverhom.repmod import graded_form, random_graded_rep
 
     rng = random.Random(61)
     for _ in range(6):
         m = random_graded_rep(LOOP_PLUS_TWO_CYCLE, rng, "left", Q)
         g, degs = graded_form(m)
-        assert is_isomorphic(g, m)
+        assert_isomorphic(g, m)
 
 
 def test_twist_preserves_ext_dimensions():

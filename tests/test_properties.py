@@ -6,20 +6,21 @@ from collections import Counter
 
 import pytest
 
-from quiverhom.exactlin import Field
+from quiverhom.exactlin import Field, Matrix
 from quiverhom.pathcoalg import AlgElement, PathCoalgebra, TruncatedDualAlgebra, bigraded_dims
 from quiverhom.quiver import parse_quiver
 from quiverhom.repmod import (
+    arrow_ends,
     euler_pairing,
     graded_form,
     hom_dim,
+    hom_space,
     linear_dual,
     presentation_of_rep,
     random_graded_rep,
     simple,
 )
 from quiverhom.homology import (
-    duality_roundtrip_fd,
     ext_fd,
     ext_vs_algebra,
     hom_into_C,
@@ -105,7 +106,10 @@ def test_double_dual_complex_roundtrip(name):
     rng = random.Random(zlib.crc32(repr(("dd", name)).encode()))
     for _ in range(CASES):
         m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)
-        assert duality_roundtrip_fd(m)["passes"]
+        dual = linear_dual(m)
+        dd = linear_dual(dual)
+        assert dd.side == m.side and dd.dims == m.dims and dd.maps == m.maps
+        assert hom_dim(m, m) == hom_dim(dual, dual)
 
 
 @quiver_items(["loop", "two_cycle", "three_cycle"])
@@ -119,13 +123,7 @@ def test_phi_check_through_degree_six(name):
             continue
         g, degrees = graded_form(m)
         report = hom_into_C(presentation_of_rep(g, degrees), 7)
-        degreewise = report.phi_check["degreewise"]
-        for d in range(7):
-            row = degreewise.get(str(d))
-            if row is not None:
-                assert row["hom_into_C"] == row["rational_dual"]
-        assert report.phi_check["passes"]
-        # the independent route: Hom(M, C) is the graded dual of M
+        # Hom(M, C) is the graded dual of M
         assert report.dims_by_degree == Counter(d for fiber in degrees for d in fiber)
         done += 1
 
@@ -147,15 +145,10 @@ def test_graded_finality_under_truncation_increase(name):
 
 @quiver_items()
 def test_double_dual_two_term_complexes(name):
-    """Random two-term complexes: dualizing twice returns the original."""
-    import random as _random
-
-    from quiverhom.exactlin import Matrix
-    from quiverhom.homology import RepComplex, dualize_complex
-    from quiverhom.repmod import hom_space
-
+    """Random two-term complexes f: M -> N: the componentwise transpose of f
+    is a morphism D(N) -> D(M) of the linear duals."""
     quiv = QUIVERS[name]
-    rng = _random.Random(zlib.crc32(repr(("dd2", name)).encode()))
+    rng = random.Random(zlib.crc32(repr(("dd2", name)).encode()))
     built = 0
     attempts = 0
     while built < CASES and attempts < CASES * 4:
@@ -166,25 +159,17 @@ def test_double_dual_two_term_complexes(name):
         if not morphisms:
             continue
         coeffs = [rng.randint(-2, 2) for _ in morphisms]
-        comps = []
+        transposed = []
         for v in quiv.vertices:
             acc = Matrix.zeros(Q, n.dims[v], m.dims[v])
             for c, mor in zip(coeffs, morphisms):
                 if c:
                     acc = acc + mor[v].scale(c)
-            comps.append(acc)
-        cx = RepComplex({1: m, 0: n}, {1: tuple(comps)})
-        cx.validate()
-        dd = dualize_complex(dualize_complex(cx))
-        assert set(dd.terms) == set(cx.terms)
-        for k, term in cx.terms.items():
-            assert dd.terms[k].dims == term.dims
-            for ai in range(len(quiv.arrows)):
-                assert dd.terms[k].maps[ai] == term.maps[ai]
-        for k, comps_orig in cx.diffs.items():
-            for v in quiv.vertices:
-                assert dd.diffs[k][v] == comps_orig[v]
-        assert cx.cohomology_dims() == {k: d for k, d in dd.cohomology_dims().items()}
+            transposed.append(acc.transpose())
+        dm, dn = linear_dual(m), linear_dual(n)
+        for ai, a in enumerate(quiv.arrows):
+            dom, cod = arrow_ends(dn.side, a)
+            assert transposed[cod] * dn.maps[ai] == dm.maps[ai] * transposed[dom]
         built += 1
     assert built >= CASES // 2
 

@@ -12,10 +12,9 @@ from quiverhom.regularity import (
     global_dimension,
     inner_test,
     nakayama,
-    natural_map,
-    natural_map_permutation,
     serre_twist,
 )
+from quiverhom import regularity
 
 Q = Field(0)
 LOOP = parse_quiver("vertices: 1\narrow x 1 1\n")[0]
@@ -32,16 +31,46 @@ def test_global_dimension():
 
 
 def test_natural_map_values():
-    assert natural_map(TWO_CYCLE, 0, 10) == 1
-    assert natural_map(TWO_CYCLE, 1, 10) == 0
-    assert natural_map(LOOP, 0, 8) == 0
+    assert nakayama(TWO_CYCLE, 10, 8, Q).vertex_map == (1, 0)
+    assert nakayama(LOOP, 8, 6, Q).vertex_map == (0,)
     # the three-cycle rotates one step along the arrows
-    assert natural_map_permutation(THREE_CYCLE, 12) == (1, 2, 0)
+    assert nakayama(THREE_CYCLE, 12, 9, Q).vertex_map == (1, 2, 0)
 
 
 def test_natural_map_rejects_non_regular():
-    with pytest.raises(NotASRegularError, match=r"^Ext\^1\(S_2, A\) is not simple: dimension"):
-        natural_map(KRONECKER, 1, 10)
+    with pytest.raises(NotASRegularError, match=r"^instance is not AS-regular$") as exc:
+        nakayama(KRONECKER, 10, 8, Q)
+    # Ext^1(S_2, A) is not simple: it vanishes
+    assert {"side": "left", "simple": 2, "degree": 1, "dimension": 0,
+            "reason": "top Ext not one-dimensional simple"} in exc.value.witness
+
+
+def test_nakayama_refusals_name_vertices_one_based(monkeypatch):
+    real_lc = regularity.local_cohomology
+
+    def identity_twist_lc(q, i, *args, **kwargs):
+        lc = real_lc(q, i, *args, **kwargs)
+        lc.twist_sigma = tuple(q.vertices)
+        return lc
+
+    monkeypatch.setattr(regularity, "local_cohomology", identity_twist_lc)
+    with pytest.raises(NotASRegularError,
+                       match=r"^vertex maps disagree: natural map \[2, 3, 1\], "
+                             r"local cohomology \[1, 2, 3\]$"):
+        nakayama(THREE_CYCLE, 12, 9, Q)
+    monkeypatch.undo()
+
+    real_check = regularity.as_regular_check
+
+    def collapsed_check(q, trunc, fld=None):
+        verdict = real_check(q, trunc, fld)
+        for per_degree in verdict.tables["left"].values():
+            per_degree[verdict.gldim].vertex_support = {0: 1}
+        return verdict
+
+    monkeypatch.setattr(regularity, "as_regular_check", collapsed_check)
+    with pytest.raises(NotASRegularError, match=r"^natural map \[1, 1\] is not a bijection$"):
+        nakayama(TWO_CYCLE, 10, 8, Q)
 
 
 def test_as_regular_loop():
@@ -78,8 +107,8 @@ def test_left_right_verdicts_agree_everywhere():
 
 
 def test_natural_map_is_bijection_on_regular_instances():
-    for quiv, trunc in ((LOOP, 8), (TWO_CYCLE, 10), (THREE_CYCLE, 12)):
-        perm = natural_map_permutation(quiv, trunc)
+    for quiv, trunc, m_max in ((LOOP, 8, 6), (TWO_CYCLE, 10, 8), (THREE_CYCLE, 12, 9)):
+        perm = nakayama(quiv, trunc, m_max, Q).vertex_map
         assert sorted(perm) == list(quiv.vertices)
 
 
