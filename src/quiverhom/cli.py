@@ -346,8 +346,8 @@ def cmd_verify(args) -> tuple:
     law_fail = 0
     for p in coalg.basis():
         splits = coalg.comultiply(p)
-        lefts = [p2 for p2, p1 in splits if p1.length == 0]
-        rights = [p1 for p2, p1 in splits if p2.length == 0]
+        lefts = [p2 for p2, p1 in splits if not fld.is_zero(coalg.counit(p1))]
+        rights = [p1 for p2, p1 in splits if not fld.is_zero(coalg.counit(p2))]
         if lefts != [p] or rights != [p] or len(splits) != p.length + 1:
             law_fail += 1
         one = sorted(
@@ -558,6 +558,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.trunc < 1:
         parser.error("--trunc must be at least 1")
+    if args.command == "verify" and args.cases < 1:
+        parser.error("--cases must be at least 1")
     if args.mmax is None:
         args.mmax = args.trunc
     if args.mmax > args.trunc + 1:

@@ -149,9 +149,6 @@ class TruncatedDualAlgebra:
         self.field = field or Field(0)
         self.coalgebra = PathCoalgebra(quiver, truncation, self.field)
 
-    def element(self, coeffs: dict) -> AlgElement:
-        return AlgElement(self.field, coeffs)
-
     def dual_path(self, p: Path) -> AlgElement:
         return AlgElement.dual_path(self.field, p)
 

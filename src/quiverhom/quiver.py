@@ -157,7 +157,11 @@ def opposite(q: Quiver) -> Quiver:
 
 
 class PathTable:
-    """All paths of length <= max_len, indexed by (source, target, length)."""
+    """All paths of length <= max_len, indexed by (source, target, length).
+
+    Read-only once built: enumerate_paths hands the same table to every
+    caller asking for the same quiver and length.
+    """
 
     def __init__(self, quiver: Quiver, max_len: int):
         self.quiver = quiver
@@ -198,11 +202,12 @@ class PathTable:
         return p in self._index
 
 
+@functools.cache
 def enumerate_paths(q: Quiver, max_len: int) -> PathTable:
     """Complete, duplicate-free enumeration of paths of length <= max_len.
 
     Cost is proportional to the number of paths; callers on quivers rejected
-    by growth_gate accept exponential blowup.
+    by growth_gate accept exponential blowup.  Cached per (quiver, max_len).
     """
     return PathTable(q, max_len)
 

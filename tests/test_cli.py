@@ -269,6 +269,14 @@ def test_trunc_lower_bound(quiver_file, capsys):
     capsys.readouterr()
 
 
+def test_verify_cases_lower_bound(quiver_file, capsys):
+    for cases in ("0", "-5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--quiver", quiver_file(LOOP), "--cases", cases, "--json"])
+        assert exc.value.code == 2
+        assert "--cases must be at least 1" in capsys.readouterr().err
+
+
 def test_ext_degree_two_certified_zero(quiver_file, capsys):
     code, report = run_json(
         capsys, ["ext", "--quiver", quiver_file(TWO_CYCLE), "--module", "C",

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from quiverhom.exactlin import Field, Matrix, rank
+from quiverhom.exactlin import Field, Kernel, Matrix, Quotient, kernel_basis, rank
 from quiverhom.pathcoalg import AlgElement
-from quiverhom.quiver import Path, enumerate_paths, parse_quiver
+from quiverhom.quiver import Path, compose, enumerate_paths, parse_quiver
 from quiverhom.repmod import (
     GradedPresentation,
     Rep,
@@ -23,7 +23,13 @@ from quiverhom.repmod import (
 from quiverhom.homology import (
     PresentationModel,
     StabilizationError,
+    _Block,
+    _graded_rep,
+    _hom_dual,
+    _induced_map,
     _label_matrix,
+    _left_mult,
+    _stage_presentation,
     dual_resolution_check,
     duality_roundtrip_injective,
     ext_comodule_C,
@@ -37,7 +43,7 @@ from quiverhom.homology import (
     rational_part,
     standard_resolution,
 )
-from rep_helpers import direct_sum  # tests/rep_helpers.py
+from rep_helpers import assert_isomorphic, direct_sum  # tests/rep_helpers.py
 
 Q = Field(0)
 LOOP = parse_quiver("vertices: 1\narrow x 1 1\n")[0]
@@ -84,7 +90,8 @@ def resolution_exact_through(m: Rep, table, max_degree: int) -> bool:
     m, degrees = graded_form(m)
     pres = standard_resolution(m, degrees)
     for d in range(max_degree + 1):
-        d1 = free_diff_matrix(m.field, table, pres.generators, pres.relations, pres.entries, d)
+        d1 = free_diff_matrix(m.field, free_term_basis(table, pres.generators, d),
+                              free_term_basis(table, pres.relations, d), pres.entries)
         aug = augmentation_matrix(m, degrees, table, d)
         if aug.rows and not (aug * d1).is_zero_matrix():
             return False
@@ -405,11 +412,13 @@ def test_hom_into_C_and_rational_part_build_no_whole_degree_matrix(monkeypatch):
     from quiverhom import homology
 
     whole = homology.free_diff_matrix
+    built = []
 
-    def per_vertex_only(fld, table, gens_rows, gens_cols, entries, degree, target=None):
-        if target is None:
+    def per_vertex_only(fld, rows, cols, entries):
+        if len({p.target for _, p in rows + cols}) > 1:
             raise AssertionError("whole-degree F1 -> F0 matrix built")
-        return whole(fld, table, gens_rows, gens_cols, entries, degree, target)
+        built.append(len(rows))
+        return whole(fld, rows, cols, entries)
 
     monkeypatch.setattr(homology, "free_diff_matrix", per_vertex_only)
     modules = [uniserial(LOOP, 0, 3, "left", Q), uniserial(TWO_CYCLE, 0, 3, "left", Q),
@@ -418,6 +427,7 @@ def test_hom_into_C_and_rational_part_build_no_whole_degree_matrix(monkeypatch):
         pres = presentation_of_rep(m)
         assert hom_into_C(pres, 8).rep.total_dim == m.total_dim
         assert rational_part(pres, 8).rep.total_dim == m.total_dim
+    assert any(built)
 
 
 # ----------------------------------------------------------------- local cohomology
@@ -622,20 +632,23 @@ def test_ext1_agrees_with_resolution_route():
             assert ext_fd(m, n, 1).total_dim == _ext1_via_resolution(m, n)
 
 
-def test_algebra_ext_blocks_resolution_independent():
-    from quiverhom.homology import AlgebraExtEngine
+def ext_block(model: PresentationModel, i: int, d: int, w: int) -> _Block:
+    """Block (d, w) of Ext^i(M, A) in the model of a Hom-dual presentation."""
+    return model.block(d, w) if i else model.kernel(d, w)
 
+
+def test_algebra_ext_blocks_resolution_independent():
     for quiv in (LOOP, TWO_CYCLE, KRONECKER):
-        engine = AlgebraExtEngine(quiv, Q, 10)
         for v in quiv.vertices:
             s = simple(quiv, v, "left", Q)
             std = standard_resolution(s)
-            mini = minimalize(std)
+            std_model = PresentationModel(_hom_dual(std), 10)
+            mini_model = PresentationModel(_hom_dual(minimalize(std)), 10)
             for i in (0, 1):
                 for d in range(-3, 5):
                     for w in quiv.vertices:
-                        assert (engine.block(std, i, d, w).dim
-                                == engine.block(mini, i, d, w).dim)
+                        assert (ext_block(std_model, i, d, w).dim
+                                == ext_block(mini_model, i, d, w).dim)
 
 
 def test_right_side_presentations_normalize():
@@ -694,15 +707,13 @@ def test_local_cohomology_loop_against_shift_matrix_oracle():
     """First-principles oracle: over the loop, Ext^1(A/J^m, A) truncated is
     the cokernel of the multiply-by-x^m shift on truncated series, so its
     total dimension is m and each graded piece is one-dimensional."""
-    from quiverhom.homology import AlgebraExtEngine, _stage_presentation
-
     trunc = 10
-    engine = AlgebraExtEngine(LOOP, Q, trunc)
+    table = enumerate_paths(LOOP, trunc)
     for m_stage in range(1, 9):
-        pres = _stage_presentation(LOOP, 0, m_stage, Q, engine.table)
+        model = PresentationModel(_hom_dual(_stage_presentation(LOOP, 0, m_stage, Q, table)), trunc)
         total = 0
         for d in range(-m_stage, trunc - m_stage):
-            blk = engine.block(pres, 1, d, 0)
+            blk = model.block(d, 0)
             if blk.dim:
                 assert blk.dim == 1
                 assert -m_stage <= d <= -1
@@ -816,8 +827,7 @@ def test_stage_presentations_match_path_basis_model(name):
     """The minimal stage presentations and their relation moves give the
     blocks, stage transitions and right-multiplication moves of the
     path-basis model, up to isomorphism: equal dimensions and ranks."""
-    from quiverhom.homology import (AlgebraExtEngine, _Block, _induced_map, _relation_move,
-                                    _stage_presentation)
+    from quiverhom.homology import _relation_move
     from quiverhom.quiver import trivial_path
 
     def rank_of(src: _Block, dst: _Block, move) -> int:
@@ -827,17 +837,18 @@ def test_stage_presentations_match_path_basis_model(name):
     compared = 0
     for fld in (Q, Field(2147483647)):
         for trunc, m_max in ((5, 5), (5, 6), (6, 4)):
-            engine = AlgebraExtEngine(quiv, fld, trunc)
             table = enumerate_paths(quiv, max(trunc, m_max))
             new = {(u, m): _stage_presentation(quiv, u, m, fld, table)
                    for u in quiv.vertices for m in range(1, m_max + 1)}
             old = {key: _path_basis_stage(quiv, *key, fld) for key in new}
+            models = {key: (PresentationModel(_hom_dual(old[key][0]), trunc),
+                            PresentationModel(_hom_dual(new[key]), trunc)) for key in new}
             for i in (0, 1):
                 def blocks(u, m, d, w):
-                    return (engine.block(old[(u, m)][0], i, d, w), engine.block(new[(u, m)], i, d, w))
+                    return tuple(ext_block(model, i, d, w) for model in models[(u, m)])
 
                 for (u, m) in new:
-                    # degrees whose labels all lie within the engine's table
+                    # degrees whose labels all lie within the models' table
                     for d in range(-m - 1, trunc - m + 1):
                         for w in quiv.vertices:
                             b_old, b_new = blocks(u, m, d, w)
@@ -862,3 +873,168 @@ def test_stage_presentations_match_path_basis_model(name):
                                     assert (rank_of(b_old, t_old, right_old)
                                             == rank_of(b_new, t_new, right_new)), (b, u, m, d, w)
     assert compared > 100
+
+
+# ----------------------------------------------------------------- the Hom-dual model against direct builders
+
+
+def reference_ext_block(table, fld: Field, pres: GradedPresentation, i: int, d: int, w: int) -> _Block:
+    """Reference block (d, w) of Ext^i(M, A), built on Hom(F, A) of a left
+    presentation of M directly.
+
+    Hom(A e_v<del>, A) has basis the pairs (gen, q) with q a path with target
+    v; internal degree |q| - del, fiber source(q).  The Hom-dual of the
+    differential is left multiplication by the entries, which preserves
+    fibers and internal degree.
+    """
+    def labels(gens):
+        return [(g, q) for g, (gv, gd) in enumerate(gens)
+                for q in table.paths(source=w, target=gv, length=d + gd)]
+
+    def images(lab):
+        g, q = lab
+        for r, entry in enumerate(pres.entries[g]):
+            for u, c in entry.coeffs.items():
+                if u.source == q.target:
+                    yield (r, compose(u, q)), c
+
+    rows, cols = labels(pres.relations), labels(pres.generators)
+    mat = _label_matrix(fld, rows, cols, images)
+    return _Block(cols, Kernel(mat)) if i == 0 else _Block(rows, Quotient(mat))
+
+
+def reference_right_mult(quiver, ai: int):
+    """Label move (g, q) -> (g, q a): right multiplication by arrow ai."""
+    a = quiver.arrows[ai]
+    arrow = Path(a.source, a.target, (ai,))
+    return lambda lab: ((lab[0], compose(lab[1], arrow)),) if lab[1].source == arrow.target else ()
+
+
+def reference_ext_blocks(m: Rep, i: int, trunc: int) -> tuple:
+    """The reference blocks of Ext^i(M, A) for a left module, keyed (d, w),
+    on the standard resolution, with the degrees they cover."""
+    pres = standard_resolution(m)
+    table = enumerate_paths(m.quiver, trunc)
+    top = max(d for _, d in pres.generators + pres.relations)
+    degrees = range(-top, trunc - top + 1)
+    return {(d, w): reference_ext_block(table, m.field, pres, i, d, w)
+            for d in degrees for w in m.quiver.vertices}, degrees
+
+
+def reference_ext_rep(m: Rep, i: int, trunc: int) -> Rep:
+    """Ext^i(M, A) as a right module, from the reference blocks."""
+    blocks, degrees = reference_ext_blocks(m, i, trunc)
+
+    def image(ai, dom, cod, d):
+        dst = blocks.get((d + 1, cod))
+        if dst is None or not dst.dim:
+            return None
+        return d + 1, _induced_map(m.field, blocks[(d, dom)], dst, reference_right_mult(m.quiver, ai))
+
+    fibers = {w: [(d, j) for d in degrees for j in range(blocks[(d, w)].dim)] for w in m.quiver.vertices}
+    return _graded_rep(m.quiver, "right", m.field, fibers, image)
+
+
+def reference_ext_comodule_C(quiver, j: int, i: int, trunc: int, fld: Field) -> tuple:
+    """Ext^i_C(C, S_j) on the whole-degree strip matrices: the nonzero graded
+    dims, the vertex support, and whether a kernel class mixes vertex blocks."""
+    table = enumerate_paths(quiver, trunc)
+
+    def strip(lab):
+        ai, p = lab
+        if p.length and p.arrows[-1] == ai:
+            yield Path(p.source, quiver.arrows[ai].source, p.arrows[:-1]), fld.one
+
+    dims, support, mixed = {}, {}, False
+    for d in range(-1, trunc):
+        cols = [(ai, p) for ai in quiver.arrows_from(j)
+                for p in table.paths(target=quiver.arrows[ai].target, length=d + 1)]
+        matx = _label_matrix(fld, table.paths(target=j, length=d), cols, strip)
+        if i == 0:
+            dims[d] = matx.rows - rank(matx)
+            if dims[d]:
+                support[j] = support.get(j, 0) + dims[d]
+            continue
+        basis = kernel_basis(matx)
+        dims[d] = len(basis)
+        for vec in basis:
+            verts = {quiver.arrows[cols[idx][0]].target for idx, x in enumerate(vec) if not fld.is_zero(x)}
+            mixed = mixed or len(verts) > 1
+            for v in verts:
+                support[v] = support.get(v, 0) + (1 if len(verts) == 1 else 0)
+    return {d: n for d, n in dims.items() if n}, support, mixed
+
+
+# two distinct paths of length 2 from 1 to 3, which the two quivers' path
+# tables list in different orders
+DOUBLE_PATHS = "vertices: 3\narrow a 1 2\narrow b 1 2\narrow c 2 3\narrow d 2 3\n"
+MODEL_QUIVERS = {**ORACLE_QUIVERS, "double_paths": DOUBLE_PATHS}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_QUIVERS))
+def test_hom_dual_model_matches_reference_ext_blocks(name):
+    """Per (degree, vertex) and i = 0, 1: the blocks of the Hom-dual model
+    have the dimensions of the reference blocks, and the arrow actions
+    between them have the same ranks."""
+    quiv = parse_quiver(MODEL_QUIVERS[name])[0]
+    trunc = 6
+    rng = random.Random(31)
+    compared = 0
+    for fld in (Q, Field(2147483647)):
+        modules = [simple(quiv, v, "left", fld) for v in quiv.vertices]
+        modules += [random_graded_rep(quiv, rng, "left", fld, max_per_degree=1, max_degree=2) for _ in range(2)]
+        for m in modules:
+            if m.total_dim == 0:
+                continue
+            model = PresentationModel(_hom_dual(presentation_of_rep(m)), trunc)
+            for i in (0, 1):
+                ref, degrees = reference_ext_blocks(m, i, trunc)
+                for (d, w), blk in ref.items():
+                    got = ext_block(model, i, d, w)
+                    assert got.dim == blk.dim, (i, d, w)
+                    compared += 1
+                    if d + 1 not in degrees:
+                        continue
+                    for ai, a in enumerate(quiv.arrows):
+                        if a.target != w:
+                            continue
+                        dst_ref, dst_got = ref[(d + 1, a.source)], ext_block(model, i, d + 1, a.source)
+                        if blk.dim and dst_ref.dim:
+                            assert (rank(_induced_map(fld, blk, dst_ref, reference_right_mult(quiv, ai)))
+                                    == rank(_induced_map(fld, got, dst_got, _left_mult(model.quiver, ai)))), \
+                                (i, d, w, ai)
+    assert compared > 50
+
+
+def test_ext_vs_algebra_rep_on_parallel_paths_is_the_reference_rep():
+    # the Hom-dual model lists the labels of 1 => 2 => 3 in another order
+    # than the reference, so the reps agree up to isomorphism
+    quiv = parse_quiver(DOUBLE_PATHS)[0]
+    rng = random.Random(37)
+    modules = [simple(quiv, v, "left", Q) for v in quiv.vertices]
+    modules += [random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2) for _ in range(3)]
+    for m in modules:
+        if m.total_dim == 0:
+            continue
+        for i in (0, 1):
+            assert_isomorphic(ext_vs_algebra(m, i, 8).rep, reference_ext_rep(m, i, 8))
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_QUIVERS))
+def test_ext_comodule_C_matches_strip_matrix_route(name):
+    from quiverhom.homology import window_length
+
+    quiv = parse_quiver(MODEL_QUIVERS[name])[0]
+    for fld in (Q, Field(2147483647)):
+        for j in quiv.vertices:
+            for i in (0, 1):
+                dims, support, mixed = reference_ext_comodule_C(quiv, j, i, 8, fld)
+                try:
+                    report = ext_comodule_C(quiv, j, i, 8, fld)
+                except StabilizationError:
+                    # the strip matrices do not vanish through the window either
+                    assert max(dims) > 7 - window_length(quiv), (j, i)
+                    continue
+                assert report.graded_dims == dims, (j, i)
+                assert report.vertex_support == support, (j, i)
+                assert report.note.startswith("kernel classes mix") == mixed, (j, i)
