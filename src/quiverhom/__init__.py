@@ -1,6 +1,6 @@
 """Homological invariants of path coalgebras and their completed dual algebras."""
 
-from .exactlin import Field, Matrix, cokernel_data, kernel_basis, rank
+from .exactlin import Field, Matrix, rank
 from .pathcoalg import AlgElement, PathCoalgebra, TruncatedDualAlgebra, bigraded_dims, comultiply
 from .quiver import (
     GrowthVerdict,

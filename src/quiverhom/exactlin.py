@@ -457,21 +457,6 @@ def rank(m: Matrix) -> int:
     return len(_echelon(m))
 
 
-def kernel_basis(m: Matrix) -> list:
-    """Canonical basis of the right kernel, as column-vector tuples (see Kernel)."""
-    return Kernel(m).basis
-
-
-def cokernel_data(m: Matrix):
-    """Cokernel of m: returns (dimension, projection).
-
-    The projection has full row rank equal to the dimension and satisfies
-    projection * m = 0; its rows are the canonical left-kernel basis.
-    """
-    left = Kernel(m.transpose()).basis
-    return len(left), Matrix._normalized(m.field, tuple(left), m.rows)
-
-
 def inverse(m: Matrix) -> Matrix | None:
     """Inverse of a square matrix, or None if singular."""
     if m.rows != m.cols:
@@ -484,16 +469,6 @@ def inverse(m: Matrix) -> Matrix | None:
     return Matrix._normalized(f, tuple(tuple(row[m.rows:]) for row in a), m.rows)
 
 
-def _combine(f: Field, vectors, coords, n: int) -> tuple:
-    """The linear combination sum_j coords[j] * vectors[j] in field^n."""
-    out = [f.zero] * n
-    for c, vec in zip(coords, vectors):
-        if not f.is_zero(c):
-            for i, x in enumerate(vec):
-                out[i] = f.add(out[i], f.mul(c, x))
-    return tuple(out)
-
-
 class Kernel:
     """Canonical model of ker(m) inside V = field^cols(m), from one elimination.
 
@@ -501,7 +476,7 @@ class Kernel:
     form: entry 1 at c, 0 at the other non-pivot columns, the pivot entries
     read off the echelon form.  The coordinates of a kernel vector are
     therefore its entries at the non-pivot columns; `coordinates` checks the
-    vector against the combination they give, and `lift` forms it.
+    vector against the combination of `basis` they give.
     """
 
     __slots__ = ("field", "ambient_dim", "dim", "basis", "_free")
@@ -528,48 +503,35 @@ class Kernel:
         f = self.field
         if len(vec) == self.ambient_dim:
             coords = tuple(vec[c] for c in self._free)
-            if all(f.is_zero(f.sub(x, y)) for x, y in zip(vec, self.lift(coords))):
+            span = [f.zero] * self.ambient_dim
+            for c, b in zip(coords, self.basis):
+                if not f.is_zero(c):
+                    for i, x in enumerate(b):
+                        span[i] = f.add(span[i], f.mul(c, x))
+            if all(f.is_zero(f.sub(x, y)) for x, y in zip(vec, span)):
                 return coords
         raise ValueError("vector is not in the kernel")
 
-    def lift(self, coords) -> tuple:
-        """The kernel vector with the given coordinates."""
-        return _combine(self.field, self.basis, coords, self.ambient_dim)
-
 
 class Quotient:
-    """Canonical model of V / im(m) for V = field^rows(m).
+    """Canonical model of V / im(m) for V = field^rows(m), from one elimination.
 
-    `dim` is the quotient dimension; `coordinates(v)` gives the coordinates
-    of the class of v in the canonical quotient basis (rows of the
-    projection), and `lift(c)` an ambient vector whose class has them.
+    The rows of `projection` are the canonical basis of the left kernel of m
+    (`Kernel` of the transpose), so projection * m = 0 and `coordinates(v)`
+    is projection v.  Row j is 1 at its own non-pivot column c_j and 0 at
+    the other non-pivot columns, so `basis[j]`, the unit vector at c_j,
+    represents class j.
     """
 
-    __slots__ = ("field", "ambient_dim", "dim", "projection", "_section")
+    __slots__ = ("field", "ambient_dim", "dim", "basis", "projection")
 
     def __init__(self, m: Matrix):
-        self.field = m.field
-        self.ambient_dim = m.rows
-        self.dim, self.projection = cokernel_data(m)
-        self._section = None
+        f = self.field = m.field
+        n = self.ambient_dim = m.rows
+        left = Kernel(m.transpose())
+        self.dim = left.dim
+        self.projection = Matrix._normalized(f, tuple(left.basis), n)
+        self.basis = [tuple(f.one if i == c else f.zero for i in range(n)) for c in left._free]
 
     def coordinates(self, vec) -> tuple:
         return self.projection.apply(vec)
-
-    def lift(self, coords) -> tuple:
-        """An ambient vector whose class has the given coordinates.
-
-        Section vector j solves projection x = e_j with zeros off the pivot
-        columns; all of them come from one elimination of [projection | I],
-        computed on the first lift.  The projection has full row rank, so
-        every pivot lies among its own columns and the row operations are
-        those of solving for each e_j alone.
-        """
-        f, n = self.field, self.ambient_dim
-        if self._section is None:
-            a, pivots = _rref(self.projection.hstack(Matrix.identity(f, self.dim)))
-            self._section = [[f.zero] * n for _ in range(self.dim)]
-            for r, pc in enumerate(pivots):
-                for j, x in enumerate(a[r][n:]):
-                    self._section[j][pc] = x
-        return _combine(f, self._section, coords, n)

@@ -195,7 +195,8 @@ def ext_fd(m: Rep, n: Rep, i: int, with_basis: bool = False) -> ExtReport:
     hereditary scope makes everything above a certified zero.  With
     with_basis, degree 0 reports hom morphisms (per-vertex matrix tuples)
     and degree 1 reports cocycle representatives (per-arrow matrix tuples,
-    the components of the commutation defect) spanning the cokernel.
+    the components of the commutation defect) spanning the cokernel: the
+    `Quotient` representatives, so each has a single nonzero entry.
     """
     if m.side != n.side:
         raise ValueError("side mismatch")
@@ -216,8 +217,7 @@ def ext_fd(m: Rep, n: Rep, i: int, with_basis: bool = False) -> ExtReport:
         return report
     quot = Quotient(big)
     cocycles = []
-    for unit in Matrix.identity(f, quot.dim).entries:
-        amb = quot.lift(unit)
+    for amb in quot.basis:
         per_arrow = []
         offset = 0
         for ai, a in enumerate(q.arrows):
@@ -329,11 +329,11 @@ def _relation_move(quiver: Quiver, src: GradedPresentation, dst: GradedPresentat
 
 def _induced_map(fld: Field, src: _Block, dst: _Block, move) -> Matrix:
     """Matrix of the map on classes src -> dst induced by a label move: column
-    j holds the coordinates in `dst` of basis class j of `src` moved along
-    `move`."""
+    j holds the coordinates in `dst` of the representative `src.space.basis[j]`
+    moved along `move`."""
     cols = []
-    for unit in Matrix.identity(fld, src.dim).entries:
-        moved = _push(fld, src.labels, src.space.lift(unit), move, dst.index)
+    for vec in src.space.basis:
+        moved = _push(fld, src.labels, vec, move, dst.index)
         try:
             cols.append(dst.space.coordinates(moved))
         except ValueError:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import exactlin
-from .exactlin import Field, Matrix, inverse, kernel_basis, rank
+from .exactlin import Field, Kernel, Matrix, inverse, rank
 from .pathcoalg import AlgElement
 from .quiver import Path, Quiver, enumerate_paths, extend, opposite, trivial_path
 
@@ -362,7 +362,7 @@ def hom_space(m: Rep, n: Rep) -> list:
     _check_pair(m, n)
     f = m.field
     out = []
-    for vec in kernel_basis(commutation_matrix(m, n)):
+    for vec in Kernel(commutation_matrix(m, n)).basis:
         comps = []
         offset = 0
         for v in m.quiver.vertices:
@@ -566,14 +566,14 @@ def _chain_basis(m: Rep):
     # candidates; new tops at height k extend ker T^(k-1) + carried chains
     tops = []  # (vector, height)
     for k in range(h, 0, -1):
-        layer = [list(v) for v in kernel_basis(powers[k - 1])]
+        layer = [list(v) for v in Kernel(powers[k - 1]).basis]
         for u, height in tops:
             vec = u
             for _ in range(height - k):
                 vec = t_mat.apply(vec)
             layer.append(list(vec))
         base_rank = rank(Matrix(f, layer)) if layer else 0
-        for cand in fiber_vectors(kernel_basis(powers[k])):
+        for cand in fiber_vectors(Kernel(powers[k]).basis):
             if any(not f.is_zero(x) for x in powers[k].apply(cand)):
                 continue
             trial = layer + [list(cand)]

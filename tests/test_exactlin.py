@@ -12,9 +12,7 @@ from quiverhom.exactlin import (
     Quotient,
     _echelon,
     _rref,
-    cokernel_data,
     inverse,
-    kernel_basis,
     rank,
 )
 
@@ -100,38 +98,38 @@ def test_rank_dependent_rows():
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(Matrix.identity(Q, 3)) == []
+    assert Kernel(Matrix.identity(Q, 3)).basis == []
 
 
 def test_kernel_zero_matrix_full():
-    ker = kernel_basis(Matrix.zeros(Q, 2, 3))
+    ker = Kernel(Matrix.zeros(Q, 2, 3)).basis
     assert len(ker) == 3
 
 
 def test_kernel_proportional():
     m = Matrix(Q, [[1, 2], [2, 4]])
-    (vec,) = kernel_basis(m)
+    (vec,) = Kernel(m).basis
     # proportional to (2, -1)
     assert vec[0] * Fraction(-1) == vec[1] * Fraction(2)
     assert all(x == 0 for x in m.apply(vec))
 
 
 def test_cokernel_identity():
-    dim, proj = cokernel_data(Matrix.identity(Q, 4))
-    assert dim == 0 and proj.rows == 0
+    quot = Quotient(Matrix.identity(Q, 4))
+    assert quot.dim == 0 and quot.projection.rows == 0
 
 
 def test_cokernel_zero():
-    dim, proj = cokernel_data(Matrix.zeros(Q, 3, 2))
-    assert dim == 3
-    assert rank(proj) == 3
+    quot = Quotient(Matrix.zeros(Q, 3, 2))
+    assert quot.dim == 3
+    assert rank(quot.projection) == 3
 
 
 def test_cokernel_tall_column():
     m = Matrix(Q, [[1], [2]])
-    dim, proj = cokernel_data(m)
-    assert dim == 1
-    assert (proj * m).is_zero_matrix()
+    quot = Quotient(m)
+    assert quot.dim == 1
+    assert (quot.projection * m).is_zero_matrix()
 
 
 @pytest.mark.parametrize("field", [Q, F5])
@@ -144,8 +142,9 @@ def test_rank_nullity_random(field):
             m = Matrix.zeros(field, 0, c)
         else:
             m = Matrix(field, [[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)])
-        k = kernel_basis(m)
-        dim, proj = cokernel_data(m)
+        k = Kernel(m).basis
+        quot = Quotient(m)
+        dim, proj = quot.dim, quot.projection
         assert rank(m) + len(k) == c
         assert rank(m) + dim == r
         for vec in k:
@@ -167,8 +166,8 @@ def test_results_independent_of_permutation():
         shuffled = [[row[j] for j in perm_cols] for row in shuffled_rows]
         m2 = Matrix(Q, shuffled)
         assert rank(m) == rank(m2)
-        assert len(kernel_basis(m)) == len(kernel_basis(m2))
-        assert cokernel_data(m)[0] == cokernel_data(m2)[0]
+        assert Kernel(m).dim == Kernel(m2).dim
+        assert Quotient(m).dim == Quotient(m2).dim
 
 
 def test_solve_and_inverse():
@@ -254,23 +253,33 @@ def test_subspace_primitives_random(fld):
         assert quot.dim == m.rows - rank(m)
         assert (quot.projection.rows, quot.projection.cols) == (quot.dim, m.rows)
         assert (quot.projection * m).is_zero_matrix()
-        for unit in Matrix.identity(fld, quot.dim).entries:
-            assert quot.lift(unit) == solve(quot.projection, unit)
+        # each class representative is the unit vector at a non-pivot
+        # column of the left kernel's echelon form
+        left = Kernel(m.transpose())
+        assert quot.basis == [tuple(fld.one if i == c else fld.zero for i in range(m.rows))
+                              for c in left._free]
         kern = Kernel(m)
-        assert kern.basis == kernel_basis(m)
         assert kern.dim == m.cols - rank(m)
         for vec in kern.basis:
             assert all(fld.is_zero(x) for x in m.apply(vec))
         rng = random.Random(m.rows * 7 + m.cols)
         for space in (quot, kern):
+            assert len(space.basis) == space.dim
+            for j, vec in enumerate(space.basis):
+                assert space.coordinates(vec) == tuple(fld.one if i == j else fld.zero for i in range(space.dim))
             coords = tuple(fld.of(rng.randint(-5, 5)) for _ in range(space.dim))
-            assert space.coordinates(space.lift(coords)) == coords
+            combo = [fld.zero] * space.ambient_dim
+            for c, vec in zip(coords, space.basis):
+                combo = [fld.add(x, fld.mul(c, y)) for x, y in zip(combo, vec)]
+            assert space.coordinates(tuple(combo)) == coords
         # a vector m does not kill lies outside the kernel, also after adding
         # a kernel vector to it
         for c in range(m.cols):
             column = m.column(c)
             if any(not fld.is_zero(x) for x in column):
-                off = list(kern.lift(tuple(fld.one for _ in range(kern.dim))))
+                off = [fld.zero] * m.cols
+                for vec in kern.basis:
+                    off = [fld.add(x, y) for x, y in zip(off, vec)]
                 off[c] = fld.add(off[c], fld.one)
                 with pytest.raises(ValueError):
                     kern.coordinates(off)

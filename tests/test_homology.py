@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from quiverhom.exactlin import Field, Kernel, Matrix, Quotient, kernel_basis, rank
+from quiverhom.exactlin import Field, Kernel, Matrix, Quotient, rank
 from quiverhom.pathcoalg import AlgElement
 from quiverhom.quiver import Path, compose, enumerate_paths, parse_quiver
 from quiverhom.repmod import (
@@ -955,7 +955,7 @@ def reference_ext_comodule_C(quiver, j: int, i: int, trunc: int, fld: Field) -> 
             if dims[d]:
                 support[j] = support.get(j, 0) + dims[d]
             continue
-        basis = kernel_basis(matx)
+        basis = Kernel(matx).basis
         dims[d] = len(basis)
         for vec in basis:
             verts = {quiver.arrows[cols[idx][0]].target for idx, x in enumerate(vec) if not fld.is_zero(x)}
