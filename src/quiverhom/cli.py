@@ -81,7 +81,7 @@ class CliError(RuntimeError):
 def parse_rep_literal(text: str, quiver, fld: Field) -> Rep:
     """Parse the small Rep text format: side line, dims line, one matrix
     block per arrow introduced by 'arrow <label>:'.  Entries are integers or
-    fractions p/q."""
+    fractions p/q, coerced into the field line by line."""
     side = "left"
     dims = None
     blocks = {}
@@ -106,7 +106,14 @@ def parse_rep_literal(text: str, quiver, fld: Field) -> Rep:
             continue
         if current is None:
             raise CliError(f"rep literal line {lineno}: matrix row outside arrow block", EXIT_PARSE)
-        blocks[current].append([Fraction(tok) for tok in line.split()])
+        row = []
+        for tok in line.split():
+            try:
+                row.append(fld.of(Fraction(tok)))
+            except (ValueError, ZeroDivisionError):
+                raise CliError(f"rep literal line {lineno}: entry {tok!r} is not an element of {fld!r}",
+                               EXIT_PARSE) from None
+        blocks[current].append(row)
     if dims is None:
         raise CliError("rep literal: missing dims line", EXIT_PARSE)
     maps = []
@@ -391,7 +398,8 @@ def cmd_verify(args) -> tuple:
     roundtrip_fail = 0
     for _ in range(max(4, cases // 8)):
         m = random_graded_rep(quiver, rng, "left", fld)
-        if hom_dim(m, m) != hom_dim(linear_dual(m), linear_dual(m)):
+        dual = linear_dual(m)
+        if hom_dim(m, m) != hom_dim(dual, dual):
             roundtrip_fail += 1
     suite["double_dual_roundtrip"] = {"cases": max(4, cases // 8), "failures": roundtrip_fail}
 

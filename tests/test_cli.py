@@ -239,6 +239,17 @@ def test_rep_literal_via_ext(quiver_file, tmp_path, capsys):
     assert report["tables"]["ext"]["1"]["dimension"] == 2
 
 
+@pytest.mark.parametrize("entry, field", [("1/0", "Q"), ("1/7", "F7"), ("x", "Q")])
+def test_rep_literal_bad_entry_is_a_parse_error(quiver_file, tmp_path, capsys, entry, field):
+    rep_path = tmp_path / "m.rep"
+    rep_path.write_text(f"side: left\ndims: 2\narrow x:\n0 0\n{entry} 0\n", encoding="utf-8")
+    code, report = run_json(
+        capsys, ["ext", "--quiver", quiver_file(LOOP), "--module", f"rep:{rep_path}",
+                 "--target", "uniserial:1:2", "--deg", "1", "--field", field, "--json"])
+    assert code == 2
+    assert report["error"] == f"rep literal line 5: entry {entry!r} is not an element of {field}"
+
+
 def test_verify_skips_identity_on_non_regular_instance(quiver_file, capsys):
     code, report = run_json(
         capsys, ["verify", "--quiver", quiver_file(KRONECKER), "--trunc", "8",

@@ -1038,3 +1038,101 @@ def test_ext_comodule_C_matches_strip_matrix_route(name):
                 assert report.graded_dims == dims, (j, i)
                 assert report.vertex_support == support, (j, i)
                 assert report.note.startswith("kernel classes mix") == mixed, (j, i)
+
+
+def random_presentation(quiver, rng, fld: Field) -> GradedPresentation:
+    """A left presentation with one to three generators in degrees 0 and 1
+    and one to three relations, each a path of length 1 or 2 out of a
+    generator plus random multiples of the other generators' paths of the
+    same target and degree."""
+    table = enumerate_paths(quiver, 3)
+    gens = tuple((rng.choice(quiver.vertices), rng.randint(0, 1)) for _ in range(rng.randint(1, 3)))
+    rels, cols = [], []
+    for _ in range(rng.randint(1, 3)):
+        g0 = rng.randrange(len(gens))
+        paths = [p for length in (1, 2) for p in table.paths(source=gens[g0][0], length=length)]
+        if not paths:
+            continue
+        top = rng.choice(paths)
+        rel = (top.target, gens[g0][1] + top.length)
+        col = []
+        for g, (gv, gd) in enumerate(gens):
+            coeffs = {p: fld.of(rng.choice((0, 0, 1, -1, 2)))
+                      for p in table.paths(source=gv, target=rel[0], length=rel[1] - gd)}
+            if g == g0:
+                coeffs[top] = fld.one
+            col.append(AlgElement(fld, coeffs))
+        rels.append(rel)
+        cols.append(col)
+    entries = tuple(tuple(col[g] for col in cols) for g in range(len(gens)))
+    return GradedPresentation(quiver, "left", fld, gens, tuple(rels), entries)
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_QUIVERS))
+def test_class_maps_do_not_depend_on_the_representative(name):
+    """`_induced_map` pushes one representative per class; the map it gives
+    is a map on classes only if every other representative gives the same
+    matrix.  For the local-cohomology stage transitions (i = 1) and for
+    `PresentationModel.arrow_action`, adding a column of the source block's
+    F1 -> F0 matrix to the representatives leaves the matrix as it is.  The
+    stage blocks that carry classes mostly have no relation labels, so the
+    arrow actions also run on the models of random presentations and of
+    their Hom-duals, whose blocks have both."""
+    from types import SimpleNamespace
+
+    from quiverhom.homology import _relation_move
+    from quiverhom.quiver import trivial_path
+
+    def checked_columns(model, d, v, dst, move, want):
+        src = model.block(d, v)
+        if not (src.dim and dst.dim):
+            return 0
+        p = model.pres
+        rows = free_term_basis(model.table, p.generators, d, v)
+        assert rows == src.labels
+        mat = free_diff_matrix(fld, rows, free_term_basis(model.table, p.relations, d, v), p.entries)
+        for c in range(mat.cols):
+            column = mat.column(c)
+            basis = [tuple(fld.add(x, fld.mul(fld.of(j + 1), y)) for x, y in zip(vec, column))
+                     for j, vec in enumerate(src.space.basis)]
+            other = SimpleNamespace(labels=src.labels, dim=src.dim, space=SimpleNamespace(basis=basis))
+            assert _induced_map(fld, other, dst, move) == want, (d, v, c)
+        return mat.cols
+
+    def degrees(model):
+        # the degrees whose blocks and their images one degree up lie
+        # within the table
+        low = min(deg for _, deg in model.pres.generators + model.pres.relations)
+        return range(low, trunc + low)
+
+    def checked_arrow_actions(model):
+        return sum(checked_columns(model, d, a.source, model.block(d + 1, a.target),
+                                   _left_mult(model.quiver, ai), model.arrow_action(d, ai))
+                   for d in degrees(model) for ai, a in enumerate(model.quiver.arrows))
+
+    quiv = parse_quiver(MODEL_QUIVERS[name])[0]
+    trunc = m_max = 5
+    rng = random.Random(41)
+    stage_checked = action_checked = 0
+    for fld in (Q, Field(2147483647)):
+        table = enumerate_paths(quiv, m_max)
+        stages = {(u, m): _stage_presentation(quiv, u, m, fld, table)
+                  for u in quiv.vertices for m in range(1, m_max + 1)}
+        models = {key: PresentationModel(_hom_dual(pres), trunc) for key, pres in stages.items()}
+        for (u, m), model in models.items():
+            action_checked += checked_arrow_actions(model)
+            if m == m_max:
+                continue
+            move = _relation_move(quiv, stages[(u, m)], stages[(u, m + 1)], trivial_path(u))
+            for d in degrees(model):
+                for v in quiv.vertices:
+                    dst = models[(u, m + 1)].block(d, v)
+                    stage_checked += checked_columns(model, d, v, dst, move,
+                                                     _induced_map(fld, model.block(d, v), dst, move))
+        for _ in range(8):
+            pres = random_presentation(quiv, rng, fld)
+            action_checked += sum(checked_arrow_actions(PresentationModel(p, trunc))
+                                  for p in (pres, _hom_dual(pres)))
+    assert action_checked > 0
+    # the quivers whose stage blocks have classes and relation labels at once
+    assert stage_checked > 0 or name not in ("double_paths", "loop_with_tail")
