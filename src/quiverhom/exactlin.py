@@ -497,6 +497,14 @@ class Kernel:
             self.basis.append(tuple(v))
         self.dim = len(self.basis)
 
+    @classmethod
+    def whole(cls, field: Field, n: int) -> "Kernel":
+        """field^n, as `Kernel` of a matrix with no row gives it, with no elimination."""
+        k = cls.__new__(cls)
+        k.field, k.ambient_dim, k.dim, k._free = field, n, n, range(n)
+        k.basis = [tuple(field.one if i == c else field.zero for i in range(n)) for c in k._free]
+        return k
+
     def coordinates(self, vec) -> tuple:
         """Coordinates of a kernel vector in `basis`; ValueError for a vector
         outside the kernel."""
@@ -523,15 +531,30 @@ class Quotient:
     represents class j.
     """
 
-    __slots__ = ("field", "ambient_dim", "dim", "basis", "projection")
+    __slots__ = ("field", "ambient_dim", "dim", "basis", "_projection")
 
     def __init__(self, m: Matrix):
         f = self.field = m.field
         n = self.ambient_dim = m.rows
         left = Kernel(m.transpose())
         self.dim = left.dim
-        self.projection = Matrix._normalized(f, tuple(left.basis), n)
+        self._projection = Matrix._normalized(f, tuple(left.basis), n)
         self.basis = [tuple(f.one if i == c else f.zero for i in range(n)) for c in left._free]
 
+    @classmethod
+    def whole(cls, field: Field, n: int) -> "Quotient":
+        """field^n / 0, as `Quotient` of a matrix with no column gives it, with no elimination."""
+        q = cls.__new__(cls)
+        q.field, q.ambient_dim, q.dim, q._projection = field, n, n, None
+        q.basis = Kernel.whole(field, n).basis
+        return q
+
+    @property
+    def projection(self) -> Matrix:
+        p = self._projection
+        return Matrix.identity(self.field, self.ambient_dim) if p is None else p
+
     def coordinates(self, vec) -> tuple:
+        if self._projection is None and len(vec) == self.dim:
+            return tuple(vec)
         return self.projection.apply(vec)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import exactlin
-from .exactlin import Field, Kernel, Matrix, Quotient, inverse, rank
+from .exactlin import Field, Kernel, Matrix, Quotient, rank
 from .pathcoalg import AlgElement, convolve
 from .quiver import (
     Path,
@@ -27,7 +27,7 @@ from .quiver import (
     enumerate_paths,
     growth_gate,
     opposite,
-    path_count_matrix,
+    path_count_matrices,
     trivial_path,
 )
 from .repmod import (
@@ -330,7 +330,10 @@ def _relation_move(quiver: Quiver, src: GradedPresentation, dst: GradedPresentat
 def _induced_map(fld: Field, src: _Block, dst: _Block, move) -> Matrix:
     """Matrix of the map on classes src -> dst induced by a label move: column
     j holds the coordinates in `dst` of the representative `src.space.basis[j]`
-    moved along `move`."""
+    moved along `move`; between two whole-space blocks, the move's label matrix."""
+    if src.dim == len(src.labels) and dst.dim == len(dst.labels):
+        one = fld.one
+        return _label_matrix(fld, dst.labels, src.labels, lambda lab: ((to, one) for to in move(lab)))
     cols = []
     for vec in src.space.basis:
         moved = _push(fld, src.labels, vec, move, dst.index)
@@ -472,7 +475,7 @@ def ext_comodule_C(quiver: Quiver, j: int, i: int, trunc: int, fld: Field | None
     """
     fld = fld or Field(0)
     if not 0 <= j < quiver.vertex_count:
-        raise ValueError(f"vertex {j} out of range")
+        raise ValueError(f"vertex {j + 1} out of range 1..{quiver.vertex_count}")
     window = window_length(quiver)
     if i >= 2:
         return ExtReport("ext_comodule_C", i, 0, note="hereditary scope: gldim <= 1", field=fld)
@@ -492,8 +495,11 @@ def ext_comodule_C(quiver: Quiver, j: int, i: int, trunc: int, fld: Field | None
                 support_acc[j] = support_acc.get(j, 0) + dim
             continue
         for blk in blocks:
-            for vec in blk.space.projection.entries:
-                verts = {heads[blk.labels[idx][0]] for idx, x in enumerate(vec) if not fld.is_zero(x)}
+            # on a whole-space block the projection is the identity: class k is label k
+            supports = ([{heads[g]} for g, _ in blk.labels] if blk.dim == len(blk.labels) else
+                        [{heads[blk.labels[idx][0]] for idx, x in enumerate(vec) if not fld.is_zero(x)}
+                         for vec in blk.space.projection.entries])
+            for verts in supports:
                 if len(verts) > 1:
                     mixed = True
                 for v in verts:
@@ -562,16 +568,21 @@ class PresentationModel:
         return self._build(Kernel, d, v)
 
     def _build(self, space, d: int, v: int) -> _Block:
-        # the differential preserves targets, so the blocks ending at each v
-        # make up the whole degree-d matrix; only the _Block is kept
+        # the differential preserves targets, so the blocks ending at each v make up the
+        # degree-d matrix; with no labels on the other side a block is all of its own
         key = (space, d, v)
         blk = self._blocks.get(key)
         if blk is None:
             p = self.pres
-            rows = free_term_basis(self.table, p.generators, d, v)
-            cols = free_term_basis(self.table, p.relations, d, v)
-            mat = free_diff_matrix(self.fld, rows, cols, p.entries)
-            blk = self._blocks[key] = _Block(rows if space is Quotient else cols, space(mat))
+            sides = (p.generators, p.relations) if space is Quotient else (p.relations, p.generators)
+            labels = free_term_basis(self.table, sides[0], d, v)
+            other = free_term_basis(self.table, sides[1], d, v) if labels else ()
+            if other:
+                rows, cols = (labels, other) if space is Quotient else (other, labels)
+                sp = space(free_diff_matrix(self.fld, rows, cols, p.entries))
+            else:
+                sp = space.whole(self.fld, len(labels))
+            blk = self._blocks[key] = _Block(labels, sp)
         return blk
 
     def dim(self, d: int, v: int | None = None) -> int:
@@ -942,7 +953,7 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
                         # the induced map on classes, stage m -> stage m+1, is square here
                         t = _induced_map(fld, get_block(u, m, d, w), get_block(u, m + 1, d, w),
                                          stage_moves[(u, m)])
-                        if inverse(t) is None:
+                        if rank(t) < t.rows:
                             ok = False
                             break
                 if not ok:
@@ -974,7 +985,7 @@ def _match_twist(quiver: Quiver, dims: dict, ell_max: int):
     """
     vs = quiver.vertices
     sigma = tuple(next((w for w in vs if dims.get((u, w, 0))), -1) for u in vs)
-    counts = [path_count_matrix(quiver, ell) for ell in range(ell_max + 1)]
+    counts = path_count_matrices(quiver, ell_max)
     if sorted(sigma) != list(vs) or any(dims.get((u, sigma[v], ell), 0) != counts[ell][u][v]
                                         for ell in range(ell_max + 1) for u in vs for v in vs):
         return None, "no vertex permutation matches the bigraded dimensions"
@@ -1080,7 +1091,7 @@ def duality_roundtrip_injective(quiver: Quiver, m_max: int, trunc: int,
     if any(len(cs) == 1 for cs in carriers):
         h_right = local_cohomology(quiver, n, m_max, trunc, fld, side="right")
         ell_both = min(h_left.max_degree, h_right.max_degree)
-        expected = [path_count_matrix(quiver, ell) for ell in range(ell_both + 1)]
+        expected = path_count_matrices(quiver, ell_both)
     verdicts = []
     for vertex, cs in enumerate(carriers):
         if len(cs) != 1:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactlin import Field
-from .quiver import Path, Quiver, compose, enumerate_paths, trivial_path
+from .quiver import Path, Quiver, compose, enumerate_paths, path_count_matrices, trivial_path
 
 
 def comultiply(q: Quiver, p: Path) -> list:
@@ -220,10 +220,5 @@ class BigradedDims:
 
 def bigraded_dims(q: Quiver, up_to: int) -> BigradedDims:
     """Path-count bigrading of C: dims[ell][i][j] = #paths j -> i of length ell."""
-    from .quiver import path_count_matrix
-
-    mats = []
-    for ell in range(up_to + 1):
-        counts = path_count_matrix(q, ell)
-        mats.append(tuple(tuple(counts[j][i] for j in q.vertices) for i in q.vertices))
-    return BigradedDims(q, up_to, tuple(mats))
+    return BigradedDims(q, up_to, tuple(tuple(tuple(counts[j][i] for j in q.vertices) for i in q.vertices)
+                                        for counts in path_count_matrices(q, up_to)))

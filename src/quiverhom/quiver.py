@@ -407,13 +407,8 @@ def growth_gate(q: Quiver) -> GrowthVerdict:
     for c in cycles:
         period = period * c["length"] // math.gcd(period, c["length"])
     # certify A^(T+P) = A^T; T is bounded by the amount of acyclic scaffolding
-    adj = q.adjacency_counts()
-    powers = [None, adj]
     horizon = 2 * (q.vertex_count + len(q.arrows)) + 2 * period + 4
-    prev = adj
-    for _ in range(1, horizon + period):
-        prev = _int_mat_mul(prev, adj)
-        powers.append(prev)
+    powers = path_count_matrices(q, horizon + period)
     transient = None
     for t in range(1, horizon + 1):
         if powers[t + period] == powers[t]:
@@ -426,16 +421,12 @@ def growth_gate(q: Quiver) -> GrowthVerdict:
     return GrowthVerdict(True, period=period, degree_bound=bound, transient=transient)
 
 
-def _int_mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
-def path_count_matrix(q: Quiver, length: int) -> list:
-    """counts[s][t] = number of paths s -> t of exactly the given length."""
+def path_count_matrices(q: Quiver, up_to: int) -> list:
+    """counts[ell][s][t] = number of paths s -> t of length ell, for ell = 0..up_to."""
     n = q.vertex_count
-    out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    out = [[[int(i == j) for j in range(n)] for i in range(n)]]
     adj = q.adjacency_counts()
-    for _ in range(length):
-        out = _int_mat_mul(out, adj)
+    for _ in range(up_to):
+        prev = out[-1]
+        out.append([[sum(prev[i][k] * adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)])
     return out

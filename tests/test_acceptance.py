@@ -14,7 +14,7 @@ from collections import Counter
 from quiverhom.cli import main
 from quiverhom.exactlin import Field
 from quiverhom.pathcoalg import AlgElement, PathCoalgebra, TruncatedDualAlgebra, bigraded_dims
-from quiverhom.quiver import parse_quiver, path_count_matrix
+from quiverhom.quiver import parse_quiver, path_count_matrices
 from quiverhom.repmod import (
     euler_pairing,
     graded_form,
@@ -114,8 +114,7 @@ def test_criterion_3_local_cohomology_matches_twisted_coalgebra(capsys):
             inv[w] = v
         top = min(8, h1.max_degree)
         ok = ok and top == 8
-        for ell in range(top + 1):
-            counts = path_count_matrix(quiv, ell)
+        for ell, counts in enumerate(path_count_matrices(quiv, top)):
             for u in quiv.vertices:
                 for w in quiv.vertices:
                     ok = ok and h1.dim(u, w, ell) == counts[u][inv[w]]

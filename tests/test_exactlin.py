@@ -125,6 +125,26 @@ def test_cokernel_zero():
     assert rank(quot.projection) == 3
 
 
+@pytest.mark.parametrize("field", [Q, F5])
+def test_whole_spaces_equal_the_empty_shape_eliminations(field):
+    """`Kernel.whole(f, n)` is `Kernel` of a 0 x n matrix and `Quotient.whole(f, n)`
+    is `Quotient` of an n x 0 matrix, with no elimination and no projection
+    held until it is read."""
+    for n in range(4):
+        vec = tuple(field.of(x) for x in (3, -1, 0, 2)[:n])
+        kern, ref_k = Kernel.whole(field, n), Kernel(Matrix(field, [], cols=n))
+        assert (kern.dim, kern.ambient_dim, kern.basis) == (ref_k.dim, ref_k.ambient_dim, ref_k.basis) == (
+            n, n, Kernel(Matrix.zeros(field, 1, n)).basis)
+        assert kern.coordinates(vec) == ref_k.coordinates(vec) == vec
+        quot, ref_q = Quotient.whole(field, n), Quotient(Matrix.zeros(field, n, 0))
+        assert quot._projection is None
+        assert (quot.dim, quot.ambient_dim, quot.basis) == (ref_q.dim, ref_q.ambient_dim, ref_q.basis)
+        assert quot.projection == ref_q.projection == Matrix.identity(field, n)
+        assert quot.coordinates(vec) == ref_q.coordinates(vec) == vec
+    with pytest.raises(ValueError, match="length mismatch"):
+        Quotient.whole(field, 2).coordinates((field.one,))
+
+
 def test_cokernel_tall_column():
     m = Matrix(Q, [[1], [2]])
     quot = Quotient(m)

@@ -270,6 +270,12 @@ def test_ext_comodule_certificates_and_finality():
     assert small.certificate["window"] == 4
 
 
+def test_ext_comodule_vertex_out_of_range_is_one_based():
+    for j in (-1, 3):
+        with pytest.raises(ValueError, match=rf"^vertex {j + 1} out of range 1\.\.3$"):
+            ext_comodule_C(THREE_CYCLE, j, 1, 6, Q)
+
+
 # Ext^1_C(C, S_1) on both quivers has kernel classes that mix vertex blocks,
 # so its report depends on the column order of the strip matrix; the fixture
 # holds every (j, i) report at trunc 6, recorded on a trusted commit
@@ -447,10 +453,9 @@ def test_local_cohomology_two_cycle_swap():
     h1 = local_cohomology(TWO_CYCLE, 1, 10, 10, Q)
     assert h1.twist_sigma == (1, 0)
     # H^1 bigraded dims equal the swap-twisted coalgebra dims
-    from quiverhom.quiver import path_count_matrix
+    from quiverhom.quiver import path_count_matrices
 
-    for ell in range(h1.max_degree + 1):
-        counts = path_count_matrix(TWO_CYCLE, ell)
+    for ell, counts in enumerate(path_count_matrices(TWO_CYCLE, h1.max_degree)):
         for u in TWO_CYCLE.vertices:
             for w in TWO_CYCLE.vertices:
                 assert h1.dim(u, w, ell) == counts[u][(1, 0)[w]]
@@ -533,6 +538,19 @@ def test_local_cohomology_no_arrow():
 def test_local_cohomology_insufficient_mmax():
     with pytest.raises(StabilizationError):
         local_cohomology(LOOP, 1, 1, 10, Q)
+
+
+def test_a_singular_stage_transition_is_refused(monkeypatch):
+    """Equal dimensions at every stage do not certify a colimit piece: each
+    transition must be invertible.  With every relation label moved to one
+    fixed label, the transitions of the first piece with classes are
+    singular, and the error names that piece 1-based."""
+    import quiverhom.homology as homology
+
+    fixed = (0, Path(0, 0, ()))
+    monkeypatch.setattr(homology, "_relation_move", lambda quiver, src, dst, e: lambda lab: (fixed,))
+    with pytest.raises(StabilizationError, match=r"colimit piece \(u=1, w=2, degree 0\) did not stabilize"):
+        local_cohomology(THREE_CYCLE, 1, 12, 12, Q)
 
 
 def test_local_cohomology_index_is_zero_or_one():
@@ -1136,3 +1154,72 @@ def test_class_maps_do_not_depend_on_the_representative(name):
     assert action_checked > 0
     # the quivers whose stage blocks have classes and relation labels at once
     assert stage_checked > 0 or name not in ("double_paths", "loop_with_tail")
+
+
+def _coordinates_or_off(space, vec):
+    try:
+        return space.coordinates(vec)
+    except ValueError:
+        return "off the kernel"
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_QUIVERS))
+def test_blocks_with_an_empty_side_equal_the_elimination_route(name):
+    """`PresentationModel` answers a block whose F1 -> F0 matrix would have no
+    row or no column from its labels alone.  Every block, however it was
+    built, equals `Quotient`/`Kernel` of `free_diff_matrix` on the same
+    labels: dimension, representatives, coordinates of random vectors and
+    of random combinations of the representatives, and the projection."""
+    quiv = parse_quiver(MODEL_QUIVERS[name])[0]
+    trunc = m_max = 4
+    rng = random.Random(14)
+    shapes = set()
+    for fld in (Q, Field(2147483647)):
+        table = enumerate_paths(quiv, m_max)
+        stages = [_stage_presentation(quiv, u, m, fld, table) for u in quiv.vertices for m in range(1, m_max + 1)]
+        randoms = [random_presentation(quiv, rng, fld) for _ in range(6)]
+        for pres in stages + randoms:
+            for model in (PresentationModel(pres, trunc), PresentationModel(_hom_dual(pres), trunc)):
+                gens, rels = model.pres.generators, model.pres.relations
+                low = min(deg for _, deg in gens + rels)
+                for d in range(low - 1, trunc + low + 1):
+                    for v in quiv.vertices:
+                        rows = free_term_basis(model.table, gens, d, v)
+                        cols = free_term_basis(model.table, rels, d, v)
+                        mat = free_diff_matrix(fld, rows, cols, model.pres.entries)
+                        shapes.add((bool(rows), bool(cols)))
+                        quot, kern = model.block(d, v), model.kernel(d, v)
+                        assert quot.space.projection == Quotient(mat).projection, (d, v)
+                        for blk, labels, ref in ((quot, rows, Quotient(mat)), (kern, cols, Kernel(mat))):
+                            assert blk.labels == labels
+                            assert blk.dim == blk.space.dim == ref.dim
+                            assert blk.space.basis == ref.basis
+                            for _ in range(3):
+                                combo = [fld.of(rng.randint(-3, 3)) for _ in ref.basis]
+                                vecs = (tuple(fld.of(rng.randint(-3, 3)) for _ in labels),
+                                        tuple(sum((fld.mul(c, x) for c, x in zip(combo, xs)), fld.zero)
+                                              for xs in zip(*ref.basis)) if ref.basis else (fld.zero,) * len(labels))
+                                for vec in vecs:
+                                    assert _coordinates_or_off(blk.space, vec) == _coordinates_or_off(ref, vec)
+    # (rows, cols) nonempty; on the loop no F1 label meets an empty F0 side
+    assert shapes >= {(True, True), (True, False), (False, False)}
+    assert (False, True) in shapes or name == "loop"
+
+
+def test_blocks_with_an_empty_side_build_no_matrix(monkeypatch):
+    """Local cohomology and Ext_C(C, S_j) on the 3-cycle build an F1 -> F0
+    matrix only for blocks with labels on both sides."""
+    import quiverhom.homology as homology
+
+    real = homology.free_diff_matrix
+
+    def guarded(fld, rows, cols, entries):
+        if not (rows and cols):
+            raise AssertionError(f"F1 -> F0 matrix of shape {len(rows)}x{len(cols)}")
+        return real(fld, rows, cols, entries)
+
+    monkeypatch.setattr(homology, "free_diff_matrix", guarded)
+    for i in (0, 1):
+        local_cohomology(THREE_CYCLE, i, 12, 12)
+        for j in THREE_CYCLE.vertices:
+            ext_comodule_C(THREE_CYCLE, j, i, 12)

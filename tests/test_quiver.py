@@ -8,7 +8,7 @@ from quiverhom.quiver import (
     growth_gate,
     opposite,
     parse_quiver,
-    path_count_matrix,
+    path_count_matrices,
     trivial_path,
 )
 
@@ -113,8 +113,9 @@ def test_counts_match_adjacency_powers():
     for text in (LOOP, TWO_CYCLE, KRONECKER, THREE_CYCLE):
         quiv = q(text)
         table = enumerate_paths(quiv, 5)
-        for ell in range(6):
-            counts = path_count_matrix(quiv, ell)
+        all_counts = path_count_matrices(quiv, 5)
+        assert len(all_counts) == 6
+        for ell, counts in enumerate(all_counts):
             for s in quiv.vertices:
                 for t in quiv.vertices:
                     assert counts[s][t] == table.count(s, t, ell)
@@ -142,7 +143,7 @@ def test_gate_acyclic_bounded():
     verdict = growth_gate(q(KRONECKER))
     assert verdict.bounded
     # path counts vanish beyond length 1
-    assert path_count_matrix(q(KRONECKER), 2) == [[0, 0], [0, 0]]
+    assert path_count_matrices(q(KRONECKER), 2)[2] == [[0, 0], [0, 0]]
 
 
 def test_gate_linked_cycles_unbounded():
@@ -160,9 +161,8 @@ def test_gate_bounded_periodicity_certificate():
         verdict = growth_gate(q(text))
         assert verdict.bounded
         # certificate: counts at transient+period equal counts at transient
-        adj_t = path_count_matrix(q(text), verdict.transient)
-        adj_tp = path_count_matrix(q(text), verdict.transient + verdict.period)
-        assert adj_t == adj_tp
+        counts = path_count_matrices(q(text), verdict.transient + verdict.period)
+        assert counts[verdict.transient] == counts[verdict.transient + verdict.period]
 
 
 def test_opposite_involution():
