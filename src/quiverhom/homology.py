@@ -330,10 +330,7 @@ def _relation_move(quiver: Quiver, src: GradedPresentation, dst: GradedPresentat
 def _induced_map(fld: Field, src: _Block, dst: _Block, move) -> Matrix:
     """Matrix of the map on classes src -> dst induced by a label move: column
     j holds the coordinates in `dst` of the representative `src.space.basis[j]`
-    moved along `move`; between two whole-space blocks, the move's label matrix."""
-    if src.dim == len(src.labels) and dst.dim == len(dst.labels):
-        one = fld.one
-        return _label_matrix(fld, dst.labels, src.labels, lambda lab: ((to, one) for to in move(lab)))
+    moved along `move`."""
     cols = []
     for vec in src.space.basis:
         moved = _push(fld, src.labels, vec, move, dst.index)
