@@ -331,11 +331,15 @@ def _induced_map(fld: Field, src: _Block, dst: _Block, move) -> Matrix:
     """Matrix of the map on classes src -> dst induced by a label move: column
     j holds the coordinates in `dst` of the representative `src.space.basis[j]`
     moved along `move`."""
+    return _classes_of(fld, dst, [_push(fld, src.labels, vec, move, dst.index) for vec in src.space.basis])
+
+
+def _classes_of(fld: Field, dst: _Block, vecs) -> Matrix:
+    """Matrix whose column j holds the coordinates in `dst` of the ambient vector vecs[j]."""
     cols = []
-    for vec in src.space.basis:
-        moved = _push(fld, src.labels, vec, move, dst.index)
+    for vec in vecs:
         try:
-            cols.append(dst.space.coordinates(moved))
+            cols.append(dst.space.coordinates(vec))
         except ValueError:
             raise AssertionError("vector not in kernel block") from None
     return Matrix.from_columns(fld, cols, dst.dim)
@@ -406,12 +410,14 @@ def ext_vs_algebra(m: Rep, i: int, trunc: int, want_rep: bool = True) -> ExtRepo
             "truncation too small to host a certificate window",
             f"increase truncation to at least {window + 1}",
         )
-    blocks = {}
+    space = Quotient if i else Kernel
+    dims = {(d, w): model.dim(d, w, space) for d in range(d_min, d_max + 1) for w in m.quiver.vertices}
     dims_by_degree = {}
-    for d in range(d_min, d_max + 1):
-        for w in m.quiver.vertices:
-            blk = blocks[(d, w)] = model.block(d, w) if i else model.kernel(d, w)
-            dims_by_degree[d] = dims_by_degree.get(d, 0) + blk.dim
+    support = {}
+    for (d, w), n in dims.items():
+        dims_by_degree[d] = dims_by_degree.get(d, 0) + n
+        if n:
+            support[w] = support.get(w, 0) + n
     stable_from = _stable_zero_from(dims_by_degree, d_min, d_max, window)
     if stable_from is None:
         tail = [dims_by_degree.get(d, 0) for d in range(d_max - window + 1, d_max + 1)]
@@ -430,18 +436,16 @@ def ext_vs_algebra(m: Rep, i: int, trunc: int, want_rep: bool = True) -> ExtRepo
     certificate = {"stable_from": stable_from, "window": window, "checked_through": d_max}
     total = sum(dims_by_degree.values())
     rep = None
-    support = {}
-    for (d, w), blk in blocks.items():
-        if blk.dim:
-            support[w] = support.get(w, 0) + blk.dim
     if want_rep:
-        def image(ai, dom, cod, d):
-            dst = blocks.get((d + 1, cod))
-            if dst is None or not dst.dim:
-                return None
-            return d + 1, _induced_map(m.field, blocks[(d, dom)], dst, _left_mult(model.quiver, ai))
+        # _graded_rep asks only for the images of classes, so a block is built only where it has some
+        get = model.block if i else model.kernel
 
-        fibers = {w: [(d, j) for d in range(d_min, d_max + 1) for j in range(blocks[(d, w)].dim)]
+        def image(ai, dom, cod, d):
+            if not dims.get((d + 1, cod)):
+                return None
+            return d + 1, _induced_map(m.field, get(d, dom), get(d + 1, cod), _left_mult(model.quiver, ai))
+
+        fibers = {w: [(d, j) for d in range(d_min, d_max + 1) for j in range(dims[(d, w)])]
                   for w in m.quiver.vertices}
         rep = _graded_rep(m.quiver, out_side, m.field, fibers, image)
     return ExtReport("ext_vs_algebra", i, total,
@@ -485,13 +489,13 @@ def ext_comodule_C(quiver: Quiver, j: int, i: int, trunc: int, fld: Field | None
     mixed = False
     d_hi = trunc - 1
     for d in range(-1, d_hi + 1):
-        blocks = [model.block(d, v) if i else model.kernel(d, v) for v in quiver.vertices]
-        dim = dims_by_degree[d] = sum(blk.dim for blk in blocks)
+        dims = [model.dim(d, v, Quotient if i else Kernel) for v in quiver.vertices]
+        dim = dims_by_degree[d] = sum(dims)
         if i == 0:
             if dim:
                 support_acc[j] = support_acc.get(j, 0) + dim
             continue
-        for blk in blocks:
+        for blk in (model.block(d, v) for v, n in zip(quiver.vertices, dims) if n):
             # on a whole-space block the projection is the identity: class k is label k
             supports = ([{heads[g]} for g, _ in blk.labels] if blk.dim == len(blk.labels) else
                         [{heads[blk.labels[idx][0]] for idx, x in enumerate(vec) if not fld.is_zero(x)}
@@ -564,28 +568,45 @@ class PresentationModel:
         """The kernel of F1 -> F0 in degree d, on the F1 labels ending at v."""
         return self._build(Kernel, d, v)
 
+    def _sides(self, space) -> tuple:
+        """The generator lists of a block's own labels and of the other side's."""
+        p = self.pres
+        return (p.generators, p.relations) if space is Quotient else (p.relations, p.generators)
+
+    def _labels(self, space, d: int, v: int) -> list:
+        """The labels of block (d, v) of kind `space`, without building it."""
+        return free_term_basis(self.table, self._sides(space)[0], d, v)
+
     def _build(self, space, d: int, v: int) -> _Block:
         # the differential preserves targets, so the blocks ending at each v make up the
         # degree-d matrix; with no labels on the other side a block is all of its own
         key = (space, d, v)
         blk = self._blocks.get(key)
         if blk is None:
-            p = self.pres
-            sides = (p.generators, p.relations) if space is Quotient else (p.relations, p.generators)
-            labels = free_term_basis(self.table, sides[0], d, v)
-            other = free_term_basis(self.table, sides[1], d, v) if labels else ()
+            labels = self._labels(space, d, v)
+            other = free_term_basis(self.table, self._sides(space)[1], d, v) if labels else ()
             if other:
                 rows, cols = (labels, other) if space is Quotient else (other, labels)
-                sp = space(free_diff_matrix(self.fld, rows, cols, p.entries))
+                sp = space(free_diff_matrix(self.fld, rows, cols, self.pres.entries))
             else:
                 sp = space.whole(self.fld, len(labels))
             blk = self._blocks[key] = _Block(labels, sp)
         return blk
 
-    def dim(self, d: int, v: int | None = None) -> int:
-        if v is not None:
-            return self.block(d, v).dim
-        return sum(self.block(d, w).dim for w in self.quiver.vertices)
+    def dim(self, d: int, v: int | None = None, space=Quotient) -> int:
+        """Dimension of block (d, v) of kind `space` (Quotient for `block`,
+        Kernel for `kernel`), or of all of degree d.  With one label side
+        empty it is read off the label counts, 0 with no labels of its own
+        and their number with none on the other side, and nothing is built;
+        only a block with labels on both sides is built and eliminated."""
+        if v is None:
+            return sum(self.dim(d, w, space) for w in self.quiver.vertices)
+        own, other = self._sides(space)
+        count = self.table.count
+        n = sum(count(gv, v, d - gd) for gv, gd in own)
+        if n and any(count(gv, v, d - gd) for gv, gd in other):
+            return self._build(space, d, v).dim
+        return n
 
     def arrow_action(self, d: int, arrow_index: int) -> Matrix:
         """Left multiplication by an arrow: block (d, source) -> (d+1, target)."""
@@ -895,6 +916,12 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
     a graded piece counts as stabilized once every observed transition from
     its first appearance on is an isomorphism and at least one transition was
     observed.  Each stage is presented by its two-term minimal resolution.
+    Stage dimensions are read through PresentationModel.dim, so a stage block
+    is built only where its classes are read.  A piece with classes, its
+    dimensions equal at every stage, is certified by one rank: that of the
+    composite of its transitions from birth to m_max.  Each transition is
+    square of the same size, and the composite's determinant is the product
+    of theirs, so it is invertible exactly when every transition is.
     The vertex twist sigma is read off the degree-0 slice and checked against
     the path coalgebra in every degree, and arrow-level cycle products are
     extracted from the two one-sided module structures.
@@ -924,9 +951,23 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
                             if i else lambda lab: (lab,))
                    for u in rep_q.vertices for m in range(1, m_max)}
 
+    space = Quotient if i else Kernel
+
     def get_block(u, m, d, w):
         model = models[(u, m)]
         return model.block(d, w) if i else model.kernel(d, w)
+
+    def composite(u, birth, d, w):
+        # the map on classes of block (d, w) from stage `birth` to m_max; a stage in between
+        # is only its label index
+        src, dst = get_block(u, birth, d, w), get_block(u, m_max, d, w)
+        labels, vecs = src.labels, src.space.basis
+        for m in range(birth + 1, m_max + 1):
+            nxt = dst.labels if m == m_max else models[(u, m)]._labels(space, d, w)
+            index = dst.index if m == m_max else {lab: k for k, lab in enumerate(nxt)}
+            vecs = [_push(fld, labels, vec, stage_moves[(u, m - 1)], index) for vec in vecs]
+            labels = nxt
+        return _classes_of(fld, dst, vecs)
 
     dims = {}
     stabilized_at = {}
@@ -938,27 +979,16 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
                 raise StabilizationError(
                     f"degree {ell} needs stages beyond m_max", f"increase m_max beyond {m_max}")
             for w in rep_q.vertices:
-                ok = True
-                last_dim = None
-                for m in range(birth, m_max + 1):
-                    blk = get_block(u, m, d, w)
-                    if last_dim is not None and blk.dim != last_dim:
-                        ok = False
-                    last_dim = blk.dim
-                if ok and last_dim:
-                    for m in range(birth, m_max):
-                        # the induced map on classes, stage m -> stage m+1, is square here
-                        t = _induced_map(fld, get_block(u, m, d, w), get_block(u, m + 1, d, w),
-                                         stage_moves[(u, m)])
-                        if rank(t) < t.rows:
-                            ok = False
-                            break
-                if not ok:
+                stage_dims = {models[(u, m)].dim(d, w, space) for m in range(birth, m_max + 1)}
+                dim = max(stage_dims)
+                # the composite birth -> m_max is square; it is invertible exactly when every
+                # transition is, since its determinant is the product of theirs
+                if len(stage_dims) > 1 or dim and rank(composite(u, birth, d, w)) < dim:
                     raise StabilizationError(
                         f"colimit piece (u={u + 1}, w={w + 1}, degree {ell}) did not stabilize",
                         f"increase m_max beyond {m_max} or truncation beyond {trunc}")
-                if last_dim:
-                    dims[(u, w, ell)] = last_dim
+                if dim:
+                    dims[(u, w, ell)] = dim
             stabilized_at[(u, ell)] = birth
     # twist matching against the path coalgebra
     twist_sigma = None

@@ -196,7 +196,8 @@ class PathTable:
                 if (source is None or p.source == source) and (target is None or p.target == target)]
 
     def count(self, source: int, target: int, length: int) -> int:
-        return sum(1 for p in self.by_length[length] if p.source == source and p.target == target)
+        """len(paths(source, target, length)), read off the index."""
+        return len(self._by_ends.get((source, target, length), ()))
 
     def contains(self, p: Path) -> bool:
         return p in self._index

@@ -553,6 +553,44 @@ def test_a_singular_stage_transition_is_refused(monkeypatch):
         local_cohomology(THREE_CYCLE, 1, 12, 12, Q)
 
 
+def test_a_singular_transition_inside_the_stage_chain_is_refused(monkeypatch):
+    """One piece is certified by the composite of its stage transitions, so
+    that composite must keep every factor: with only the transition into
+    stage 5 singular (a zero move), every piece whose chain passes stage 5
+    is refused, and the error names the first one 1-based."""
+    import quiverhom.homology as homology
+
+    real = homology._relation_move
+
+    def zero_into_stage_5(quiver, src, dst, e):
+        if dst.relations[0][1] == 5:
+            return lambda lab: ()
+        return real(quiver, src, dst, e)
+
+    monkeypatch.setattr(homology, "_relation_move", zero_into_stage_5)
+    with pytest.raises(StabilizationError, match=r"colimit piece \(u=1, w=2, degree 0\) did not stabilize"):
+        local_cohomology(THREE_CYCLE, 1, 12, 12, Q)
+
+
+def test_local_cohomology_builds_blocks_only_where_classes_are_read(monkeypatch):
+    """Stage dimensions are counted from labels, so index 0 on the 3-cycle
+    (where every kernel block lacks labels of its own) builds no block, and
+    index 1 builds at most the birth and the m_max block of each piece
+    with classes."""
+    built = []
+    real = PresentationModel._build
+
+    def counting(self, space, d, v):
+        built.append((space, d, v))
+        return real(self, space, d, v)
+
+    monkeypatch.setattr(PresentationModel, "_build", counting)
+    assert not local_cohomology(THREE_CYCLE, 0, 12, 12, Q).dims
+    assert built == []
+    h1 = local_cohomology(THREE_CYCLE, 1, 12, 12, Q)
+    assert h1.dims and 0 < len(built) <= 2 * len(h1.dims)
+
+
 def test_local_cohomology_index_is_zero_or_one():
     for i in (2, -1):
         with pytest.raises(ValueError, match="index must be 0 or 1"):
@@ -1223,3 +1261,37 @@ def test_blocks_with_an_empty_side_build_no_matrix(monkeypatch):
         local_cohomology(THREE_CYCLE, i, 12, 12)
         for j in THREE_CYCLE.vertices:
             ext_comodule_C(THREE_CYCLE, j, i, 12)
+
+
+def test_counted_dimensions_equal_the_built_blocks():
+    """`PresentationModel.dim` counts a block's labels when one side has
+    none and builds only the others; either way it equals the dimension of
+    the block `_build` makes.  Covered: the colimit stage models of the 2-
+    and 3-cycle, the Hom-dual models of seeded random graded reps, and
+    random presentations with their Hom-duals, where blocks have labels on
+    both sides."""
+    rng = random.Random(15)
+    models = []
+    for quiv in (TWO_CYCLE, THREE_CYCLE):
+        table = enumerate_paths(quiv, 6)
+        models += [PresentationModel(_hom_dual(_stage_presentation(quiv, u, m, Q, table)), 6)
+                   for u in quiv.vertices for m in range(1, 7)]
+        for _ in range(3):
+            pres = presentation_of_rep(random_graded_rep(quiv, rng, "left", Q))
+            models.append(PresentationModel(_hom_dual(pres), 6))
+            pres = random_presentation(quiv, rng, Q)
+            models += [PresentationModel(pres, 6), PresentationModel(_hom_dual(pres), 6)]
+    both_sides = 0
+    for model in models:
+        gens, rels = model.pres.generators, model.pres.relations
+        low = min(deg for _, deg in gens + rels)
+        for d in range(low - 1, low + 8):
+            for v in model.quiver.vertices:
+                rows = free_term_basis(model.table, gens, d, v)
+                cols = free_term_basis(model.table, rels, d, v)
+                both_sides += bool(rows and cols)
+                for space in (Quotient, Kernel):
+                    counted = model.dim(d, v, space)
+                    assert counted == model._build(space, d, v).dim, (space.__name__, d, v)
+            assert model.dim(d) == sum(model._build(Quotient, d, w).dim for w in model.quiver.vertices)
+    assert both_sides > 0

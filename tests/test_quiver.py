@@ -118,7 +118,8 @@ def test_counts_match_adjacency_powers():
         for ell, counts in enumerate(all_counts):
             for s in quiv.vertices:
                 for t in quiv.vertices:
-                    assert counts[s][t] == table.count(s, t, ell)
+                    assert counts[s][t] == table.count(s, t, ell) == len(table.paths(s, t, ell))
+                assert table.count(s, t, -1) == table.count(s, t, 6) == 0
 
 
 def test_gate_two_cycle_bounded_period_2():
