@@ -659,36 +659,35 @@ def rational_part(pres: GradedPresentation, trunc: int) -> RationalPartReport:
     torsion = {}
     dims_by_degree = {}
     certified_through = d_lo - 1
-    exact_mode = module_zero_from is not None
-    for d in range(d_lo, d_hi + 1):
-        per_vertex = {}
-        decided = True
-        for v in q.vertices:
-            if model.dim(d, v) == 0:
-                continue
-            k_top = d_hi - d
-            if exact_mode:
-                k_top = min(k_top, max(1, module_zero_from - d))
-            if k_top < 1:
-                decided = False
-                break
-            ranks = []
-            for k in range(1, k_top + 1):
-                kern = Kernel(_kill_matrix(model, d, v, k))
-                ranks.append(kern.dim)
-            if exact_mode and d + k_top >= module_zero_from:
+    if module_zero_from is not None:
+        # every nonzero block (d, v) lies below module_zero_from, and its
+        # composites of length module_zero_from - d land in a zero piece:
+        # the whole block is torsion
+        for d in range(d_lo, d_hi + 1):
+            torsion[d] = {v: Kernel.whole(f, n) for v in q.vertices if (n := model.dim(d, v))}
+            dims_by_degree[d] = module_dims[d]
+        certified_through = d_hi
+    else:
+        for d in range(d_lo, d_hi + 1):
+            per_vertex = {}
+            decided = True
+            for v in q.vertices:
+                if model.dim(d, v) == 0:
+                    continue
+                ranks = []
+                for k in range(1, d_hi - d + 1):
+                    kern = Kernel(_kill_matrix(model, d, v, k))
+                    ranks.append(kern.dim)
+                tail_ok = len(ranks) > window and len(set(ranks[-(window + 1):])) == 1
+                if not tail_ok:
+                    decided = False
+                    break
                 per_vertex[v] = kern
-                continue
-            tail_ok = len(ranks) > window and len(set(ranks[-(window + 1):])) == 1
-            if not tail_ok:
-                decided = False
+            if not decided:
                 break
-            per_vertex[v] = kern
-        if not decided:
-            break
-        torsion[d] = per_vertex
-        dims_by_degree[d] = sum(kern.dim for kern in per_vertex.values())
-        certified_through = d
+            torsion[d] = per_vertex
+            dims_by_degree[d] = sum(kern.dim for kern in per_vertex.values())
+            certified_through = d
     first_zero = _stable_zero_from(dims_by_degree, d_lo, certified_through, window)
     if first_zero is None:
         raise StabilizationError(
@@ -715,7 +714,7 @@ def rational_part(pres: GradedPresentation, trunc: int) -> RationalPartReport:
     rep = _graded_rep(pres.quiver, pres.side, f, fibers, image)
     cert = {"window": window, "zero_from_degree": first_zero,
             "certified_through": certified_through,
-            "mode": "exact (module vanishes beyond a degree)" if exact_mode else "window policy"}
+            "mode": "exact (module vanishes beyond a degree)" if module_zero_from is not None else "window policy"}
     return RationalPartReport(rep, {d: n for d, n in dims_by_degree.items() if n}, cert)
 
 
@@ -822,8 +821,7 @@ def dual_resolution_check(pres: GradedPresentation, trunc: int, depth: int) -> d
             if a.target == v and prev is not None:
                 move = _left_mult(q, ai)
                 pushes.extend(_push(f, prev.labels, vec, move, blk.index) for vec in prev.space.basis)
-        _, pivots = exactlin._rref(Matrix.from_columns(f, pushes + kern, len(blk.labels)))
-        for c in pivots:
+        for c, _ in exactlin._echelon(Matrix.from_columns(f, pushes + kern, len(blk.labels))):
             if c < len(pushes):
                 continue
             f2_gens.append((v, d))

@@ -119,18 +119,6 @@ class AlgElement:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def degrees(self) -> set:
-        return {p.length for p in self.coeffs}
-
-    def degree(self) -> int | None:
-        """Degree of a homogeneous element (None for 0)."""
-        degs = self.degrees()
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("inhomogeneous element has no degree")
-        return degs.pop()
-
     def __repr__(self):
         if not self.coeffs:
             return "0"

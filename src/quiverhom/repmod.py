@@ -516,12 +516,23 @@ def _level_grading(m: Rep):
 
 
 def _chain_basis(m: Rep):
-    """(degrees, per-fiber change of basis) from a fiber-compatible chain
-    basis of the total radical operator; the degrees grade the new basis."""
+    """(degrees, per-fiber change of basis, its inverse) from a fiber-compatible
+    chain basis of the total radical operator T; the degrees grade the new basis.
+
+    T^k is the sum of the length-k path actions, so T^h = 0 at the nil bound
+    h, and the kernels of T, ..., T^h (each built once) filter the module.
+    Going down from height h, the new tops at height k are the
+    fiber-homogeneous pieces c of the ker T^k basis with T^k c = 0 that are
+    independent of ker T^(k-1), of the chains carried down from greater
+    heights and of the tops chosen before them: the pivot columns past that
+    layer in one forward elimination of [layer | candidates].  A height with
+    T^(k-1) = 0 already has the whole space in its layer and adds no top.
+    """
     f = m.field
     total = m.total_dim
     if total == 0:
-        return tuple(() for _ in m.quiver.vertices), {v: Matrix.zeros(f, m.dims[v], 0) for v in m.quiver.vertices}
+        empty = {v: Matrix.zeros(f, m.dims[v], 0) for v in m.quiver.vertices}
+        return tuple(() for _ in m.quiver.vertices), empty, empty
     offs = {}
     pos = 0
     for v in m.quiver.vertices:
@@ -539,16 +550,13 @@ def _chain_basis(m: Rep):
     coord_fiber = []
     for v in m.quiver.vertices:
         coord_fiber.extend([v] * m.dims[v])
-    # kernel filtration
-    h = 0
-    powers = [Matrix.identity(f, total)]
-    while True:
+    # kernel filtration; ker T^0 = 0
+    h = m.nil_bound
+    powers = [None, t_mat]
+    for _ in range(h - 1):
         powers.append(t_mat * powers[-1])
-        h += 1
-        if rank(powers[-1]) == 0:
-            break
-        if h > total + 1:
-            raise GradingError("total radical operator is not nilpotent")
+    kernels = [[]] + [Kernel(p).basis for p in powers[1:]]
+
     def fiber_vectors(columns):
         """Split vectors into their fiber-homogeneous pieces."""
         vecs = []
@@ -562,25 +570,18 @@ def _chain_basis(m: Rep):
                 vecs.append(tuple(vec))
         return vecs
 
-    # classical height-layer construction, restricted to fiber-homogeneous
-    # candidates; new tops at height k extend ker T^(k-1) + carried chains
     tops = []  # (vector, height)
     for k in range(h, 0, -1):
-        layer = [list(v) for v in Kernel(powers[k - 1]).basis]
+        layer = list(kernels[k - 1])
         for u, height in tops:
             vec = u
             for _ in range(height - k):
                 vec = t_mat.apply(vec)
-            layer.append(list(vec))
-        base_rank = rank(Matrix(f, layer)) if layer else 0
-        for cand in fiber_vectors(Kernel(powers[k]).basis):
-            if any(not f.is_zero(x) for x in powers[k].apply(cand)):
-                continue
-            trial = layer + [list(cand)]
-            if rank(Matrix(f, trial)) == base_rank + 1:
-                tops.append((cand, k))
-                layer = trial
-                base_rank += 1
+            layer.append(vec)
+        cands = [c for c in fiber_vectors(kernels[k]) if not any(powers[k].apply(c))]
+        if cands:
+            echelon = exactlin._echelon(Matrix.from_columns(f, layer + cands, total))
+            tops.extend((cands[c - len(layer)], k) for c, _ in echelon if c >= len(layer))
     chosen = []  # (vector, degree)
     for u, height in tops:
         vec = u
@@ -601,15 +602,17 @@ def _chain_basis(m: Rep):
         per_fiber_vectors[v].append(local)
         per_fiber_degs[v].append(deg)
     base_change = {}
+    inverse_change = {}
     for v in m.quiver.vertices:
         cols = per_fiber_vectors[v]
         if len(cols) != m.dims[v]:
             raise GradingError("fiber basis count mismatch")
         base_change[v] = Matrix.from_columns(f, [tuple(c) for c in cols], m.dims[v])
-        if m.dims[v] and inverse(base_change[v]) is None:
+        inverse_change[v] = inverse(base_change[v]) if m.dims[v] else base_change[v]
+        if inverse_change[v] is None:
             raise GradingError("fiber chain vectors not independent")
     degs = tuple(tuple(per_fiber_degs[v]) for v in m.quiver.vertices)
-    return degs, base_change
+    return degs, base_change, inverse_change
 
 
 def graded_form(m: Rep):
@@ -626,14 +629,13 @@ def graded_form(m: Rep):
         return m, degs
     except GradingError:
         pass
-    degs, base_change = _chain_basis(m)
+    degs, base_change, inverse_change = _chain_basis(m)
     f = m.field
     new_maps = []
     for ai, a in enumerate(m.quiver.arrows):
         dom, cod = arrow_ends(m.side, a)
         if m.dims[cod] and m.dims[dom]:
-            inv = inverse(base_change[cod])
-            new_maps.append(inv * m.maps[ai] * base_change[dom])
+            new_maps.append(inverse_change[cod] * m.maps[ai] * base_change[dom])
         else:
             new_maps.append(m.maps[ai])
     out = Rep(m.quiver, m.side, f, m.dims, new_maps)

@@ -595,7 +595,8 @@ def test_local_cohomology_index_is_zero_or_one():
     for i in (2, -1):
         with pytest.raises(ValueError, match="index must be 0 or 1"):
             local_cohomology(LOOP, i, 4, 6, Q)
-    # above gldim 0, H^1 vanishes (nakayama's off-index check relies on it)
+    # above gldim 0, H^1 vanishes: in the degrees read, no block has labels
+    # of its own, which is why nakayama computes only the index n = gldim
     assert not any(local_cohomology(NO_ARROW, 1, 4, 6, Q).dims.values())
 
 

@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from quiverhom.exactlin import Field, Matrix, rank
+from quiverhom.exactlin import Field, Kernel, Matrix, inverse, rank
 from quiverhom.quiver import parse_quiver
 from quiverhom.repmod import (
+    GradingError,
     NotNilpotentError,
     Rep,
+    _chain_basis,
+    _level_grading,
+    _verify_grading,
     arrow_ends,
     commutation_matrix,
     euler_pairing,
@@ -463,3 +467,218 @@ def test_commutation_matrix_matches_dense_reference():
                         got = commutation_matrix(a, b).entries
                         assert got == dense_commutation_matrix(a, b)
                         assert all(type(x) is type(fld.zero) for row in got for x in row)
+
+
+# ---------------------------------------------------------------- chain bases
+# The per-candidate search that `repmod._chain_basis` replaced, kept as the
+# reference: the same tops, degrees and base changes, found with one `rank`
+# per candidate and one per power of the total radical operator.
+
+
+def reference_chain_basis(m):
+    f = m.field
+    total = m.total_dim
+    if total == 0:
+        return tuple(() for _ in m.quiver.vertices), {v: Matrix.zeros(f, m.dims[v], 0) for v in m.quiver.vertices}
+    offs = {}
+    pos = 0
+    for v in m.quiver.vertices:
+        offs[v] = pos
+        pos += m.dims[v]
+    big = [[f.zero] * total for _ in range(total)]
+    for ai, a in enumerate(m.quiver.arrows):
+        dom, cod = arrow_ends(m.side, a)
+        mat = m.maps[ai]
+        for r in range(m.dims[cod]):
+            for c in range(m.dims[dom]):
+                big[offs[cod] + r][offs[dom] + c] = f.add(big[offs[cod] + r][offs[dom] + c], mat[r, c])
+    t_mat = Matrix(f, big)
+    coord_fiber = []
+    for v in m.quiver.vertices:
+        coord_fiber.extend([v] * m.dims[v])
+    h = 0
+    powers = [Matrix.identity(f, total)]
+    while True:
+        powers.append(t_mat * powers[-1])
+        h += 1
+        if rank(powers[-1]) == 0:
+            break
+        assert h <= total + 1, "total radical operator is not nilpotent"
+
+    def fiber_vectors(columns):
+        vecs = []
+        for col in columns:
+            by_fiber = {}
+            for idx, val in enumerate(col):
+                if not f.is_zero(val):
+                    by_fiber.setdefault(coord_fiber[idx], [f.zero] * total)
+                    by_fiber[coord_fiber[idx]][idx] = val
+            for _, vec in sorted(by_fiber.items()):
+                vecs.append(tuple(vec))
+        return vecs
+
+    tops = []
+    for k in range(h, 0, -1):
+        layer = [list(v) for v in Kernel(powers[k - 1]).basis]
+        for u, height in tops:
+            vec = u
+            for _ in range(height - k):
+                vec = t_mat.apply(vec)
+            layer.append(list(vec))
+        base_rank = rank(Matrix(f, layer)) if layer else 0
+        for cand in fiber_vectors(Kernel(powers[k]).basis):
+            if any(not f.is_zero(x) for x in powers[k].apply(cand)):
+                continue
+            trial = layer + [list(cand)]
+            if rank(Matrix(f, trial)) == base_rank + 1:
+                tops.append((cand, k))
+                layer = trial
+                base_rank += 1
+    chosen = []
+    for u, height in tops:
+        vec = u
+        for step in range(height):
+            chosen.append((vec, step))
+            vec = t_mat.apply(vec)
+    if len(chosen) != total:
+        raise GradingError("chain basis construction failed to span")
+    per_fiber_vectors = {v: [] for v in m.quiver.vertices}
+    per_fiber_degs = {v: [] for v in m.quiver.vertices}
+    for vec, deg in chosen:
+        fibs = {coord_fiber[i] for i, x in enumerate(vec) if not f.is_zero(x)}
+        if len(fibs) != 1:
+            raise GradingError("chain vector not fiber-homogeneous")
+        v = fibs.pop()
+        per_fiber_vectors[v].append([vec[offs[v] + i] for i in range(m.dims[v])])
+        per_fiber_degs[v].append(deg)
+    base_change = {}
+    for v in m.quiver.vertices:
+        cols = per_fiber_vectors[v]
+        if len(cols) != m.dims[v]:
+            raise GradingError("fiber basis count mismatch")
+        base_change[v] = Matrix.from_columns(f, [tuple(c) for c in cols], m.dims[v])
+        if m.dims[v] and inverse(base_change[v]) is None:
+            raise GradingError("fiber chain vectors not independent")
+    return tuple(tuple(per_fiber_degs[v]) for v in m.quiver.vertices), base_change
+
+
+def reference_graded_form(m):
+    try:
+        degs = _level_grading(m)
+        _verify_grading(m, degs)
+        return m, degs
+    except GradingError:
+        pass
+    degs, base_change = reference_chain_basis(m)
+    new_maps = []
+    for ai, a in enumerate(m.quiver.arrows):
+        dom, cod = arrow_ends(m.side, a)
+        if m.dims[cod] and m.dims[dom]:
+            new_maps.append(inverse(base_change[cod]) * m.maps[ai] * base_change[dom])
+        else:
+            new_maps.append(m.maps[ai])
+    out = Rep(m.quiver, m.side, m.field, m.dims, new_maps)
+    _verify_grading(out, degs)
+    return out, degs
+
+
+TWO_DISJOINT_CYCLES = parse_quiver("vertices: 3\narrow x 1 1\narrow a 2 3\narrow b 3 2\n")[0]
+LOOP_WITH_TAIL = parse_quiver("vertices: 2\narrow x 1 1\narrow y 1 2\n")[0]
+CHAIN_FIELDS = (Q, Field(2147483647))
+
+
+def _grading_outcome(fn, m):
+    """fn(m), or the GradingError message it raised."""
+    try:
+        return fn(m)
+    except GradingError as exc:
+        return str(exc)
+
+
+def _same_grading(m):
+    """Assert that _chain_basis and graded_form give what the reference gives,
+    or raise the same GradingError; return the reference's outcome."""
+    want = _grading_outcome(reference_chain_basis, m)
+    got = _grading_outcome(_chain_basis, m)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        degs, base_change, inverse_change = got
+        assert (degs, base_change) == want
+        for v in m.quiver.vertices:
+            if m.dims[v]:
+                assert inverse_change[v] == inverse(base_change[v])
+    ref = _grading_outcome(reference_graded_form, m)
+    g = _grading_outcome(graded_form, m)
+    assert g == ref if isinstance(ref, str) else (g[0].maps, g[1]) == (ref[0].maps, ref[1])
+    return want
+
+
+def test_chain_basis_equals_the_per_candidate_search():
+    rng = random.Random(1616)
+    for fld in CHAIN_FIELDS:
+        for quiv in (LOOP, TWO_CYCLE, THREE_CYCLE, TWO_DISJOINT_CYCLES):
+            for side in ("left", "right"):
+                for _ in range(8):
+                    assert not isinstance(_same_grading(random_graded_rep(quiv, rng, side, fld)), str)
+
+
+def test_chain_basis_where_parallel_loops_cancel_in_the_total_operator():
+    # x = -y: T = 0 while the nil bound is 2, so the height-2 layer is the
+    # whole space and adds no top
+    two_loops = parse_quiver("vertices: 1\narrow x 1 1\narrow y 1 1\n")[0]
+    m = rep_from_matrices(two_loops, [2], [[[0, 0], [1, 0]], [[0, 0], [-1, 0]]], "left", Q)
+    assert m.nil_bound == 2
+    assert _same_grading(m) == (((0, 0),), {0: Matrix.identity(Q, 2)})
+    with pytest.raises(GradingError, match="violates degree"):
+        graded_form(m)
+    rng = random.Random(1619)
+    for _ in range(10):
+        _same_grading(random_graded_rep(two_loops, rng, "left", Q))
+
+
+def test_chain_basis_on_a_loop_with_a_tail_fails_where_the_search_failed():
+    # a chain through the loop vertex leaks into the tail's fiber on most draws
+    rng = random.Random(1617)
+    refused = 0
+    for fld in CHAIN_FIELDS:
+        for _ in range(30):
+            m = random_graded_rep(LOOP_WITH_TAIL, rng, "left", fld)
+            outcome = _same_grading(m)
+            if isinstance(outcome, str):
+                assert outcome == "chain vector not fiber-homogeneous"
+                refused += 1
+    assert 0 < refused < 60
+
+
+def test_chain_basis_eliminates_once_per_power_and_inverts_once_per_fiber(monkeypatch):
+    import quiverhom.exactlin as exactlin
+    import quiverhom.repmod as repmod
+
+    def no_rank(m):
+        raise AssertionError("rank called")
+
+    monkeypatch.setattr(exactlin, "rank", no_rank)
+    monkeypatch.setattr(repmod, "rank", no_rank)
+    kernels = []
+    inverses = []
+
+    def kernel(mat):
+        kernels.append(mat.entries)
+        return Kernel(mat)
+
+    def counted_inverse(mat):
+        inverses.append(mat)
+        return inverse(mat)
+
+    monkeypatch.setattr(repmod, "Kernel", kernel)
+    monkeypatch.setattr(repmod, "inverse", counted_inverse)
+    rng = random.Random(1618)
+    for quiv in (LOOP, TWO_CYCLE, THREE_CYCLE, TWO_DISJOINT_CYCLES):
+        for _ in range(6):
+            m = random_graded_rep(quiv, rng, "left", Q)
+            kernels.clear()
+            inverses.clear()
+            graded_form(m)
+            assert len(kernels) == len(set(kernels)) <= m.nil_bound
+            assert len(inverses) == sum(1 for d in m.dims if d)
