@@ -39,6 +39,7 @@ from .homology import (
     duality_roundtrip_injective,
     ext_comodule_C,
     ext_fd,
+    ext_model,
     ext_vs_algebra,
     hom_into_C,
     local_cohomology,

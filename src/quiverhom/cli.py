@@ -32,6 +32,7 @@ from .homology import (
     duality_roundtrip_injective,
     ext_comodule_C,
     ext_fd,
+    ext_model,
     ext_vs_algebra,
     hom_into_C,
     local_cohomology,
@@ -255,8 +256,10 @@ def cmd_ext(args) -> tuple:
     elif args.target == "A":
         _gate(quiver, args)
         m = resolve_rep_spec(args.module, quiver, args.trunc, fld)
+        # both default degrees are read off one model
+        model = ext_model(presentation_of_rep(m), args.trunc) if args.deg is None else None
         for i in degrees:
-            results[str(i)] = ext_vs_algebra(m, i, args.trunc).describe()
+            results[str(i)] = ext_vs_algebra(m, i, args.trunc, model=model).describe()
     else:
         m = resolve_rep_spec(args.module, quiver, args.trunc, fld)
         n = resolve_rep_spec(args.target, quiver, args.trunc, fld)
@@ -441,11 +444,14 @@ def cmd_verify(args) -> tuple:
             m = random_graded_rep(quiver, rng, "left", fld)
             if m.total_dim == 0:
                 continue
-            e_top = ext_vs_algebra(m, n_top, args.trunc, want_rep=False).total_dim
-            rat = rational_part(presentation_of_rep(m), args.trunc).rep.total_dim
+            # one presentation for the rational part and one model for both Ext degrees
+            pres = presentation_of_rep(m)
+            model = ext_model(pres, args.trunc)
+            e_top = ext_vs_algebra(m, n_top, args.trunc, want_rep=False, model=model).total_dim
+            rat = rational_part(pres, args.trunc).rep.total_dim
             bad = e_top != rat
             if n_top > 0:
-                e0 = ext_vs_algebra(m, 0, args.trunc, want_rep=False).total_dim
+                e0 = ext_vs_algebra(m, 0, args.trunc, want_rep=False, model=model).total_dim
                 if rat == m.total_dim and e0 != 0:
                     bad = True
             if bad:

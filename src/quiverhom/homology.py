@@ -381,18 +381,29 @@ def _stable_zero_from(dims_by_degree: dict, lo: int, hi: int, window: int):
     return first_zero
 
 
-def ext_vs_algebra(m: Rep, i: int, trunc: int, want_rep: bool = True) -> ExtReport:
+def ext_model(pres: GradedPresentation, trunc: int) -> PresentationModel:
+    """The model that Ext^0 and Ext^1 of the presented module against A are
+    read off, to `trunc`: the PresentationModel of the Hom-dual of `pres`."""
+    return PresentationModel(_hom_dual(pres), trunc)
+
+
+def ext_vs_algebra(m: Rep, i: int, trunc: int, want_rep: bool = True,
+                   model: PresentationModel | None = None) -> ExtReport:
     """Graded module structure of Ext^i(M, A), on the side opposite M's,
     degreewise to `trunc`.
 
     Uses a path-length grading of M (available on the instances in scope:
     acyclic quivers and disjoint unions of cycles).  The blocks are those of
-    the PresentationModel of the Hom-dual of M's presentation: its quotient
-    blocks for Ext^1, its kernel blocks for Ext^0.  The certificate records
-    the first internal degree past which all graded pieces vanish through a
-    window of two growth periods; failure to certify raises, naming the
-    smallest parameter change expected to fix it.
+    `model`, by default ext_model(presentation_of_rep(m), trunc): its
+    quotient blocks for Ext^1, its kernel blocks for Ext^0.  A caller that
+    reads both degrees passes one model to both calls, so M is resolved once
+    and each (degree, vertex) matrix eliminated once.  The certificate
+    records the first internal degree past which all graded pieces vanish
+    through a window of two growth periods; failure to certify raises,
+    naming the smallest parameter change expected to fix it.
     """
+    if model is not None and model.trunc != trunc:
+        raise ValueError(f"model truncated at {model.trunc}, not at {trunc}")
     window = window_length(m.quiver)
     out_side = "right" if m.side == "left" else "left"
     if i >= 2:
@@ -402,7 +413,8 @@ def ext_vs_algebra(m: Rep, i: int, trunc: int, want_rep: bool = True) -> ExtRepo
         return ExtReport("ext_vs_algebra", i, 0, graded_dims={}, vertex_support={},
                          rep=zero_rep(m.quiver, out_side, m.field) if want_rep else None,
                          certificate={"stable_from": 0, "window": window}, field=m.field)
-    model = PresentationModel(_hom_dual(presentation_of_rep(m)), trunc)
+    if model is None:
+        model = ext_model(presentation_of_rep(m), trunc)
     d_min = min(d for _, d in model.pres.generators + model.pres.relations)
     d_max = d_min + trunc
     if d_max - d_min + 1 < window + 1:
@@ -481,8 +493,7 @@ def ext_comodule_C(quiver: Quiver, j: int, i: int, trunc: int, fld: Field | None
     if i >= 2:
         return ExtReport("ext_comodule_C", i, 0, note="hereditary scope: gldim <= 1", field=fld)
     # A e_j / J is S_j
-    model = PresentationModel(_hom_dual(_stage_presentation(quiver, j, 1, fld, enumerate_paths(quiver, 1))),
-                              trunc)
+    model = ext_model(_stage_presentation(quiver, j, 1, fld, enumerate_paths(quiver, 1)), trunc)
     heads = [v for v, _ in model.pres.generators]
     dims_by_degree = {}
     support_acc = {}
@@ -544,7 +555,9 @@ class PresentationModel:
     the opposite quiver (paths inside entries reversed).  Blocks are indexed
     by (degree, vertex); vertex of a basis label (g, p) is target(p).  The
     model of _hom_dual(P) for a presentation P of M has Ext^1(M, A) as its
-    quotient blocks and Ext^0(M, A) as its kernel blocks.
+    quotient blocks and Ext^0(M, A) as its kernel blocks; both kinds of block
+    (d, v) sit on the one F1 -> F0 matrix of that degree and vertex, whose
+    rank the model keeps.
     """
 
     def __init__(self, pres: GradedPresentation, trunc: int):
@@ -555,8 +568,10 @@ class PresentationModel:
         self.pres = pres
         self.quiver = pres.quiver
         self.fld = pres.field
+        self.trunc = trunc
         self.table = enumerate_paths(self.quiver, trunc)
         self._blocks = {}
+        self._ranks = {}
         self._actions = {}
 
     def block(self, d: int, v: int) -> _Block:
@@ -588,6 +603,7 @@ class PresentationModel:
             if other:
                 rows, cols = (labels, other) if space is Quotient else (other, labels)
                 sp = space(free_diff_matrix(self.fld, rows, cols, self.pres.entries))
+                self._ranks[(d, v)] = len(labels) - sp.dim
             else:
                 sp = space.whole(self.fld, len(labels))
             blk = self._blocks[key] = _Block(labels, sp)
@@ -595,18 +611,31 @@ class PresentationModel:
 
     def dim(self, d: int, v: int | None = None, space=Quotient) -> int:
         """Dimension of block (d, v) of kind `space` (Quotient for `block`,
-        Kernel for `kernel`), or of all of degree d.  With one label side
-        empty it is read off the label counts, 0 with no labels of its own
-        and their number with none on the other side, and nothing is built;
-        only a block with labels on both sides is built and eliminated."""
+        Kernel for `kernel`), or of all of degree d, without building it.
+        It is the number of the block's own labels minus the rank of the
+        (d, v) matrix F1 -> F0: the quotient of F0 by the image and the kernel
+        on F1 have the same rank to subtract.  With one label side empty that
+        rank is 0; otherwise it is one elimination per (d, v), shared by both
+        kinds and read off a block already built."""
         if v is None:
             return sum(self.dim(d, w, space) for w in self.quiver.vertices)
+        blk = self._blocks.get((space, d, v))
+        if blk is not None:
+            return blk.dim
         own, other = self._sides(space)
         count = self.table.count
         n = sum(count(gv, v, d - gd) for gv, gd in own)
         if n and any(count(gv, v, d - gd) for gv, gd in other):
-            return self._build(space, d, v).dim
+            return n - self._rank(d, v)
         return n
+
+    def _rank(self, d: int, v: int) -> int:
+        """Rank of the degree-d F1 -> F0 matrix on the labels ending at v."""
+        r = self._ranks.get((d, v))
+        if r is None:
+            rows, cols = self._labels(Quotient, d, v), self._labels(Kernel, d, v)
+            r = self._ranks[(d, v)] = rank(free_diff_matrix(self.fld, rows, cols, self.pres.entries))
+        return r
 
     def arrow_action(self, d: int, arrow_index: int) -> Matrix:
         """Left multiplication by an arrow: block (d, source) -> (d+1, target)."""
@@ -942,7 +971,7 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
     table = enumerate_paths(rep_q, m_max)
     stages = {(u, m): _stage_presentation(rep_q, u, m, fld, table)
               for u in rep_q.vertices for m in range(1, m_max + 1)}
-    models = {key: PresentationModel(_hom_dual(pres), trunc) for key, pres in stages.items()}
+    models = {key: ext_model(pres, trunc) for key, pres in stages.items()}
     # the surjection of stage m + 1 onto stage m lifts to the identity on F0
     # and to [x p] -> x [p] on F1
     stage_moves = {(u, m): (_relation_move(rep_q, stages[(u, m)], stages[(u, m + 1)], trivial_path(u))

@@ -17,13 +17,14 @@ from .homology import (
     _simple_cycles,
     ext_comodule_C,
     ext_fd,
+    ext_model,
     ext_vs_algebra,
     local_cohomology,
     minimalize,
     standard_resolution,
 )
 from .quiver import Quiver, growth_gate
-from .repmod import Rep, VertexTwist, simple, truncated_injective, twist
+from .repmod import Rep, VertexTwist, presentation_of_rep, simple, truncated_injective, twist
 
 
 class NotASRegularError(RuntimeError):
@@ -91,9 +92,10 @@ def as_regular_check(q: Quiver, trunc: int, fld: Field | None = None) -> Regular
         ok = True
         for v in q.vertices:
             s = simple(q, v, side, fld)
+            model = ext_model(presentation_of_rep(s), trunc)
             degs = {}
             for i in range(n + 1):
-                report = ext_vs_algebra(s, i, trunc, want_rep=False)
+                report = ext_vs_algebra(s, i, trunc, want_rep=False, model=model)
                 degs[i] = report
                 if i < n and report.total_dim != 0:
                     ok = False

@@ -13,8 +13,10 @@ regularity test suite:
       orientation, fiber(t) -> fiber(s), matrix shape (dim_s, dim_t).
 
 Local nilpotency (some power of the radical kills the module) is exactly the
-comodule/rationality condition; the nil bound is always computed, never
-trusted from the caller.
+comodule/rationality condition; the nil bound is computed for every Rep built
+from new matrices, never trusted from the caller.  Only the linear dual and
+the conjugated graded form of a Rep carry its bound over: J^k M = 0 exactly
+when M* J^k = 0, and a change of basis in each fiber preserves it.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class Rep:
 
     __slots__ = ("quiver", "side", "field", "dims", "maps", "nil_bound")
 
-    def __init__(self, quiver: Quiver, side: str, field: Field, dims, maps):
+    def __init__(self, quiver: Quiver, side: str, field: Field, dims, maps, _carried_bound=None):
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         self.quiver = quiver
@@ -71,7 +73,8 @@ class Rep:
                     f"{self.dims[cod]}x{self.dims[dom]}, got {m.rows}x{m.cols}"
                 )
         self.maps = maps
-        self.nil_bound = _nil_bound(self)
+        # set only by linear_dual and graded_form, from a Rep that ran _nil_bound
+        self.nil_bound = _nil_bound(self) if _carried_bound is None else _carried_bound
 
     @property
     def total_dim(self) -> int:
@@ -386,7 +389,8 @@ def hom_dim(m: Rep, n: Rep) -> int:
 def linear_dual(m: Rep) -> Rep:
     """k-linear dual: side flipped, per-vertex dims kept, arrow maps transposed."""
     new_side = "right" if m.side == "left" else "left"
-    return Rep(m.quiver, new_side, m.field, m.dims, tuple(mat.transpose() for mat in m.maps))
+    return Rep(m.quiver, new_side, m.field, m.dims, tuple(mat.transpose() for mat in m.maps),
+               _carried_bound=m.nil_bound)
 
 
 @dataclass(frozen=True)
@@ -638,7 +642,7 @@ def graded_form(m: Rep):
             new_maps.append(inverse_change[cod] * m.maps[ai] * base_change[dom])
         else:
             new_maps.append(m.maps[ai])
-    out = Rep(m.quiver, m.side, f, m.dims, new_maps)
+    out = Rep(m.quiver, m.side, f, m.dims, new_maps, _carried_bound=m.nil_bound)
     _verify_grading(out, degs)
     return out, degs
 
@@ -687,10 +691,13 @@ def random_graded_rep(quiver: Quiver, rng, side: str = "left", field: Field | No
         mat = [[field.one if i == j else (field.of(rng.randint(-1, 1)) if i < j else field.zero) for j in range(n)] for i in range(n)]
         conj[v] = Matrix(field, mat)
     new_maps = []
+    conj_inv = {}
     for ai, a in enumerate(quiver.arrows):
         dom, cod = arrow_ends(side, a)
         if dims[cod] and dims[dom]:
-            new_maps.append(inverse(conj[cod]) * maps[ai] * conj[dom])
+            if cod not in conj_inv:
+                conj_inv[cod] = inverse(conj[cod])
+            new_maps.append(conj_inv[cod] * maps[ai] * conj[dom])
         else:
             new_maps.append(maps[ai])
     return Rep(quiver, side, field, dims, new_maps)

@@ -7,7 +7,10 @@ Imported by test modules as `from rep_helpers import ...` (pytest puts
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
 
+from quiverhom import cli, homology, regularity, repmod
 from quiverhom.exactlin import Matrix, rank
 from quiverhom.repmod import Rep, arrow_ends, hom_space
 
@@ -46,3 +49,19 @@ def assert_isomorphic(m: Rep, n: Rep, attempts: int = 64) -> None:
             return
     raise AssertionError(f"no invertible morphism among {attempts} combinations of "
                          f"a {len(basis)}-dimensional Hom(M, N)")
+
+
+def count_presentations(monkeypatch) -> Counter:
+    """Wrap `presentation_of_rep` in every package module that binds it; the
+    Counter returned counts its calls by the name of the calling function."""
+    calls = Counter()
+    real = repmod.presentation_of_rep
+
+    def counting(*args, **kwargs):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return real(*args, **kwargs)
+
+    for module in (repmod, homology, regularity, cli):
+        if getattr(module, "presentation_of_rep", None) is real:
+            monkeypatch.setattr(module, "presentation_of_rep", counting)
+    return calls

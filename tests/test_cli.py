@@ -186,6 +186,40 @@ def test_verify_command(quiver_file, capsys):
     assert report["verdicts"]["all_passed"] is True
 
 
+def test_verify_resolves_each_torsion_module_once(quiver_file, capsys, monkeypatch):
+    """The torsion suite resolves each drawn nonzero module once, for its
+    rational part and for one model read at both Ext degrees; the other
+    presentations are the phi check's, the regularity check's and the
+    graded-finality simple's."""
+    from quiverhom import cli
+    from rep_helpers import count_presentations  # tests/rep_helpers.py
+
+    calls = count_presentations(monkeypatch)
+    drawn = {"rational_part": 0, "graded_form": 0}
+
+    def counting(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args):
+            drawn[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    # one rational part per nonzero torsion module, one graded form per nonzero phi module
+    counting("rational_part")
+    counting("graded_form")
+    code, report = run_json(
+        capsys, ["verify", "--quiver", quiver_file(TWO_CYCLE), "--trunc", "8",
+                 "--cases", "40", "--seed", "3", "--json"])
+    assert code == 0 and report["verdicts"]["all_passed"] is True
+    assert report["tables"]["suite"]["torsion_ext_identities"]["cases"] == 4
+    assert drawn["rational_part"] > 1 and drawn["graded_form"] > 0
+    # graded finality reads the simple at two truncations, one model each
+    assert calls == {"cmd_verify": drawn["graded_form"] + drawn["rational_part"],
+                     "as_regular_check": 4, "standard_resolution": 2, "ext_vs_algebra": 2}
+
+
 def test_json_determinism(quiver_file, capsys):
     path = quiver_file(TWO_CYCLE)
     argv = ["verify", "--quiver", path, "--trunc", "8", "--cases", "8",

@@ -34,6 +34,7 @@ from quiverhom.homology import (
     duality_roundtrip_injective,
     ext_comodule_C,
     ext_fd,
+    ext_model,
     ext_vs_algebra,
     hom_into_C,
     local_cohomology,
@@ -1264,35 +1265,90 @@ def test_blocks_with_an_empty_side_build_no_matrix(monkeypatch):
             ext_comodule_C(THREE_CYCLE, j, i, 12)
 
 
-def test_counted_dimensions_equal_the_built_blocks():
-    """`PresentationModel.dim` counts a block's labels when one side has
-    none and builds only the others; either way it equals the dimension of
-    the block `_build` makes.  Covered: the colimit stage models of the 2-
-    and 3-cycle, the Hom-dual models of seeded random graded reps, and
-    random presentations with their Hom-duals, where blocks have labels on
-    both sides."""
+def _counted_dimension_presentations() -> list:
+    """The colimit stage models of the 2- and 3-cycle, the Hom-dual models
+    of seeded random graded reps, and random presentations with their
+    Hom-duals, where blocks have labels on both sides."""
     rng = random.Random(15)
-    models = []
+    out = []
     for quiv in (TWO_CYCLE, THREE_CYCLE):
         table = enumerate_paths(quiv, 6)
-        models += [PresentationModel(_hom_dual(_stage_presentation(quiv, u, m, Q, table)), 6)
-                   for u in quiv.vertices for m in range(1, 7)]
+        out += [_hom_dual(_stage_presentation(quiv, u, m, Q, table)) for u in quiv.vertices for m in range(1, 7)]
         for _ in range(3):
-            pres = presentation_of_rep(random_graded_rep(quiv, rng, "left", Q))
-            models.append(PresentationModel(_hom_dual(pres), 6))
+            out.append(_hom_dual(presentation_of_rep(random_graded_rep(quiv, rng, "left", Q))))
             pres = random_presentation(quiv, rng, Q)
-            models += [PresentationModel(pres, 6), PresentationModel(_hom_dual(pres), 6)]
+            out += [pres, _hom_dual(pres)]
+    return out
+
+
+def _block_keys(model) -> list:
+    low = min(deg for _, deg in model.pres.generators + model.pres.relations)
+    return [(d, v) for d in range(low - 1, low + 8) for v in model.quiver.vertices]
+
+
+def test_counted_dimensions_equal_the_built_blocks():
+    """`PresentationModel.dim` counts a block's labels and subtracts one
+    rank shared by both kinds of block; either way it equals the dimension
+    of the block `_build` makes, whether it is asked before that block (or
+    the other kind's) is built or after."""
     both_sides = 0
-    for model in models:
-        gens, rels = model.pres.generators, model.pres.relations
-        low = min(deg for _, deg in gens + rels)
-        for d in range(low - 1, low + 8):
-            for v in model.quiver.vertices:
-                rows = free_term_basis(model.table, gens, d, v)
-                cols = free_term_basis(model.table, rels, d, v)
-                both_sides += bool(rows and cols)
-                for space in (Quotient, Kernel):
-                    counted = model.dim(d, v, space)
-                    assert counted == model._build(space, d, v).dim, (space.__name__, d, v)
-            assert model.dim(d) == sum(model._build(Quotient, d, w).dim for w in model.quiver.vertices)
+    kinds = ((Quotient, "block"), (Kernel, "kernel"))
+    for pres in _counted_dimension_presentations():
+        counted, built = PresentationModel(pres, 6), PresentationModel(pres, 6)
+        keys = _block_keys(counted)
+        built_dims = {space: {key: getattr(built, get)(*key).dim for key in keys} for space, get in kinds}
+        for space, _ in kinds:
+            for d, v in keys:
+                # counted asks before any block is built, built after its own
+                assert counted.dim(d, v, space) == built.dim(d, v, space) == built_dims[space][(d, v)]
+        assert not counted._blocks
+        for (space, get), (other, _) in (kinds, kinds[::-1]):
+            # the other kind's dimension after only this kind's block was built
+            crossed = PresentationModel(pres, 6)
+            for d, v in keys:
+                getattr(crossed, get)(d, v)
+                assert crossed.dim(d, v, other) == built_dims[other][(d, v)], (other.__name__, d, v)
+        for d, v in keys:
+            rows = free_term_basis(counted.table, pres.generators, d, v)
+            cols = free_term_basis(counted.table, pres.relations, d, v)
+            both_sides += bool(rows and cols)
+            for space, _ in kinds:
+                assert counted.dim(d, v, space) == counted._build(space, d, v).dim, (space.__name__, d, v)
+        for d in {d for d, _ in keys}:
+            assert counted.dim(d) == sum(counted._build(Quotient, d, w).dim for w in counted.quiver.vertices)
     assert both_sides > 0
+
+
+def test_a_dimension_only_pass_builds_no_block_and_no_reduced_form(monkeypatch):
+    """Dimensions, and Ext of both degrees read off one model without its
+    Rep, cost one forward elimination per (degree, vertex) and no block."""
+    from quiverhom import exactlin
+
+    presentations = _counted_dimension_presentations()
+    rng = random.Random(17)
+    modules = [random_graded_rep(THREE_CYCLE, rng, "left", Q) for _ in range(3)]
+    modules = [(m, ext_model(presentation_of_rep(m), 10)) for m in modules if m.total_dim]
+    builds = []
+    real_build = PresentationModel._build
+
+    def counting(self, space, d, v):
+        builds.append((space, d, v))
+        return real_build(self, space, d, v)
+
+    def refuse(m):
+        raise AssertionError("a dimension ran back substitution")
+
+    monkeypatch.setattr(PresentationModel, "_build", counting)
+    monkeypatch.setattr(exactlin, "_rref", refuse)
+    eliminated = 0
+    for pres in presentations:
+        model = PresentationModel(pres, 6)
+        for d, v in _block_keys(model):
+            for space in (Quotient, Kernel):
+                model.dim(d, v, space)
+        eliminated += len(model._ranks)
+    for m, model in modules:
+        for i in (0, 1):
+            ext_vs_algebra(m, i, 10, want_rep=False, model=model)
+    assert builds == [] and eliminated > 0
+    assert modules

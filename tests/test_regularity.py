@@ -15,6 +15,7 @@ from quiverhom.regularity import (
     serre_twist,
 )
 from quiverhom import regularity
+from rep_helpers import count_presentations  # tests/rep_helpers.py
 
 Q = Field(0)
 LOOP = parse_quiver("vertices: 1\narrow x 1 1\n")[0]
@@ -28,6 +29,15 @@ def test_global_dimension():
     assert global_dimension(NO_ARROW) == 0
     assert global_dimension(LOOP) == 1
     assert global_dimension(TWO_CYCLE) == 1
+
+
+def test_as_regular_check_resolves_each_simple_once(monkeypatch):
+    """Both Ext degrees of a simple are read off one model of one
+    presentation: 2 sides x 3 simples.  The 3 left resolutions besides are
+    global_dimension's cross-check, through standard_resolution."""
+    calls = count_presentations(monkeypatch)
+    assert as_regular_check(THREE_CYCLE, 8, Q).as_regular
+    assert calls == {"as_regular_check": 6, "standard_resolution": 3}
 
 
 def test_natural_map_values():
