@@ -1,13 +1,18 @@
 """Exact linear algebra over the rationals or a prime field.
 
-Scalars are Fraction (characteristic 0) or ints normalized into [0, p)
-(characteristic p).  No floating point enters the system anywhere.
+Every scalar is in normal form.  Over the rationals (characteristic 0) that
+is an int when the value is integral and otherwise a Fraction whose
+denominator exceeds 1; over F_p it is an int in [0, p).  Sums and products
+of normal scalars are exact ints or Fractions, so loops may accumulate them
+raw and normalize each result once (`Field.normal`).  No floating point
+enters the system anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import countOf, mul
 
 
 # Miller-Rabin with the prime bases 2..41 decides primality for every
@@ -40,6 +45,11 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _rational(x):
+    """The normal form over Q of an exact int or Fraction value."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
 class Field:
@@ -84,30 +94,42 @@ class Field:
     def of(self, n):
         """Coerce an int or Fraction into a normalized scalar.
 
-        In prime characteristic a fraction p/q becomes p * q^(-1) mod p,
-        never a truncated integer."""
+        Over Q an integral value becomes an int and any other value a
+        Fraction.  In prime characteristic a fraction p/q becomes
+        p * q^(-1) mod p, never a truncated integer."""
+        p = self.characteristic
         if type(n) is int:
-            return n % self.characteristic if self.characteristic else Fraction(n)
-        if self.characteristic == 0:
-            return n if isinstance(n, Fraction) else Fraction(n)
-        if isinstance(n, Fraction):
-            num = n.numerator % self.characteristic
-            den = n.denominator % self.characteristic
-            if den == 0:
-                raise ZeroDivisionError(
-                    f"denominator divisible by the characteristic {self.characteristic}"
-                )
-            return (num * pow(den, -1, self.characteristic)) % self.characteristic
-        return int(n) % self.characteristic
+            return n % p if p else n
+        if not isinstance(n, Fraction):
+            if p:
+                return int(n) % p
+            n = Fraction(n)
+        if p == 0:
+            return _rational(n)
+        den = n.denominator % p
+        if den == 0:
+            raise ZeroDivisionError(f"denominator divisible by the characteristic {p}")
+        return n.numerator * pow(den, -1, p) % p
+
+    def normal(self, values) -> tuple:
+        """The normal forms of raw values: exact sums and products of normal
+        scalars, such as a loop accumulates before normalizing each result."""
+        p = self.characteristic
+        if p:
+            return tuple([x % p for x in values])
+        values = tuple(values)
+        if countOf(map(type, values), int) == len(values):  # the common case, tested in C
+            return values
+        return tuple([x if type(x) is int or x.denominator != 1 else x.numerator for x in values])
 
     def add(self, a, b):
-        return (a + b) % self.characteristic if self.characteristic else a + b
+        return (a + b) % self.characteristic if self.characteristic else _rational(a + b)
 
     def sub(self, a, b):
-        return (a - b) % self.characteristic if self.characteristic else a - b
+        return (a - b) % self.characteristic if self.characteristic else _rational(a - b)
 
     def mul(self, a, b):
-        return (a * b) % self.characteristic if self.characteristic else a * b
+        return (a * b) % self.characteristic if self.characteristic else _rational(a * b)
 
     def neg(self, a):
         return (-a) % self.characteristic if self.characteristic else -a
@@ -119,7 +141,7 @@ class Field:
             return pow(a, -1, self.characteristic)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
+        return _rational(1 / Fraction(a))
 
     def is_zero(self, a) -> bool:
         return (a % self.characteristic == 0) if self.characteristic else a == 0
@@ -128,10 +150,11 @@ class Field:
 class Matrix:
     """Immutable dense matrix with exact entries over a fixed field.
 
-    Dense tuples are the storage; elimination (`_echelon`) copies the
-    nonzeros into sparse rows.  `Matrix(field, entries)` coerces every entry
-    with `Field.of`, and the operations below build their results with
-    `_normalized`, which takes entries already in normal form as they are.
+    Dense tuples of normal scalars (see the module docstring) are the
+    storage; elimination (`_echelon`) copies the nonzeros into sparse rows.
+    `Matrix(field, entries)` coerces every entry with `Field.of`, and the
+    operations below build their results with `_normalized`, which takes
+    entries already in normal form as they are.
     """
 
     __slots__ = ("field", "rows", "cols", "entries")
@@ -217,16 +240,13 @@ class Matrix:
         ot = other.entries
         out = []
         for row in self.entries:
-            new = [f.zero] * other.cols
-            for k, a in enumerate(row):
-                if f.is_zero(a):
-                    continue
-                ork = ot[k]
-                for j in range(other.cols):
-                    b = ork[j]
-                    if not f.is_zero(b):
-                        new[j] = f.add(new[j], f.mul(a, b))
-            out.append(tuple(new))
+            new = [0] * other.cols
+            for a, ork in zip(row, ot):
+                if a:
+                    for j, b in enumerate(ork):
+                        if b:
+                            new[j] += a * b
+            out.append(f.normal(new))
         return Matrix._normalized(f, tuple(out), other.cols)
 
     def scale(self, c) -> "Matrix":
@@ -254,28 +274,16 @@ class Matrix:
 
     def apply(self, vec) -> tuple:
         """Matrix times column vector."""
-        f = self.field
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(
-            _dot(f, row, vec) for row in self.entries
-        )
+        return self.field.normal([sum(map(mul, row, vec)) for row in self.entries])
 
     def is_zero_matrix(self) -> bool:
-        f = self.field
-        return all(f.is_zero(a) for row in self.entries for a in row)
+        return not any(map(any, self.entries))
 
     def _compat(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-
-
-def _dot(field, u, v):
-    acc = field.zero
-    for a, b in zip(u, v):
-        if not (field.is_zero(a) or field.is_zero(b)):
-            acc = field.add(acc, field.mul(a, b))
-    return acc
 
 
 def _subtract(row: dict, coef, tail, p: int) -> None:
@@ -326,26 +334,22 @@ def _cross(row: dict, a: int, pv: int, tail) -> None:
             row[j] = 1
 
 
-def _primitive(row, zero) -> dict:
+def _primitive(row) -> dict:
     """The nonzeros {column: int} of a row of rationals, scaled to a
     primitive integer row: times the lcm of the denominators, divided by the
-    gcd of the numerators.  One nonzero gives a unit row.  Entries that are
-    the object `zero` skip the Fraction truth test."""
+    gcd of the numerators.  One nonzero gives a unit row."""
     out = {}
     den = 1
     for j, x in enumerate(row):
-        if x is not zero and x:
+        if x:
             out[j] = x
-            if x.denominator != 1:
+            if type(x) is not int:
                 den = lcm(den, x.denominator)
     if len(out) < 2:
         for j in out:
             out[j] = 1
         return out
-    if den == 1:
-        for j, x in out.items():
-            out[j] = x.numerator
-    else:
+    if den != 1:
         for j, x in out.items():
             out[j] = x.numerator * (den // x.denominator)
     g = gcd(*out.values())
@@ -373,10 +377,9 @@ def _echelon(m: Matrix) -> list:
         pending = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
         pending = [row for row in pending if row]
     else:
-        zero = m.field.zero
         pending = []
         for row in m.entries:
-            row = _primitive(row, zero)
+            row = _primitive(row)
             if row:
                 pending.append(row)
     done = []
@@ -418,8 +421,9 @@ def _rref(m: Matrix):
     entries above each pivot, last pivot first, so each pivot row used is
     final, with the same row operations as the forward phase.  Over Q the
     rows stay integral up to here, and the output divides each entry by its
-    row's pivot: every output entry is a Fraction, and the unique reduced
-    echelon form comes out whichever pivot rows were chosen.
+    row's pivot: an int where the pivot divides the entry, else a Fraction.
+    The unique reduced echelon form comes out whichever pivot rows were
+    chosen.
     """
     f = m.field
     p = f.characteristic
@@ -444,10 +448,10 @@ def _rref(m: Matrix):
             pv = row[c]
             if pv == 1:
                 for j, x in row.items():
-                    dense[j] = Fraction(x)
+                    dense[j] = x
             else:
                 for j, x in row.items():
-                    dense[j] = Fraction(x, pv)
+                    dense[j] = x // pv if x % pv == 0 else Fraction(x, pv)
         out.append(dense)
     return out, [c for c, _ in done]
 
@@ -506,17 +510,17 @@ class Kernel:
         return k
 
     def coordinates(self, vec) -> tuple:
-        """Coordinates of a kernel vector in `basis`; ValueError for a vector
-        outside the kernel."""
-        f = self.field
+        """Coordinates in `basis` of a kernel vector of normal scalars;
+        ValueError for a vector outside the kernel."""
         if len(vec) == self.ambient_dim:
             coords = tuple(vec[c] for c in self._free)
-            span = [f.zero] * self.ambient_dim
+            span = [0] * self.ambient_dim
             for c, b in zip(coords, self.basis):
-                if not f.is_zero(c):
+                if c:
                     for i, x in enumerate(b):
-                        span[i] = f.add(span[i], f.mul(c, x))
-            if all(f.is_zero(f.sub(x, y)) for x, y in zip(vec, span)):
+                        if x:
+                            span[i] += c * x
+            if self.field.normal(span) == tuple(vec):
                 return coords
         raise ValueError("vector is not in the kernel")
 

@@ -262,17 +262,17 @@ def _push(fld: Field, labels, vec, move, dst_index: dict) -> list:
     """Move an ambient vector along a map of basis labels.
 
     Coordinate idx of `vec` is added at dst_index[lab] for every label lab
-    that `move(labels[idx])` yields; labels outside the destination drop
-    out.
+    that `move(labels[idx])` yields (a zero cell takes it as it is); labels
+    outside the destination drop out.
     """
-    out = [fld.zero] * len(dst_index)
+    out = [0] * len(dst_index)
     for idx, c in enumerate(vec):
-        if fld.is_zero(c):
-            continue
-        for lab in move(labels[idx]):
-            pos = dst_index.get(lab)
-            if pos is not None:
-                out[pos] = fld.add(out[pos], c)
+        if c:
+            for lab in move(labels[idx]):
+                pos = dst_index.get(lab)
+                if pos is not None:
+                    y = out[pos]
+                    out[pos] = fld.add(y, c) if y else c
     return out
 
 

@@ -161,8 +161,8 @@ def _apply_columns(f: Field, columns: list, vec: dict) -> dict:
     out = {}
     for j, c in vec.items():
         for i, x in columns[j].items():
-            out[i] = f.add(out.get(i, f.zero), f.mul(c, x))
-    return {i: x for i, x in out.items() if x}
+            out[i] = out.get(i, 0) + c * x
+    return {i: x for i, x in zip(out, f.normal(out.values())) if x}
 
 
 def rep_from_matrices(quiver: Quiver, dims, arrow_maps, side: str, field: Field | None = None) -> Rep:
@@ -325,26 +325,23 @@ def commutation_matrix(m: Rep, n: Rep) -> Matrix:
     for v in q.vertices:
         offsets[v] = total
         total += n.dims[v] * m.dims[v]
-    zero = f.zero
     rows = []
     for ai, a in enumerate(q.arrows):
         dom, cod = arrow_ends(m.side, a)
-        am = m.maps[ai]
-        an = n.maps[ai]
+        am = m.maps[ai].entries
+        an = n.maps[ai].entries
         for r in range(n.dims[cod]):
+            base = offsets[cod] + r * m.dims[cod]
             for c in range(m.dims[dom]):
-                row = [zero] * total
-                for k in range(m.dims[cod]):
-                    x = am[k, c]
-                    if x:
-                        row[offsets[cod] + r * m.dims[cod] + k] = x
-                for k in range(n.dims[dom]):
-                    x = an[r, k]
+                row = [0] * total
+                for k, am_row in enumerate(am, base):
+                    row[k] = am_row[c]
+                for k, x in enumerate(an[r]):
                     if x:
                         # a loop (dom = cod) may hit a cell the first sum set
                         idx = offsets[dom] + k * m.dims[dom] + c
                         y = row[idx]
-                        row[idx] = f.neg(x) if y is zero else f.sub(y, x)
+                        row[idx] = f.sub(y, x) if y else f.neg(x)
                 rows.append(tuple(row))
     return Matrix._normalized(f, tuple(rows), total)
 
@@ -542,13 +539,13 @@ def _chain_basis(m: Rep):
     for v in m.quiver.vertices:
         offs[v] = pos
         pos += m.dims[v]
-    big = [[f.zero] * total for _ in range(total)]
+    big = [[0] * total for _ in range(total)]
     for ai, a in enumerate(m.quiver.arrows):
         dom, cod = arrow_ends(m.side, a)
-        mat = m.maps[ai]
-        for r in range(m.dims[cod]):
-            for c in range(m.dims[dom]):
-                big[offs[cod] + r][offs[dom] + c] = f.add(big[offs[cod] + r][offs[dom] + c], mat[r, c])
+        for r, row in enumerate(m.maps[ai].entries):
+            out = big[offs[cod] + r]
+            for c, x in enumerate(row, offs[dom]):
+                out[c] += x
     t_mat = Matrix(f, big)
     # fiber of each coordinate
     coord_fiber = []
@@ -567,7 +564,7 @@ def _chain_basis(m: Rep):
         for col in columns:
             by_fiber = {}
             for idx, val in enumerate(col):
-                if not f.is_zero(val):
+                if val:
                     by_fiber.setdefault(coord_fiber[idx], [f.zero] * total)
                     by_fiber[coord_fiber[idx]][idx] = val
             for _, vec in sorted(by_fiber.items()):
@@ -598,7 +595,7 @@ def _chain_basis(m: Rep):
     per_fiber_vectors = {v: [] for v in m.quiver.vertices}
     per_fiber_degs = {v: [] for v in m.quiver.vertices}
     for vec, deg in chosen:
-        fibs = {coord_fiber[i] for i, x in enumerate(vec) if not f.is_zero(x)}
+        fibs = {coord_fiber[i] for i, x in enumerate(vec) if x}
         if len(fibs) != 1:
             raise GradingError("chain vector not fiber-homogeneous")
         v = fibs.pop()
@@ -648,15 +645,14 @@ def graded_form(m: Rep):
 
 
 def _verify_grading(m: Rep, degs) -> None:
-    f = m.field
+    """GradingError at the first nonzero entry off degree +1, by 1-based (row, column)."""
     for ai, a in enumerate(m.quiver.arrows):
         dom, cod = arrow_ends(m.side, a)
-        mat = m.maps[ai]
-        for r in range(m.dims[cod]):
-            for c in range(m.dims[dom]):
-                if not f.is_zero(mat[r, c]) and degs[cod][r] != degs[dom][c] + 1:
+        for r, row in enumerate(m.maps[ai].entries):
+            for c, x in enumerate(row):
+                if x and degs[cod][r] != degs[dom][c] + 1:
                     raise GradingError(
-                        f"arrow {a.label!r} entry ({r},{c}) violates degree +1"
+                        f"arrow {a.label!r} entry ({r + 1},{c + 1}) violates degree +1"
                     )
 
 

@@ -9,10 +9,21 @@ from __future__ import annotations
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 
 from quiverhom import cli, homology, regularity, repmod
 from quiverhom.exactlin import Matrix, rank
 from quiverhom.repmod import Rep, arrow_ends, hom_space
+
+
+def is_normal_scalar(fld, x) -> bool:
+    """The strict normal form of a scalar of `fld`: over Q an int, or a
+    Fraction whose denominator exceeds 1 (an integral Fraction fails); over
+    F_p an int in [0, p)."""
+    p = fld.characteristic
+    if p:
+        return type(x) is int and 0 <= x < p
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
 
 
 def direct_sum(m: Rep, n: Rep) -> Rep:

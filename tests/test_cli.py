@@ -273,6 +273,19 @@ def test_rep_literal_via_ext(quiver_file, tmp_path, capsys):
     assert report["tables"]["ext"]["1"]["dimension"] == 2
 
 
+def test_grading_error_names_the_rep_file_entry_1_based(quiver_file, tmp_path, capsys):
+    # x = -y on two loops has no path-length grading; the entry of x off the
+    # grading is the 1 on the file's second row, first column
+    rep_path = tmp_path / "m.rep"
+    rep_path.write_text("side: left\ndims: 2\narrow x:\n0 0\n1 0\narrow y:\n0 0\n-1 0\n",
+                        encoding="utf-8")
+    code, report = run_json(
+        capsys, ["ext", "--quiver", quiver_file(TWO_LOOPS), "--module", f"rep:{rep_path}",
+                 "--target", "A", "--force", "--json"])
+    assert code == 2
+    assert "arrow 'x' entry (2,1) violates degree +1" in report["error"]
+
+
 @pytest.mark.parametrize("entry, field", [("1/0", "Q"), ("1/7", "F7"), ("x", "Q")])
 def test_rep_literal_bad_entry_is_a_parse_error(quiver_file, tmp_path, capsys, entry, field):
     rep_path = tmp_path / "m.rep"

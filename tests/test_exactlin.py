@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from rep_helpers import is_normal_scalar  # tests/rep_helpers.py
 
 from quiverhom.exactlin import (
     Field,
@@ -226,22 +227,49 @@ def test_prime_field_fraction_coercion():
 
 
 def test_field_of_values():
-    # each input kind coerces to the same value and type as the reference
-    # rules: Fraction over Q, an int in [0, p) over F_p
+    # each input kind coerces to the same value as the reference rules, in
+    # normal form: over Q an int when integral, else a Fraction; over F_p an
+    # int in [0, p)
     for n in (0, 5, -3, 10**30, -(10**30)):
-        assert Q.of(n) == Fraction(n) and type(Q.of(n)) is Fraction
+        assert Q.of(n) == n and type(Q.of(n)) is int
     for b in (True, False):
-        assert Q.of(b) == Fraction(int(b)) and type(Q.of(b)) is Fraction
+        assert Q.of(b) == int(b) and type(Q.of(b)) is int
     half = Fraction(-1, 2)
     assert Q.of(half) is half
+    for x, value in ((Fraction(6, 3), 2), (Fraction(-4, 1), -4), (Fraction(0), 0)):
+        assert Q.of(x) == value and type(Q.of(x)) is int
     for p in (5, 7, 2147483647):
         fld = Field(p)
         for n in (0, 5, -3, p, -p - 1, 10**30, -(10**30)):
-            assert fld.of(n) == n % p and type(fld.of(n)) is int
-        assert fld.of(True) == 1 and type(fld.of(True)) is int
-        assert fld.of(False) == 0 and type(fld.of(False)) is int
+            assert fld.of(n) == n % p and is_normal_scalar(fld, fld.of(n))
+        assert fld.of(True) == 1 and is_normal_scalar(fld, fld.of(True))
+        assert fld.of(False) == 0 and is_normal_scalar(fld, fld.of(False))
         assert fld.of(Fraction(-2, 3)) == (-2 * pow(3, -1, p)) % p
         assert fld.of(Fraction(6, 1)) == 6 % p
+
+
+def test_rational_operations_return_the_normal_form():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    cases = [
+        (Q.zero, 0), (Q.one, 1),
+        (Q.add(half, half), 1), (Q.sub(Fraction(3, 2), half), 1),
+        (Q.mul(2, half), 1), (Q.mul(Fraction(2, 3), Fraction(3, 4)), half),
+        (Q.neg(-2), 2), (Q.neg(half), -half), (Q.add(half, third), Fraction(5, 6)),
+        (Q.inv(third), 3), (Q.inv(Fraction(-1, 3)), -3), (Q.inv(1), 1), (Q.inv(-1), -1),
+        (Q.inv(2), half), (Q.inv(Fraction(-2, 3)), Fraction(-3, 2)),
+        (Q.of(Fraction(6, 3)), 2),
+    ]
+    for got, want in cases:
+        assert got == want and is_normal_scalar(Q, got), (got, want)
+        assert type(got) is type(want)
+    assert Q.normal([Fraction(4, 2), half, 3, Fraction(-1, 2) + half]) == (2, half, 3, 0)
+    assert all(is_normal_scalar(Q, x) for x in Q.normal([Fraction(4, 2), half, 0]))
+    # the predicate itself is strict
+    assert not is_normal_scalar(Q, Fraction(3)) and not is_normal_scalar(Q, 1.0)
+    assert not is_normal_scalar(F5, 5) and not is_normal_scalar(F5, -1)
+    assert F5.normal([7, -1, 25]) == (2, 4, 0)
+    with pytest.raises(ZeroDivisionError):
+        Q.inv(0)
 
 
 SUBSPACE_FIELDS = [Q, Field(7), Field(2147483647)]
@@ -355,11 +383,7 @@ def test_sparse_rref_matches_dense_oracle(fld):
         shapes.add((m.rows == 0, m.cols == 0))
         for row in rows:
             assert len(row) == m.cols
-            for x in row:
-                if fld.characteristic == 0:
-                    assert type(x) is Fraction
-                else:
-                    assert type(x) is int and 0 <= x < fld.characteristic
+            assert all(is_normal_scalar(fld, x) for x in row)
     assert {(True, False), (False, True)} <= shapes
 
 

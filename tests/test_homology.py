@@ -44,7 +44,7 @@ from quiverhom.homology import (
     rational_part,
     standard_resolution,
 )
-from rep_helpers import assert_isomorphic, direct_sum  # tests/rep_helpers.py
+from rep_helpers import assert_isomorphic, direct_sum, is_normal_scalar  # tests/rep_helpers.py
 
 Q = Field(0)
 LOOP = parse_quiver("vertices: 1\narrow x 1 1\n")[0]
@@ -786,8 +786,7 @@ def test_local_cohomology_loop_against_shift_matrix_oracle():
 
 def test_engine_built_matrices_hold_normalized_scalars(monkeypatch):
     """The label, commutation, hom-component and path-basis matrices are
-    built from normalized scalars without coercion: Fraction over Q, int in
-    [0, p) over F_p."""
+    built from normalized scalars without coercion (`is_normal_scalar`)."""
     import quiverhom.homology as homology
     from quiverhom.repmod import commutation_matrix, hom_space
 
@@ -810,13 +809,11 @@ def test_engine_built_matrices_hold_normalized_scalars(monkeypatch):
             ext_vs_algebra(m, 1, 12)
         local_cohomology(TWO_CYCLE, 0, 3, 6, fld)
         ext_comodule_C(TWO_CYCLE, 0, 1, 6, fld)
-        p = fld.characteristic
         assert len(built) > 20
         for mat in built:
             for row in mat.entries:
                 assert type(row) is tuple and len(row) == mat.cols
-                for x in row:
-                    assert (type(x) is int and 0 <= x < p) if p else type(x) is Fraction
+                assert all(is_normal_scalar(fld, x) for x in row)
         built.clear()
 
 
@@ -832,9 +829,7 @@ def test_label_matrix_adds_repeated_row_labels():
                   "v": [("b", fld.of(-2)), ("b", two), ("a", one)]}
         mat = _label_matrix(fld, ["a", "b"], ["u", "v"], images.__getitem__)
         assert mat.entries == ((fld.of(3), one), (two, fld.zero))
-        p = fld.characteristic
-        for x in (x for row in mat.entries for x in row):
-            assert (type(x) is int and 0 <= x < p) if p else type(x) is Fraction
+        assert all(is_normal_scalar(fld, x) for row in mat.entries for x in row)
 
 
 # ----------------------------------------------------------------- colimit stages against the path-basis model

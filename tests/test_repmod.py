@@ -642,7 +642,8 @@ def test_chain_basis_where_parallel_loops_cancel_in_the_total_operator():
     m = rep_from_matrices(two_loops, [2], [[[0, 0], [1, 0]], [[0, 0], [-1, 0]]], "left", Q)
     assert m.nil_bound == 2
     assert _same_grading(m) == (((0, 0),), {0: Matrix.identity(Q, 2)})
-    with pytest.raises(GradingError, match="violates degree"):
+    # the entry of x off the grading is row 2, column 1, as in a rep file
+    with pytest.raises(GradingError, match=r"arrow 'x' entry \(2,1\) violates degree \+1"):
         graded_form(m)
     rng = random.Random(1619)
     for _ in range(10):
