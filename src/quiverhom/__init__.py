@@ -18,6 +18,7 @@ from .repmod import (
     euler_pairing,
     graded_form,
     hom_dim,
+    hom_ext1_dims,
     hom_space,
     identity_twist,
     linear_dual,

@@ -55,6 +55,7 @@ from .repmod import (
     euler_pairing,
     graded_form,
     hom_dim,
+    hom_ext1_dims,
     linear_dual,
     presentation_of_rep,
     random_graded_rep,
@@ -388,8 +389,7 @@ def cmd_verify(args) -> tuple:
     for _ in range(cases):
         m = random_graded_rep(quiver, rng, "left", fld)
         n = random_graded_rep(quiver, rng, "left", fld)
-        d_hom = hom_dim(m, n)
-        d_ext = ext_fd(m, n, 1).total_dim
+        d_hom, d_ext = hom_ext1_dims(m, n)
         if d_hom - d_ext != euler_pairing(m, n):
             euler_fail += 1
         if d_hom != hom_dim(linear_dual(n), linear_dual(m)):

@@ -14,14 +14,13 @@ normalized through the opposite quiver on entry and translated back on exit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import exactlin
 from .exactlin import Field, Kernel, Matrix, Quotient, rank
 from .pathcoalg import AlgElement, convolve
 from .quiver import (
     Path,
     Quiver,
+    Record,
     _scc_cycle_data,
     compose,
     enumerate_paths,
@@ -36,6 +35,7 @@ from .repmod import (
     _reverse_path,
     arrow_ends,
     commutation_matrix,
+    hom_ext1_dims,
     hom_space,
     presentation_of_rep,
     zero_rep,
@@ -148,22 +148,21 @@ def minimalize(pres: GradedPresentation) -> GradedPresentation:
 # reports
 
 
-@dataclass
-class ExtReport:
+class ExtReport(Record):
     """Dimension data for one Ext group, with certificates where truncation
     is involved.  graded_dims maps internal degree to dimension; rep carries
     the module structure when applicable and finite."""
 
-    subject: str
-    degree: int
-    total_dim: int
-    graded_dims: dict | None = None
-    vertex_support: dict | None = None
-    rep: Rep | None = None
-    certificate: dict | None = None
-    field: Field | None = None
-    note: str | None = None
-    basis: list | None = None
+    __slots__ = ("subject", "degree", "total_dim", "graded_dims", "vertex_support", "rep",
+                 "certificate", "field", "note", "basis")
+
+    def __init__(self, subject: str, degree: int, total_dim: int, graded_dims: dict | None = None,
+                 vertex_support: dict | None = None, rep: Rep | None = None,
+                 certificate: dict | None = None, field: Field | None = None,
+                 note: str | None = None, basis: list | None = None):
+        self.subject, self.degree, self.total_dim = subject, degree, total_dim
+        self.graded_dims, self.vertex_support, self.rep = graded_dims, vertex_support, rep
+        self.certificate, self.field, self.note, self.basis = certificate, field, note, basis
 
     def describe(self) -> dict:
         d = {
@@ -204,18 +203,15 @@ def ext_fd(m: Rep, n: Rep, i: int, with_basis: bool = False) -> ExtReport:
         raise ValueError("negative cohomological degree")
     if i >= 2:
         return ExtReport("ext_fd", i, 0, note="hereditary scope: gldim <= 1", field=m.field)
-    big = commutation_matrix(m, n)
-    dim = (big.cols - rank(big)) if i == 0 else (big.rows - rank(big))
-    report = ExtReport("ext_fd", i, dim, field=m.field)
     if not with_basis:
-        return report
+        return ExtReport("ext_fd", i, hom_ext1_dims(m, n)[i], field=m.field)
     f = m.field
     q = m.quiver
     if i == 0:
-        report.note = "basis: hom morphisms, one matrix per vertex"
-        report.basis = hom_space(m, n)
-        return report
-    quot = Quotient(big)
+        basis = hom_space(m, n)
+        return ExtReport("ext_fd", 0, len(basis), field=f, basis=basis,
+                         note="basis: hom morphisms, one matrix per vertex")
+    quot = Quotient(commutation_matrix(m, n))
     cocycles = []
     for amb in quot.basis:
         per_arrow = []
@@ -229,9 +225,8 @@ def ext_fd(m: Rep, n: Rep, i: int, with_basis: bool = False) -> ExtReport:
             per_arrow.append(Matrix(f, block, cols=m.dims[dom]))
             offset += n.dims[cod] * m.dims[dom]
         cocycles.append(tuple(per_arrow))
-    report.note = "basis: cocycle representatives, one matrix per arrow"
-    report.basis = cocycles
-    return report
+    return ExtReport("ext_fd", 1, len(cocycles), field=f, basis=cocycles,
+                     note="basis: cocycle representatives, one matrix per arrow")
 
 
 # ----------------------------------------------------------------------
@@ -651,11 +646,11 @@ class PresentationModel:
 AlgebraExtEngine = PresentationModel
 
 
-@dataclass
-class RationalPartReport:
-    rep: Rep
-    dims_by_degree: dict
-    certificate: dict
+class RationalPartReport(Record):
+    __slots__ = ("rep", "dims_by_degree", "certificate")
+
+    def __init__(self, rep: Rep, dims_by_degree: dict, certificate: dict):
+        self.rep, self.dims_by_degree, self.certificate = rep, dims_by_degree, certificate
 
     def describe(self) -> dict:
         return {
@@ -764,14 +759,15 @@ def _kill_matrix(model: PresentationModel, d: int, v: int, k: int) -> Matrix:
 # Hom(-, C)
 
 
-@dataclass
-class HomIntoCReport:
+class HomIntoCReport(Record):
     """Hom_A(M, C) as a module on the other side, and its nonzero dimensions
     by degree.  Hom(M, C) is the graded dual of M, so these must equal M's
     graded dimensions; `cli verify` checks that on random modules."""
 
-    rep: Rep
-    dims_by_degree: dict
+    __slots__ = ("rep", "dims_by_degree")
+
+    def __init__(self, rep: Rep, dims_by_degree: dict):
+        self.rep, self.dims_by_degree = rep, dims_by_degree
 
     def describe(self) -> dict:
         return {
@@ -899,18 +895,18 @@ def _stage_presentation(quiver: Quiver, u: int, m: int, fld: Field, table) -> Gr
                               (tuple(AlgElement.dual_path(fld, p) for p in paths),))
 
 
-@dataclass
-class LocalCohReport:
-    index: int
-    gldim: int
-    dims: dict           # (u, w, ell) -> stabilized dimension
-    stabilized_at: dict  # (u, ell) -> first stage with all later transitions iso
-    max_degree: int
-    twist_sigma: tuple | None
-    twist_note: str
-    cycle_products: dict
-    field: Field
-    side: str = "left"
+class LocalCohReport(Record):
+    __slots__ = ("index", "gldim", "dims", "stabilized_at", "max_degree", "twist_sigma",
+                 "twist_note", "cycle_products", "field", "side")
+
+    def __init__(self, index: int, gldim: int, dims: dict, stabilized_at: dict, max_degree: int,
+                 twist_sigma: tuple | None, twist_note: str, cycle_products: dict, field: Field,
+                 side: str = "left"):
+        self.index, self.gldim, self.max_degree = index, gldim, max_degree
+        self.dims = dims                    # (u, w, ell) -> stabilized dimension
+        self.stabilized_at = stabilized_at  # (u, ell) -> first stage with all later transitions iso
+        self.twist_sigma, self.twist_note, self.cycle_products = twist_sigma, twist_note, cycle_products
+        self.field, self.side = field, side
 
     def dim(self, u: int, w: int, ell: int) -> int:
         return self.dims.get((u, w, ell), 0)

@@ -14,10 +14,8 @@ multiply like the paths themselves, (p^)(q^) = (p q)^ when composable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactlin import Field
-from .quiver import Path, Quiver, compose, enumerate_paths, path_count_matrices, trivial_path
+from .quiver import Path, Quiver, Record, compose, enumerate_paths, path_count_matrices, trivial_path
 
 
 def comultiply(q: Quiver, p: Path) -> list:
@@ -187,17 +185,17 @@ def convolve(f: AlgElement, g: AlgElement, n: int | None = None) -> AlgElement:
     return AlgElement(fld, out)
 
 
-@dataclass(frozen=True)
-class BigradedDims:
+class BigradedDims(Record):
     """Per-degree vertex-by-vertex dimensions of e_i C e_j.
 
     dims[ell][i][j] = number of paths of length ell running from j to i,
     i.e. with source j and target i under the package composition convention.
     """
 
-    quiver: Quiver
-    up_to: int
-    dims: tuple
+    __slots__ = ("quiver", "up_to", "dims")
+
+    def __init__(self, quiver: Quiver, up_to: int, dims: tuple):
+        self.quiver, self.up_to, self.dims = quiver, up_to, dims
 
     def matrix(self, ell: int) -> list:
         return [list(row) for row in self.dims[ell]]

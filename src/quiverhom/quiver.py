@@ -13,24 +13,46 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .exactlin import Field
 
 
-@dataclass(frozen=True)
-class Arrow:
-    label: str
-    source: int
-    target: int
+class Record:
+    """Base of the package's value classes: equality, hash and repr read the
+    fields named by the subclass's `__slots__`, in slot order, as a
+    dataclass's would.  Subclasses write their own `__init__`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)  # a tuple getter: every subclass has 2+ fields
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
-class Quiver:
-    vertex_count: int
-    arrows: tuple
+class Arrow(Record):
+    __slots__ = ("label", "source", "target")
 
-    def __post_init__(self):
+    def __init__(self, label: str, source: int, target: int):
+        self.label, self.source, self.target = label, source, target
+
+
+class Quiver(Record):
+    __slots__ = ("vertex_count", "arrows")
+
+    def __init__(self, vertex_count: int, arrows: tuple):
+        self.vertex_count, self.arrows = vertex_count, arrows
         if self.vertex_count < 1:
             raise ValueError("vertex_count must be >= 1")
         seen = set()
@@ -56,13 +78,13 @@ class Quiver:
         return m
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Record):
     """A path of the quiver; arrows listed in traversal order (first traversed first)."""
 
-    source: int
-    target: int
-    arrows: tuple = ()
+    __slots__ = ("source", "target", "arrows")
+
+    def __init__(self, source: int, target: int, arrows: tuple = ()):
+        self.source, self.target, self.arrows = source, target, arrows
 
     @property
     def length(self) -> int:
@@ -213,13 +235,13 @@ def enumerate_paths(q: Quiver, max_len: int) -> PathTable:
     return PathTable(q, max_len)
 
 
-@dataclass(frozen=True)
-class GrowthVerdict:
-    bounded: bool
-    period: int | None = None
-    degree_bound: int | None = None
-    transient: int | None = None
-    witness: dict | None = None
+class GrowthVerdict(Record):
+    __slots__ = ("bounded", "period", "degree_bound", "transient", "witness")
+
+    def __init__(self, bounded: bool, period: int | None = None, degree_bound: int | None = None,
+                 transient: int | None = None, witness: dict | None = None):
+        self.bounded, self.period, self.degree_bound = bounded, period, degree_bound
+        self.transient, self.witness = transient, witness
 
     def describe(self) -> dict:
         d = {"bounded": self.bounded}
@@ -384,8 +406,9 @@ def growth_gate(q: Quiver) -> GrowthVerdict:
     the verdict certifies eventual periodicity of the count matrices by
     exhibiting T with A^(T+P) = A^T for the adjacency matrix A.
 
-    Memoized: a quiver is frozen, so each one gets its verdict once, and
-    later calls return the same GrowthVerdict.
+    Memoized: nothing reassigns a quiver's fields after construction, so
+    each quiver (and each equal one) gets its verdict once, and later calls
+    return the same GrowthVerdict.
     """
     info = _scc_cycle_data(q)
     for comp in info:

@@ -9,8 +9,6 @@ successful computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactlin import Field
 from .homology import (
     LocalCohReport,
@@ -23,7 +21,7 @@ from .homology import (
     minimalize,
     standard_resolution,
 )
-from .quiver import Quiver, growth_gate
+from .quiver import Quiver, Record, growth_gate
 from .repmod import Rep, VertexTwist, presentation_of_rep, simple, truncated_injective, twist
 
 
@@ -48,14 +46,15 @@ def global_dimension(q: Quiver) -> int:
     return expected
 
 
-@dataclass
-class RegularityVerdict:
-    as_regular: bool
-    gldim: int
-    tables: dict           # side -> vertex -> degree -> ExtReport
-    failures: list         # witnesses: dicts naming side, simple, degree, dim
-    sides_agree: bool
-    field: Field
+class RegularityVerdict(Record):
+    __slots__ = ("as_regular", "gldim", "tables", "failures", "sides_agree", "field")
+
+    def __init__(self, as_regular: bool, gldim: int, tables: dict, failures: list,
+                 sides_agree: bool, field: Field):
+        self.as_regular, self.gldim = as_regular, gldim
+        self.tables = tables        # side -> vertex -> degree -> ExtReport
+        self.failures = failures    # witnesses: dicts naming side, simple, degree, dim
+        self.sides_agree, self.field = sides_agree, field
 
     def describe(self) -> dict:
         table_out = {}
@@ -121,17 +120,16 @@ def as_regular_check(q: Quiver, trunc: int, fld: Field | None = None) -> Regular
     )
 
 
-@dataclass
-class NakayamaReport:
-    gldim: int
-    vertex_map: tuple          # the natural map on simples, 0-based
-    twist: VertexTwist
-    order: int
-    inner: str                 # "yes" | "no" | "undetermined"
-    witness: dict
-    orientation: str
-    localcoh: LocalCohReport
-    field: Field
+class NakayamaReport(Record):
+    __slots__ = ("gldim", "vertex_map", "twist", "order", "inner", "witness", "orientation",
+                 "localcoh", "field")
+
+    def __init__(self, gldim: int, vertex_map: tuple, twist: VertexTwist, order: int, inner: str,
+                 witness: dict, orientation: str, localcoh: LocalCohReport, field: Field):
+        self.gldim, self.twist, self.order = gldim, twist, order
+        self.vertex_map = vertex_map  # the natural map on simples, 0-based
+        self.inner = inner            # "yes" | "no" | "undetermined"
+        self.witness, self.orientation, self.localcoh, self.field = witness, orientation, localcoh, field
 
     def describe(self) -> dict:
         return {

@@ -21,12 +21,10 @@ when M* J^k = 0, and a change of basis in each fiber preserves it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import exactlin
 from .exactlin import Field, Kernel, Matrix, inverse, rank
 from .pathcoalg import AlgElement
-from .quiver import Path, Quiver, enumerate_paths, extend, opposite, trivial_path
+from .quiver import Path, Quiver, Record, enumerate_paths, extend, opposite, trivial_path
 
 
 class NotNilpotentError(ValueError):
@@ -376,11 +374,18 @@ def hom_space(m: Rep, n: Rep) -> list:
     return out
 
 
-def hom_dim(m: Rep, n: Rep) -> int:
-    """dim Hom(M, N): the nullity of the commutation matrix, from its rank."""
+def hom_ext1_dims(m: Rep, n: Rep) -> tuple:
+    """(dim Hom(M, N), dim Ext^1(M, N)): the nullity and the corank of the
+    commutation matrix, read off its one rank."""
     _check_pair(m, n)
     c = commutation_matrix(m, n)
-    return c.cols - rank(c)
+    r = rank(c)
+    return c.cols - r, c.rows - r
+
+
+def hom_dim(m: Rep, n: Rep) -> int:
+    """dim Hom(M, N), from `hom_ext1_dims`."""
+    return hom_ext1_dims(m, n)[0]
 
 
 def linear_dual(m: Rep) -> Rep:
@@ -390,17 +395,17 @@ def linear_dual(m: Rep) -> Rep:
                _carried_bound=m.nil_bound)
 
 
-@dataclass(frozen=True)
-class VertexTwist:
+class VertexTwist(Record):
     """A coalgebra automorphism datum: vertex permutation, arrow matching, scalars.
 
     sigma[v] is the image vertex, arrow_map[a] the image arrow index, and
     scalars[a] the nonzero coefficient attached to arrow a.
     """
 
-    sigma: tuple
-    arrow_map: tuple
-    scalars: tuple
+    __slots__ = ("sigma", "arrow_map", "scalars")
+
+    def __init__(self, sigma: tuple, arrow_map: tuple, scalars: tuple):
+        self.sigma, self.arrow_map, self.scalars = sigma, arrow_map, scalars
 
     def validate(self, quiver: Quiver, field: Field) -> None:
         n = quiver.vertex_count
@@ -703,8 +708,7 @@ def random_graded_rep(quiver: Quiver, rng, side: str = "left", field: Field | No
 # graded presentations
 
 
-@dataclass(frozen=True)
-class GradedPresentation:
+class GradedPresentation(Record):
     """Finitely generated graded module over A, by homogeneous presentation.
 
     generators: tuple of (vertex, degree) for the free cover summands A e_v.
@@ -714,14 +718,12 @@ class GradedPresentation:
     of degree rel_degree - gen_degree.
     """
 
-    quiver: Quiver
-    side: str
-    field: Field
-    generators: tuple
-    relations: tuple
-    entries: tuple
+    __slots__ = ("quiver", "side", "field", "generators", "relations", "entries")
 
-    def __post_init__(self):
+    def __init__(self, quiver: Quiver, side: str, field: Field, generators: tuple, relations: tuple,
+                 entries: tuple):
+        self.quiver, self.side, self.field = quiver, side, field
+        self.generators, self.relations, self.entries = generators, relations, entries
         if self.side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         for g, (gv, gd) in enumerate(self.generators):
@@ -739,11 +741,11 @@ class GradedPresentation:
                     src, tgt = (gv, rv) if self.side == "left" else (rv, gv)
                     if p.source != src or p.target != tgt:
                         raise ValueError(
-                            f"entry ({g},{r}) supported outside e_{rv} A e_{gv}"
+                            f"entry ({g + 1},{r + 1}) supported outside e_{rv + 1} A e_{gv + 1}"
                         )
                     if p.length != rd - gd:
                         raise ValueError(
-                            f"entry ({g},{r}) not homogeneous of degree {rd - gd}"
+                            f"entry ({g + 1},{r + 1}) not homogeneous of degree {rd - gd}"
                         )
 
     def describe(self) -> dict:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -430,3 +434,34 @@ def test_verify_double_dual_roundtrip_catches_a_broken_dual(quiver_file, capsys,
     assert roundtrip["cases"] == 4
     assert roundtrip["failures"] > 0
     assert report["verdicts"]["all_passed"] is False
+
+
+def test_verify_builds_each_commutation_matrix_once(quiver_file, capsys, monkeypatch):
+    """Hom and Ext^1 of one pair are read off one commutation matrix."""
+    from quiverhom import homology, repmod
+
+    pairs = []  # the (M, N) objects themselves, so no id is reused during the run
+    real = repmod.commutation_matrix
+
+    def counting(m, n):
+        pairs.append((m, n))
+        return real(m, n)
+
+    monkeypatch.setattr(repmod, "commutation_matrix", counting)
+    monkeypatch.setattr(homology, "commutation_matrix", counting)
+    code, report = run_json(
+        capsys, ["verify", "--quiver", quiver_file(KRONECKER), "--trunc", "6",
+                 "--cases", "12", "--seed", "2", "--json"])
+    assert code == 0 and report["verdicts"]["all_passed"] is True
+    keys = [(id(m), id(n)) for m, n in pairs]
+    assert len(keys) >= 2 * 12 and len(set(keys)) == len(keys)
+
+
+def test_cli_import_loads_no_dataclasses_machinery():
+    # dataclasses pulls in inspect, ast, dis and tokenize: several ms of every job's start-up
+    src = Path(__file__).resolve().parent.parent / "src"
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    probe = f"import sys, quiverhom.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from quiverhom.exactlin import Field, Kernel, Matrix, inverse, rank
-from quiverhom.quiver import parse_quiver
+from quiverhom.pathcoalg import AlgElement
+from quiverhom.quiver import Path, parse_quiver
 from quiverhom.repmod import (
     GradingError,
     NotNilpotentError,
@@ -15,8 +16,10 @@ from quiverhom.repmod import (
     arrow_ends,
     commutation_matrix,
     euler_pairing,
+    GradedPresentation,
     graded_form,
     hom_dim,
+    hom_ext1_dims,
     hom_space,
     identity_twist,
     linear_dual,
@@ -695,3 +698,23 @@ def test_chain_basis_eliminates_once_per_power_and_inverts_once_per_fiber(monkey
             graded_form(m)
             assert len(kernels) == len(set(kernels)) <= m.nil_bound
             assert len(inverses) == sum(1 for d in m.dims if d)
+
+
+def test_presentation_errors_name_entries_and_vertices_1_based():
+    # one generator at vertex 1 and two relations at vertex 2; the second entry is bad
+    u = AlgElement.dual_path(Q, Path(0, 1, (0,)))
+    at_1 = AlgElement.dual_path(Q, Path(0, 0, ()))
+    with pytest.raises(ValueError, match=r"^entry \(1,2\) supported outside e_2 A e_1$"):
+        GradedPresentation(KRONECKER, "left", Q, ((0, 0),), ((1, 1), (1, 1)), ((u, at_1),))
+    with pytest.raises(ValueError, match=r"^entry \(1,2\) not homogeneous of degree 2$"):
+        GradedPresentation(KRONECKER, "left", Q, ((0, 0),), ((1, 1), (1, 2)), ((u, u),))
+
+
+def test_hom_and_ext1_share_one_rank():
+    rng = random.Random(19)
+    for quiv in (LOOP, KRONECKER, THREE_CYCLE):
+        for _ in range(4):
+            m, n = (random_graded_rep(quiv, rng, "left", Q) for _ in range(2))
+            c = commutation_matrix(m, n)
+            assert hom_ext1_dims(m, n) == (c.cols - rank(c), c.rows - rank(c))
+            assert hom_ext1_dims(m, n)[0] == hom_dim(m, n) == len(hom_space(m, n))
