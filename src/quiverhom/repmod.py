@@ -24,7 +24,7 @@ from __future__ import annotations
 from . import exactlin
 from .exactlin import Field, Kernel, Matrix, inverse, rank
 from .pathcoalg import AlgElement
-from .quiver import Path, Quiver, Record, enumerate_paths, extend, opposite, trivial_path
+from .quiver import Path, Quiver, Record, enumerate_paths, opposite, trivial_path
 
 
 class NotNilpotentError(ValueError):
@@ -195,117 +195,78 @@ def simple(quiver: Quiver, vertex: int, side: str = "left", field: Field | None 
     return Rep(quiver, side, field, dims, maps)
 
 
-def _path_basis_rep(quiver: Quiver, side: str, field: Field, paths: list, action: str) -> Rep:
-    """Rep spanned by a path list closed under the requested arrow action.
-
-    action="strip_last":  arrow a sends p = a*q  to q      (side "right")
-    action="strip_first": arrow a sends p = q*a  to q      (side "left")
-    action="append_last": arrow a sends p to a*p when composable (side "left")
-    """
-    fiber_key = (lambda p: p.target) if side == "right" else (
-        (lambda p: p.source) if action == "strip_first" else (lambda p: p.target)
-    )
-    # fibers: group paths; right-module fibers are by M.e_v, left by e_v.M.
-    # For the path models used here the key is the path endpoint listed above.
+def _path_basis(quiver: Quiver, field: Field, paths: list) -> tuple:
+    """(dims, maps) of the left module spanned by a list of paths: fibers by
+    target, and arrow a sends p to a*p when that path is on the list."""
     fibers = {v: [] for v in quiver.vertices}
     index = {}
     for p in paths:
-        v = fiber_key(p)
-        index[p] = (v, len(fibers[v]))
-        fibers[v].append(p)
+        index[p] = len(fibers[p.target])
+        fibers[p.target].append(p)
     dims = [len(fibers[v]) for v in quiver.vertices]
     maps = []
     for ai, a in enumerate(quiver.arrows):
-        dom, cod = arrow_ends(side, a)
-        m = [[field.zero] * dims[dom] for _ in range(dims[cod])]
-        for j, p in enumerate(fibers[dom]):
-            img = _act_on_path(quiver, p, ai, action)
-            if img is not None and img in index:
-                v, i = index[img]
-                if v != cod:
-                    raise AssertionError("path action left its expected fiber")
+        m = [[field.zero] * dims[a.source] for _ in range(dims[a.target])]
+        for j, p in enumerate(fibers[a.source]):
+            i = index.get(Path(p.source, a.target, p.arrows + (ai,)))
+            if i is not None:
                 m[i][j] = field.one
-        maps.append(Matrix._normalized(field, tuple(map(tuple, m)), dims[dom]))
+        maps.append(Matrix._normalized(field, tuple(map(tuple, m)), dims[a.source]))
+    return dims, maps
+
+
+def truncated_free_rep(quiver: Quiver, vertex: int, n: int, side: str = "left", field: Field | None = None) -> Rep:
+    """The finite quotient (A e_v) / J^(n+1) (side="left"), or its mirror, as a Rep.
+
+    Basis: the paths of length <= n out of v, fibers by target, arrows
+    appending at the target end.  The right module e_v A / J^(n+1) is the
+    left one over the opposite quiver: the paths into v, read reversed, with
+    arrows prepending at the source end.
+    """
+    field = field or Field(0)
+    table = enumerate_paths(quiver, n)
+    if side == "left":
+        dims, maps = _path_basis(quiver, field, table.paths(source=vertex))
+    else:
+        dims, maps = _path_basis(opposite(quiver), field, [_reverse_path(p) for p in table.paths(target=vertex)])
     return Rep(quiver, side, field, dims, maps)
 
 
-def _act_on_path(quiver: Quiver, p: Path, arrow_index: int, action: str) -> Path | None:
-    a = quiver.arrows[arrow_index]
-    if action == "strip_last":
-        if p.length and p.arrows[-1] == arrow_index:
-            src = p.source
-            tgt = a.source
-            return Path(src, tgt, p.arrows[:-1])
-        return None
-    if action == "strip_first":
-        if p.length and p.arrows[0] == arrow_index:
-            return Path(a.target, p.target, p.arrows[1:])
-        return None
-    if action == "append_last":
-        if p.target == a.source:
-            return Path(p.source, a.target, p.arrows + (arrow_index,))
-        return None
-    raise ValueError(action)
-
-
 def truncated_injective(quiver: Quiver, vertex: int, n: int, side: str = "right", field: Field | None = None) -> Rep:
-    """Degree <= n piece of the injective envelope of simple(vertex) on a side.
+    """Degree <= n piece of the injective envelope of simple(vertex) on a side:
+    the linear dual of the truncated free module on the other side.
 
     side="right" (a left C-comodule): basis are the paths with source
     `vertex`, fibers by target, arrows strip their own last step.
     side="left" is the arrow-reversed mirror (paths with target `vertex`,
     fibers by source, arrows strip their first step).  Socle is the simple.
     """
-    field = field or Field(0)
-    table = enumerate_paths(quiver, n)
-    if side == "right":
-        paths = table.paths(source=vertex)
-        return _path_basis_rep(quiver, "right", field, paths, "strip_last")
-    paths = table.paths(target=vertex)
-    return _path_basis_rep(quiver, "left", field, paths, "strip_first")
-
-
-def truncated_free_rep(quiver: Quiver, vertex: int, n: int, side: str = "left", field: Field | None = None) -> Rep:
-    """The finite quotient (A e_v) / J^(n+1) (side="left"), or its mirror, as a Rep."""
-    field = field or Field(0)
-    table = enumerate_paths(quiver, n)
-    if side == "left":
-        paths = table.paths(source=vertex)
-        return _path_basis_rep(quiver, "left", field, paths, "append_last")
-    # right free module e_v A / A-side truncation: paths with target v,
-    # arrows prepend at the source end = transpose picture of the left case.
-    paths = table.paths(target=vertex)
-    rep_left = _path_basis_rep(opposite(quiver), "left", field, [_reverse_path(p) for p in paths], "append_last")
-    return _from_opposite(quiver, rep_left, "right", field)
+    return linear_dual(truncated_free_rep(quiver, vertex, n, "left" if side == "right" else "right", field))
 
 
 def uniserial(quiver: Quiver, start: int, length: int, side: str = "left", field: Field | None = None) -> Rep:
-    """Uniserial module following the unique outgoing walk from `start`.
+    """Uniserial module following the unique outgoing walk from `start`: the
+    truncated free module at `start` of that length.
 
-    On the loop quiver with side="left" this is k[x]/x^length.  Requires each
-    visited vertex to have exactly one arrow continuing the walk.
+    On the loop quiver with side="left" this is k[x]/x^length.  Requires a
+    length of at least 1 and each visited vertex to have exactly one arrow
+    continuing the walk (in the opposite quiver for side="right").
     """
-    field = field or Field(0)
+    if length < 1:
+        raise ValueError(f"length {length} below 1")
     walk_quiver = quiver if side == "left" else opposite(quiver)
-    walk = [trivial_path(start)]
+    v = start
     for _ in range(length - 1):
-        v = walk[-1].target
         outs = walk_quiver.arrows_from(v)
         if len(outs) != 1:
             raise ValueError(f"vertex {v + 1} does not have a unique continuation")
-        walk.append(extend(walk_quiver, walk[-1], outs[0]))
-    rep = _path_basis_rep(walk_quiver, "left", field, walk, "append_last")
-    return rep if side == "left" else _from_opposite(quiver, rep, side, field)
+        v = walk_quiver.arrows[outs[0]].target
+    return truncated_free_rep(quiver, start, length - 1, side, field)
 
 
 def _reverse_path(p: Path) -> Path:
     """The same arrows read in the opposite quiver."""
     return Path(p.target, p.source, tuple(reversed(p.arrows)))
-
-
-def _from_opposite(quiver: Quiver, rep_op: Rep, side: str, field: Field) -> Rep:
-    """Reinterpret a left Rep over the opposite quiver as a `side` Rep here."""
-    return Rep(quiver, side, field, rep_op.dims, rep_op.maps)
 
 
 def commutation_matrix(m: Rep, n: Rep) -> Matrix:

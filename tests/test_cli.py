@@ -221,7 +221,7 @@ def test_verify_resolves_each_torsion_module_once(quiver_file, capsys, monkeypat
     assert drawn["rational_part"] > 1 and drawn["graded_form"] > 0
     # graded finality reads the simple at two truncations, one model each
     assert calls == {"cmd_verify": drawn["graded_form"] + drawn["rational_part"],
-                     "as_regular_check": 4, "standard_resolution": 2, "ext_vs_algebra": 2}
+                     "as_regular_check": 4, "ext_vs_algebra": 2}
 
 
 def test_json_determinism(quiver_file, capsys):

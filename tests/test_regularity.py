@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from quiverhom.exactlin import Field
 from quiverhom.quiver import parse_quiver
-from quiverhom.repmod import VertexTwist, identity_twist, simple, uniserial
+from quiverhom.repmod import VertexTwist, identity_twist, simple, truncated_free_rep, uniserial
 from quiverhom.regularity import (
     NotASRegularError,
     as_regular_check,
@@ -14,7 +16,7 @@ from quiverhom.regularity import (
     nakayama,
     serre_twist,
 )
-from quiverhom import regularity
+from quiverhom import homology, regularity, repmod
 from rep_helpers import count_presentations  # tests/rep_helpers.py
 
 Q = Field(0)
@@ -31,13 +33,69 @@ def test_global_dimension():
     assert global_dimension(TWO_CYCLE) == 1
 
 
+def test_global_dimension_builds_no_presentation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("global_dimension resolved a module")
+
+    for module, name in ((repmod, "presentation_of_rep"), (homology, "presentation_of_rep"),
+                         (regularity, "presentation_of_rep"), (homology, "standard_resolution"),
+                         (homology, "minimalize")):
+        monkeypatch.setattr(module, name, refuse)
+    assert [global_dimension(q) for q in (NO_ARROW, LOOP, TWO_CYCLE, KRONECKER)] == [0, 1, 1, 1]
+    two_loops_file = Path(__file__).resolve().parents[1] / "examples_quivers" / "two_loops.quiver"
+    with pytest.raises(ValueError, match="^growth gate rejected the quiver$"):
+        global_dimension(parse_quiver(two_loops_file.read_text())[0])
+
+
+def _cycle(n):
+    arrows = "".join(f"arrow a{v} {v} {v % n + 1}\n" for v in range(1, n + 1))
+    return parse_quiver(f"vertices: {n}\n{arrows}")[0]
+
+
+def count_commutation_matrices(monkeypatch) -> list:
+    """Wrap `repmod.commutation_matrix`; the list returned collects the
+    (M, N) objects of its calls, so no id is reused during the run."""
+    pairs = []
+    real = repmod.commutation_matrix
+
+    def counting(m, n):
+        pairs.append((m, n))
+        return real(m, n)
+
+    monkeypatch.setattr(repmod, "commutation_matrix", counting)
+    return pairs
+
+
+def test_cy_check_ranks_each_pair_once(monkeypatch):
+    """Hom and Ext^1 of (X, Y) and of (Y, S X) each come off one commutation
+    matrix: 2 per pair of the default family, simples and small frees."""
+    pairs = count_commutation_matrices(monkeypatch)
+    for length, want in ((2, 32), (3, 72), (4, 128)):
+        q = _cycle(length)
+        family = [simple(q, v, "left", Q) for v in q.vertices]
+        family += [truncated_free_rep(q, v, 2, "left", Q) for v in q.vertices]
+        pairs.clear()
+        assert cy_check(q, family, 12, None, Q)["identity_count"] == len(family) ** 2 * 2
+        keys = [(id(m), id(n)) for m, n in pairs]
+        assert len(keys) == want == 2 * len(family) ** 2 and len(set(keys)) == want
+
+
+def test_chi_probe_ranks_each_probe_pair_once(monkeypatch):
+    """Both degrees of a finite-dimensional probe come off one commutation
+    matrix: one per (simple or injective probe, simple), 2n^2 in all."""
+    pairs = count_commutation_matrices(monkeypatch)
+    for q in (LOOP, TWO_CYCLE, THREE_CYCLE, KRONECKER):
+        pairs.clear()
+        assert chi_probe(q, 8, Q)["passes"] is True
+        assert len(pairs) == 2 * q.vertex_count ** 2
+
+
 def test_as_regular_check_resolves_each_simple_once(monkeypatch):
     """Both Ext degrees of a simple are read off one model of one
-    presentation: 2 sides x 3 simples.  The 3 left resolutions besides are
-    global_dimension's cross-check, through standard_resolution."""
+    presentation: 2 sides x 3 simples, and no other presentation."""
     calls = count_presentations(monkeypatch)
     assert as_regular_check(THREE_CYCLE, 8, Q).as_regular
-    assert calls == {"as_regular_check": 6, "standard_resolution": 3}
+    assert calls == {"as_regular_check": 6}
 
 
 def test_natural_map_values():

@@ -5,7 +5,7 @@ import pytest
 
 from quiverhom.exactlin import Field, Kernel, Matrix, inverse, rank
 from quiverhom.pathcoalg import AlgElement
-from quiverhom.quiver import Path, parse_quiver
+from quiverhom.quiver import Path, enumerate_paths, extend, opposite, parse_quiver, trivial_path
 from quiverhom.repmod import (
     GradingError,
     NotNilpotentError,
@@ -718,3 +718,118 @@ def test_hom_and_ext1_share_one_rank():
             c = commutation_matrix(m, n)
             assert hom_ext1_dims(m, n) == (c.cols - rank(c), c.rows - rank(c))
             assert hom_ext1_dims(m, n)[0] == hom_dim(m, n) == len(hom_space(m, n))
+
+
+# ---------------------------------------------------------------- path modules
+# The constructions that the truncated free module replaced, kept as the
+# reference: injectives built on their paths with each arrow stripping a
+# step, and uniserials built on their walk.
+
+
+def _reference_act(quiver, p, ai, action):
+    a = quiver.arrows[ai]
+    if action == "strip_last":  # arrow a sends a*q to q
+        return Path(p.source, a.source, p.arrows[:-1]) if p.length and p.arrows[-1] == ai else None
+    if action == "strip_first":  # arrow a sends q*a to q
+        return Path(a.target, p.target, p.arrows[1:]) if p.length and p.arrows[0] == ai else None
+    return Path(p.source, a.target, p.arrows + (ai,)) if p.target == a.source else None
+
+
+def reference_path_basis_rep(quiver, side, field, paths, action):
+    """Rep on a path list closed under the action: fibers by source for
+    strip_first, by target otherwise."""
+    fibers = {v: [] for v in quiver.vertices}
+    index = {}
+    for p in paths:
+        v = p.source if action == "strip_first" else p.target
+        index[p] = (v, len(fibers[v]))
+        fibers[v].append(p)
+    dims = [len(fibers[v]) for v in quiver.vertices]
+    maps = []
+    for ai, a in enumerate(quiver.arrows):
+        dom, cod = arrow_ends(side, a)
+        m = [[field.zero] * dims[dom] for _ in range(dims[cod])]
+        for j, p in enumerate(fibers[dom]):
+            img = _reference_act(quiver, p, ai, action)
+            if img in index:
+                v, i = index[img]
+                assert v == cod, "path action left its expected fiber"
+                m[i][j] = field.one
+        maps.append(Matrix(field, m, cols=dims[dom]))
+    return Rep(quiver, side, field, dims, maps)
+
+
+def reference_truncated_injective(quiver, v, n, side, field):
+    table = enumerate_paths(quiver, n)
+    if side == "right":
+        return reference_path_basis_rep(quiver, "right", field, table.paths(source=v), "strip_last")
+    return reference_path_basis_rep(quiver, "left", field, table.paths(target=v), "strip_first")
+
+
+def reference_truncated_free_rep(quiver, v, n, side, field):
+    table = enumerate_paths(quiver, n)
+    if side == "left":
+        return reference_path_basis_rep(quiver, "left", field, table.paths(source=v), "append_last")
+    reversed_paths = [Path(p.target, p.source, p.arrows[::-1]) for p in table.paths(target=v)]
+    op = reference_path_basis_rep(opposite(quiver), "left", field, reversed_paths, "append_last")
+    return Rep(quiver, "right", field, op.dims, op.maps)
+
+
+def reference_uniserial(quiver, start, length, side, field):
+    walk_quiver = quiver if side == "left" else opposite(quiver)
+    walk = [trivial_path(start)]
+    for _ in range(length - 1):
+        v = walk[-1].target
+        outs = walk_quiver.arrows_from(v)
+        if len(outs) != 1:
+            raise ValueError(f"vertex {v + 1} does not have a unique continuation")
+        walk.append(extend(walk_quiver, walk[-1], outs[0]))
+    op = reference_path_basis_rep(walk_quiver, "left", field, walk, "append_last")
+    return Rep(quiver, side, field, op.dims, op.maps)
+
+
+A3_WITH_SHORTCUT = parse_quiver("vertices: 3\narrow a 1 2\narrow b 2 3\narrow c 1 3\n")[0]
+DIAMOND = parse_quiver("vertices: 4\narrow a 1 2\narrow b 1 3\narrow c 2 4\narrow d 3 4\n")[0]
+TWO_LOOPS = parse_quiver("vertices: 1\narrow x 1 1\narrow y 1 1\n")[0]
+PATH_QUIVERS = (LOOP, TWO_CYCLE, THREE_CYCLE, KRONECKER, A3_WITH_SHORTCUT, LOOP_WITH_TAIL, DIAMOND,
+                TWO_LOOPS)
+
+
+def _module_outcome(build):
+    """(side, dims, matrices, nil bound) of build(), or the ValueError it raised."""
+    try:
+        m = build()
+    except ValueError as exc:
+        return str(exc)
+    return m.side, m.dims, m.maps, m.nil_bound
+
+
+def test_path_modules_equal_the_strip_and_walk_constructions():
+    walks = refusals = 0
+    for fld in CHAIN_FIELDS:
+        for quiv in PATH_QUIVERS:
+            for v in quiv.vertices:
+                for n in range(5):
+                    for side in ("left", "right"):
+                        for new, ref, length in ((truncated_free_rep, reference_truncated_free_rep, n),
+                                                 (truncated_injective, reference_truncated_injective, n),
+                                                 (uniserial, reference_uniserial, n + 1)):
+                            got = _module_outcome(lambda: new(quiv, v, length, side, fld))
+                            want = _module_outcome(lambda: ref(quiv, v, length, side, fld))
+                            assert got == want, (new.__name__, quiv, v, length, side, fld)
+                            if new is uniserial:
+                                walks += not isinstance(want, str)
+                                refusals += isinstance(want, str)
+    assert walks and refusals
+
+
+def test_uniserial_refusals():
+    with pytest.raises(ValueError, match=r"^vertex 1 does not have a unique continuation$"):
+        uniserial(KRONECKER, 0, 2, "left", Q)
+    with pytest.raises(ValueError, match=r"^vertex 2 does not have a unique continuation$"):
+        uniserial(KRONECKER, 1, 2, "right", Q)
+    with pytest.raises(ValueError, match=r"^vertex 1 does not have a unique continuation$"):
+        uniserial(TWO_LOOPS, 0, 3, "right", Q)
+    for length in (0, -1):
+        with pytest.raises(ValueError, match=rf"^length {length} below 1$"):
+            uniserial(LOOP, 0, length, "left", Q)
