@@ -326,15 +326,10 @@ def _induced_map(fld: Field, src: _Block, dst: _Block, move) -> Matrix:
     """Matrix of the map on classes src -> dst induced by a label move: column
     j holds the coordinates in `dst` of the representative `src.space.basis[j]`
     moved along `move`."""
-    return _classes_of(fld, dst, [_push(fld, src.labels, vec, move, dst.index) for vec in src.space.basis])
-
-
-def _classes_of(fld: Field, dst: _Block, vecs) -> Matrix:
-    """Matrix whose column j holds the coordinates in `dst` of the ambient vector vecs[j]."""
     cols = []
-    for vec in vecs:
+    for vec in src.space.basis:
         try:
-            cols.append(dst.space.coordinates(vec))
+            cols.append(dst.space.coordinates(_push(fld, src.labels, vec, move, dst.index)))
         except ValueError:
             raise AssertionError("vector not in kernel block") from None
     return Matrix.from_columns(fld, cols, dst.dim)
@@ -939,12 +934,14 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
     a graded piece counts as stabilized once every observed transition from
     its first appearance on is an isomorphism and at least one transition was
     observed.  Each stage is presented by its two-term minimal resolution.
-    Stage dimensions are read through PresentationModel.dim, so a stage block
-    is built only where its classes are read.  A piece with classes, its
-    dimensions equal at every stage, is certified by one rank: that of the
-    composite of its transitions from birth to m_max.  Each transition is
-    square of the same size, and the composite's determinant is the product
-    of theirs, so it is invertible exactly when every transition is.
+    In the degrees read (d = -ell - n) the other term of a stage's Hom-dual
+    has no label, so a stage block is the whole space on its own labels, with
+    no model or elimination.  A piece with classes, its dimensions equal at
+    every stage, is certified by one rank: that of the composite of its
+    transitions from birth to m_max on the unit vectors of the birth labels.
+    Each transition is square of the same size, and the composite's
+    determinant is the product of theirs, so it is invertible exactly when
+    every transition is.
     The vertex twist sigma is read off the degree-0 slice and checked against
     the path coalgebra in every degree, and arrow-level cycle products are
     extracted from the two one-sided module structures.
@@ -963,34 +960,30 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
     if ell_max < 0:
         raise StabilizationError("m_max too small for any stabilized degree",
                                  f"increase m_max to at least {n + 2}")
-    # m_max may exceed the models' truncation by one
+    # m_max may exceed the truncation of the stage labels by one
     table = enumerate_paths(rep_q, m_max)
+    op_table = enumerate_paths(opposite(rep_q), trunc)
     stages = {(u, m): _stage_presentation(rep_q, u, m, fld, table)
               for u in rep_q.vertices for m in range(1, m_max + 1)}
-    models = {key: ext_model(pres, trunc) for key, pres in stages.items()}
     # the surjection of stage m + 1 onto stage m lifts to the identity on F0
     # and to [x p] -> x [p] on F1
     stage_moves = {(u, m): (_relation_move(rep_q, stages[(u, m)], stages[(u, m + 1)], trivial_path(u))
                             if i else lambda lab: (lab,))
                    for u in rep_q.vertices for m in range(1, m_max)}
 
-    space = Quotient if i else Kernel
+    def labels(u, m, d, w):
+        # the labels of Hom(F1, A) at index 1 and of Hom(F0, A) at index 0, paths read in the
+        # opposite quiver; in the degrees read the other term has none, so these are the classes
+        gens = tuple((v, -dr) for v, dr in stages[(u, m)].relations) if i else ((u, 0),)
+        return free_term_basis(op_table, gens, d, w)
 
-    def get_block(u, m, d, w):
-        model = models[(u, m)]
-        return model.block(d, w) if i else model.kernel(d, w)
-
-    def composite(u, birth, d, w):
-        # the map on classes of block (d, w) from stage `birth` to m_max; a stage in between
-        # is only its label index
-        src, dst = get_block(u, birth, d, w), get_block(u, m_max, d, w)
-        labels, vecs = src.labels, src.space.basis
-        for m in range(birth + 1, m_max + 1):
-            nxt = dst.labels if m == m_max else models[(u, m)]._labels(space, d, w)
-            index = dst.index if m == m_max else {lab: k for k, lab in enumerate(nxt)}
-            vecs = [_push(fld, labels, vec, stage_moves[(u, m - 1)], index) for vec in vecs]
-            labels = nxt
-        return _classes_of(fld, dst, vecs)
+    def composite(u, birth, chain):
+        # the unit vectors on the labels of stage `birth`, pushed through each stage to m_max
+        vecs = Kernel.whole(fld, len(chain[0])).basis
+        for m, (src, dst) in enumerate(zip(chain, chain[1:]), birth):
+            index = {lab: k for k, lab in enumerate(dst)}
+            vecs = [_push(fld, src, vec, stage_moves[(u, m)], index) for vec in vecs]
+        return Matrix.from_columns(fld, vecs, len(chain[-1]))
 
     dims = {}
     stabilized_at = {}
@@ -1002,11 +995,11 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
                 raise StabilizationError(
                     f"degree {ell} needs stages beyond m_max", f"increase m_max beyond {m_max}")
             for w in rep_q.vertices:
-                stage_dims = {models[(u, m)].dim(d, w, space) for m in range(birth, m_max + 1)}
-                dim = max(stage_dims)
+                chain = [labels(u, m, d, w) for m in range(birth, m_max + 1)]
+                dim = len(chain[-1])
                 # the composite birth -> m_max is square; it is invertible exactly when every
                 # transition is, since its determinant is the product of theirs
-                if len(stage_dims) > 1 or dim and rank(composite(u, birth, d, w)) < dim:
+                if any(len(labs) != dim for labs in chain) or dim and rank(composite(u, birth, chain)) < dim:
                     raise StabilizationError(
                         f"colimit piece (u={u + 1}, w={w + 1}, degree {ell}) did not stabilize",
                         f"increase m_max beyond {m_max} or truncation beyond {trunc}")
@@ -1022,7 +1015,7 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
         twist_note = "identically zero"
     cycle_products = {}
     if i == n and twist_sigma is not None and all(twist_sigma[v] == v for v in rep_q.vertices):
-        cycle_products = _cycle_products(rep_q, fld, stages, get_block, n, m_max)
+        cycle_products = _cycle_products(rep_q, fld, stages, labels, n, m_max)
     return LocalCohReport(i, n, dims, stabilized_at, ell_max, twist_sigma, twist_note,
                           cycle_products, fld, side)
 
@@ -1043,14 +1036,15 @@ def _match_twist(quiver: Quiver, dims: dict, ell_max: int):
     return sigma, "1 matching vertex permutation(s); reporting the lexicographically first"
 
 
-def _cycle_products(quiver, fld, stages, get_block, n, m_max):
+def _cycle_products(quiver, fld, stages, labels, n, m_max):
     """Ratio of right-route to left-route composites around each cycle.
 
-    Both composites connect the same stabilized one-dimensional blocks; the
-    basis ambiguities cancel in the ratio, which equals the product of the
-    twist scalars around the cycle.  Requires all touched blocks to be
-    one-dimensional (true on the disjoint-cycle instances with identity
-    vertex twist); returns {} when that fails.
+    Both composites connect the same stabilized one-dimensional blocks,
+    whole on their labels(u, m_max, d, w); the basis ambiguities cancel in
+    the ratio, which equals the product of the twist scalars around the
+    cycle.  Requires all touched blocks to be one-dimensional (true on the
+    disjoint-cycle instances with identity vertex twist); returns {} when
+    that fails.
     """
     out = {}
     q_op = opposite(quiver)
@@ -1061,8 +1055,8 @@ def _cycle_products(quiver, fld, stages, get_block, n, m_max):
         u0 = quiver.arrows[cyc[0]].source
         # right route: within summand u0, arrow actions move (d, t(b)) -> (d+1, s(b))
         kappa = _route_product(fld, (
-            (get_block(u0, m_max, d0 + k, quiver.arrows[b].target),
-             get_block(u0, m_max, d0 + k + 1, quiver.arrows[b].source),
+            (labels(u0, m_max, d0 + k, quiver.arrows[b].target),
+             labels(u0, m_max, d0 + k + 1, quiver.arrows[b].source),
              _left_mult(q_op, b))
             for k, b in enumerate(reversed(cyc))))
         if kappa is None:
@@ -1070,8 +1064,8 @@ def _cycle_products(quiver, fld, stages, get_block, n, m_max):
         # left route: across summands, right multiplication by b on the
         # quotient modules moves summand s(b) to t(b)
         mu = _route_product(fld, (
-            (get_block(quiver.arrows[b].source, m_max, d0 + k, u0),
-             get_block(quiver.arrows[b].target, m_max, d0 + k + 1, u0),
+            (labels(quiver.arrows[b].source, m_max, d0 + k, u0),
+             labels(quiver.arrows[b].target, m_max, d0 + k + 1, u0),
              _relation_move(quiver, stages[(quiver.arrows[b].source, m_max)],
                             stages[(quiver.arrows[b].target, m_max)], _arrow_path(quiver, b)))
             for k, b in enumerate(cyc)))
@@ -1082,14 +1076,14 @@ def _cycle_products(quiver, fld, stages, get_block, n, m_max):
 
 
 def _route_product(fld: Field, steps):
-    """Product of the 1x1 maps along a route of (src, dst, move) steps, or
-    None once a block is not one-dimensional or a map vanishes.  `steps` is
-    consumed lazily, so no block past the first failing step is built."""
+    """Product of the 1x1 maps (pushes of (1,)) along a route of (src labels,
+    dst labels, move) steps, or None once a block is not one-dimensional or a
+    map vanishes.  `steps` is consumed lazily, so it stops at a failing step."""
     val = fld.one
     for src, dst, move in steps:
-        if src.dim != 1 or dst.dim != 1:
+        if len(src) != 1 or len(dst) != 1:
             return None
-        coord = _induced_map(fld, src, dst, move)[0, 0]
+        coord = _push(fld, src, (fld.one,), move, {dst[0]: 0})[0]
         if fld.is_zero(coord):
             return None
         val = fld.mul(val, coord)

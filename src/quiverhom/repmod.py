@@ -186,7 +186,7 @@ def simple(quiver: Quiver, vertex: int, side: str = "left", field: Field | None 
     """The one-dimensional simple at a vertex, all arrows acting by zero."""
     field = field or Field(0)
     if not 0 <= vertex < quiver.vertex_count:
-        raise ValueError(f"vertex {vertex} out of range")
+        raise ValueError(f"vertex {vertex + 1} out of range 1..{quiver.vertex_count}")
     dims = [1 if v == vertex else 0 for v in quiver.vertices]
     maps = []
     for a in quiver.arrows:
@@ -224,6 +224,8 @@ def truncated_free_rep(quiver: Quiver, vertex: int, n: int, side: str = "left", 
     arrows prepending at the source end.
     """
     field = field or Field(0)
+    if not 0 <= vertex < quiver.vertex_count:
+        raise ValueError(f"vertex {vertex + 1} out of range 1..{quiver.vertex_count}")
     table = enumerate_paths(quiver, n)
     if side == "left":
         dims, maps = _path_basis(quiver, field, table.paths(source=vertex))
@@ -687,9 +689,11 @@ class GradedPresentation(Record):
         self.generators, self.relations, self.entries = generators, relations, entries
         if self.side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        for g, (gv, gd) in enumerate(self.generators):
-            if not 0 <= gv < self.quiver.vertex_count:
-                raise ValueError("generator vertex out of range")
+        n = self.quiver.vertex_count
+        for kind, terms in (("generator", self.generators), ("relation", self.relations)):
+            for k, (v, _) in enumerate(terms):
+                if not 0 <= v < n:
+                    raise ValueError(f"{kind} {k + 1} at vertex {v + 1} out of range 1..{n}")
         if len(self.entries) != len(self.generators):
             raise ValueError("entry rows must match generators")
         for g, row in enumerate(self.entries):
@@ -724,7 +728,7 @@ def truncated_free(quiver: Quiver, vertex: int, n: int, side: str = "left", fiel
     """
     field = field or Field(0)
     if not 0 <= vertex < quiver.vertex_count:
-        raise ValueError("vertex out of range")
+        raise ValueError(f"vertex {vertex + 1} out of range 1..{quiver.vertex_count}")
     return GradedPresentation(quiver, side, field, ((vertex, 0),), (), ((),))
 
 

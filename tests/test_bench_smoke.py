@@ -16,11 +16,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_traced_job_counts_every_layer():
-    # nakayama eliminates and builds blocks; no command calls
-    # standard_resolution, so homology.resolutions stays at zero, but the
-    # tracer still binds that name and a rename crashes the job
+    # asreg eliminates and builds blocks (local cohomology builds none); no
+    # command calls standard_resolution, so homology.resolutions stays at
+    # zero, but the tracer still binds that name and a rename crashes the job
     proc = subprocess.run(
-        [sys.executable, "bench/job.py", "1", "nakayama",
+        [sys.executable, "bench/job.py", "1", "asreg",
          "--quiver", "examples_quivers/three_cycle.quiver", "--trunc", "6", "--json"],
         cwd=ROOT, env=dict(os.environ, PYTHONPATH="src"),
         capture_output=True, text=True, timeout=300,

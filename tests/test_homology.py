@@ -573,23 +573,23 @@ def test_a_singular_transition_inside_the_stage_chain_is_refused(monkeypatch):
         local_cohomology(THREE_CYCLE, 1, 12, 12, Q)
 
 
-def test_local_cohomology_builds_blocks_only_where_classes_are_read(monkeypatch):
-    """Stage dimensions are counted from labels, so index 0 on the 3-cycle
-    (where every kernel block lacks labels of its own) builds no block, and
-    index 1 builds at most the birth and the m_max block of each piece
-    with classes."""
-    built = []
-    real = PresentationModel._build
+def test_local_cohomology_builds_no_presentation_model(monkeypatch):
+    """Stage classes are label lists, so neither index builds a
+    PresentationModel (nor its Hom-dual or opposite-quiver transport), on
+    cycles, with no arrow, and on an acyclic quiver that fails to stabilize."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("local cohomology built a PresentationModel")
 
-    def counting(self, space, d, v):
-        built.append((space, d, v))
-        return real(self, space, d, v)
-
-    monkeypatch.setattr(PresentationModel, "_build", counting)
-    assert not local_cohomology(THREE_CYCLE, 0, 12, 12, Q).dims
-    assert built == []
-    h1 = local_cohomology(THREE_CYCLE, 1, 12, 12, Q)
-    assert h1.dims and 0 < len(built) <= 2 * len(h1.dims)
+    monkeypatch.setattr(PresentationModel, "__init__", refuse)
+    for quiv in (LOOP, TWO_CYCLE, THREE_CYCLE, NO_ARROW, KRONECKER):
+        for i in (0, 1):
+            try:
+                h = local_cohomology(quiv, i, 8, 8, Q)
+            except StabilizationError:
+                assert quiv is KRONECKER
+                continue
+            assert h.dims if i == (1 if quiv.arrows else 0) else not any(h.dims.values())
+    assert local_cohomology(LOOP, 1, 6, 6, Q).cycle_products == {"x": 1}
 
 
 def test_local_cohomology_index_is_zero_or_one():
@@ -926,6 +926,49 @@ def test_stage_presentations_match_path_basis_model(name):
                                     assert (rank_of(b_old, t_old, right_old)
                                             == rank_of(b_new, t_new, right_new)), (b, u, m, d, w)
     assert compared > 100
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_QUIVERS))
+def test_stage_labels_are_the_whole_blocks_of_the_hom_dual_model(name, monkeypatch):
+    """Every label list local_cohomology reads, at index 0 and 1, is the
+    label list of the same block of ext_model(stage) for a stage whose
+    Hom-dual term it lists, and that block is the whole space on its labels:
+    in the degrees read, the other term of the Hom-dual has no label."""
+    import quiverhom.homology as homology
+
+    quiv = parse_quiver(ORACLE_QUIVERS[name])[0]
+    read = {}
+
+    def recording(table, gens, degree, target=None):
+        read[(tuple(gens), degree, target)] = labels = free_term_basis(table, gens, degree, target)
+        return labels
+
+    checked = 0
+    for fld in (Q, Field(2147483647)):
+        for trunc, m_max in ((6, 6), (5, 6), (6, 4)):
+            table = enumerate_paths(quiv, m_max)
+            for i in (0, 1):
+                read.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(homology, "free_term_basis", recording)
+                    try:
+                        local_cohomology(quiv, i, m_max, trunc, fld)
+                    except StabilizationError:
+                        pass
+                assert read
+                matched = set()
+                for u in quiv.vertices:
+                    for m in range(1, m_max + 1):
+                        model = ext_model(_stage_presentation(quiv, u, m, fld, table), trunc)
+                        own = model.pres.generators if i else model.pres.relations
+                        for (gens, d, w), labels in read.items():
+                            if gens == own:
+                                blk = ext_block(model, i, d, w)
+                                assert blk.labels == labels and blk.dim == len(labels), (i, u, m, d, w)
+                                matched.add((gens, d, w))
+                                checked += bool(labels)
+                assert matched == set(read)
+    assert checked
 
 
 # ----------------------------------------------------------------- the Hom-dual model against direct builders

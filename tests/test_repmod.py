@@ -709,6 +709,26 @@ def test_presentation_errors_name_entries_and_vertices_1_based():
     with pytest.raises(ValueError, match=r"^entry \(1,2\) not homogeneous of degree 2$"):
         GradedPresentation(KRONECKER, "left", Q, ((0, 0),), ((1, 1), (1, 2)), ((u, u),))
 
+    # relation vertices are checked as generator vertices are, 1-based
+    at_8 = ((0, 0),), ((7, 1),), ((AlgElement(Q, {}),),)
+    with pytest.raises(ValueError, match=r"^relation 1 at vertex 8 out of range 1\.\.1$"):
+        GradedPresentation(LOOP, "left", Q, *at_8)
+    with pytest.raises(ValueError, match=r"^generator 2 at vertex 3 out of range 1\.\.2$"):
+        GradedPresentation(KRONECKER, "left", Q, ((0, 0), (2, 0)), (), ((), ()))
+    with pytest.raises(ValueError, match=r"^relation 2 at vertex 0 out of range 1\.\.2$"):
+        GradedPresentation(KRONECKER, "right", Q, ((0, 0),), ((0, 0), (-1, 0)), ((at_1, at_1),))
+
+
+@pytest.mark.parametrize("vertex", [5, -1])
+def test_vertex_builders_reject_a_vertex_outside_the_quiver(vertex):
+    # each builder used to return the zero module for these vertices
+    message = rf"^vertex {vertex + 1} out of range 1\.\.1$"
+    for build in (lambda: simple(LOOP, vertex), lambda: truncated_free_rep(LOOP, vertex, 2),
+                  lambda: truncated_injective(LOOP, vertex, 2, "left"), lambda: uniserial(LOOP, vertex, 1),
+                  lambda: truncated_free(LOOP, vertex, 2)):
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 def test_hom_and_ext1_share_one_rank():
     rng = random.Random(19)
