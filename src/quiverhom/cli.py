@@ -14,17 +14,22 @@ zero; nonzero exits are reserved for computation failures:
 
 JSON reports carry a schema version and are byte-identical for identical
 inputs and seed, apart from the timings block.
+
+A plain command line (a command, then exact long options with their values)
+is parsed from the option table without argparse.  Anything else, help and
+usage errors included, goes to the argparse parser built from the same
+table, so its help text, messages and exit codes are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .exactlin import Field, Matrix
 from .homology import (
@@ -484,55 +489,91 @@ def cmd_verify(args) -> tuple:
     return report, EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each command's function, help line and options, read by both `_quick_parse`
+# and `build_parser`.  An option is (flag, type, default, help): type bool is
+# a switch that stores True, and default REQUIRED makes the option required.
+REQUIRED = object()
+COMMON_OPTIONS = (
+    ("--quiver", str, REQUIRED, "quiver file"),
+    ("--trunc", int, 12, "truncation degree N"),
+    ("--mmax", int, None, "colimit stage bound (default N)"),
+    ("--field", str, None, "Q or F<p>; overrides the file"),
+    ("--json", bool, False, "JSON report on stdout"),
+    ("--seed", int, 0, "seed for randomized suites"),
+    ("--force", bool, False, "proceed past a gate rejection (finite-dimensional work only)"),
+)
+COMMANDS = {  # command: (function, help, options after the common ones)
+    "gate": (cmd_gate, "growth gate verdict", ()),
+    "ext": (cmd_ext, "Ext computations", (
+        ("--module", str, REQUIRED, "C | simple:v | injective:v[:N] | free:v[:N] | uniserial:v:len | rep:file"),
+        ("--target", str, REQUIRED, "A | simple:v | ... (object specs)"),
+        ("--deg", int, None, "cohomological degree (default: 0 and 1)"),
+    )),
+    "asreg": (cmd_asreg, "AS-regularity verdict with chi probes", ()),
+    "nakayama": (cmd_nakayama, "Nakayama twist, innerness, dualizing complex", ()),
+    "cy": (cmd_cy, "Serre identities and Calabi-Yau verdict", (
+        ("--family", str, None, "comma-separated object specs"),
+    )),
+    "localcoh": (cmd_localcoh, "local cohomology bigraded dims", (
+        ("--index", int, None, "cohomological index (default gldim)"),
+    )),
+    "verify": (cmd_verify, "full invariant suite", (
+        ("--cases", int, 48, "random cases per property"),
+    )),
+}
+
+
+def build_parser():
+    """The argparse parser over the option table; it prints help and usage errors."""
+    import argparse  # not on the plain-argv path: argparse loads gettext and locale
+
     parser = argparse.ArgumentParser(
         prog="quiverhom",
         description="homological invariants of path coalgebras and their completed duals",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--quiver", required=True, help="quiver file")
-        p.add_argument("--trunc", type=int, default=12, help="truncation degree N")
-        p.add_argument("--mmax", type=int, default=None, help="colimit stage bound (default N)")
-        p.add_argument("--field", default=None, help="Q or F<p>; overrides the file")
-        p.add_argument("--json", action="store_true", help="JSON report on stdout")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-        p.add_argument("--force", action="store_true",
-                       help="proceed past a gate rejection (finite-dimensional work only)")
-
-    p = sub.add_parser("gate", help="growth gate verdict")
-    common(p)
-    p = sub.add_parser("ext", help="Ext computations")
-    common(p)
-    p.add_argument("--module", required=True, help="C | simple:v | injective:v[:N] | free:v[:N] | uniserial:v:len | rep:file")
-    p.add_argument("--target", required=True, help="A | simple:v | ... (object specs)")
-    p.add_argument("--deg", type=int, default=None, help="cohomological degree (default: 0 and 1)")
-    p = sub.add_parser("asreg", help="AS-regularity verdict with chi probes")
-    common(p)
-    p = sub.add_parser("nakayama", help="Nakayama twist, innerness, dualizing complex")
-    common(p)
-    p = sub.add_parser("cy", help="Serre identities and Calabi-Yau verdict")
-    common(p)
-    p.add_argument("--family", default=None, help="comma-separated object specs")
-    p = sub.add_parser("localcoh", help="local cohomology bigraded dims")
-    common(p)
-    p.add_argument("--index", type=int, default=None, help="cohomological index (default gldim)")
-    p = sub.add_parser("verify", help="full invariant suite")
-    common(p)
-    p.add_argument("--cases", type=int, default=48, help="random cases per property")
+    for command, (_, summary, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for flag, kind, default, help_text in COMMON_OPTIONS + options:
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=help_text)
+            elif default is REQUIRED:
+                p.add_argument(flag, type=kind, required=True, help=help_text)
+            else:
+                p.add_argument(flag, type=kind, default=default, help=help_text)
     return parser
 
 
-COMMANDS = {
-    "gate": cmd_gate,
-    "ext": cmd_ext,
-    "asreg": cmd_asreg,
-    "nakayama": cmd_nakayama,
-    "cy": cmd_cy,
-    "localcoh": cmd_localcoh,
-    "verify": cmd_verify,
-}
+def _quick_parse(argv):
+    """The namespace argparse would give a plain argv, or None.
+
+    Plain means a command name, then exact long options of that command, each
+    valued one followed by a value that does not start with '-' and converts
+    by the option's type, and every required option given.  Anything else
+    (help, abbreviations, --opt=value, negative or missing values, unknown
+    options) is left to argparse, so its messages and exit codes stay its own.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = COMMON_OPTIONS + COMMANDS[argv[0]][2]
+    kinds = {flag: kind for flag, kind, _, _ in options}
+    values = {flag[2:]: default for flag, _, default, _ in options}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kind = kinds.get(flag)
+        if kind is bool:
+            values[flag[2:]] = True
+            continue
+        value = next(tokens, None)
+        if kind is None or value is None or value.startswith("-"):
+            return None
+        try:
+            values[flag[2:]] = kind(value)
+        except ValueError:
+            return None
+    if REQUIRED in values.values():
+        return None
+    return SimpleNamespace(command=argv[0], **values)
 
 
 def _render_text(report: dict, stream) -> None:
@@ -568,19 +609,22 @@ def _fail(args, code: int, **fields) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _quick_parse(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     if args.trunc < 1:
-        parser.error("--trunc must be at least 1")
+        build_parser().error("--trunc must be at least 1")
     if args.command == "verify" and args.cases < 1:
-        parser.error("--cases must be at least 1")
+        build_parser().error("--cases must be at least 1")
     if args.mmax is None:
         args.mmax = args.trunc
     if args.mmax > args.trunc + 1:
-        parser.error("--mmax must be at most --trunc + 1")
+        build_parser().error("--mmax must be at most --trunc + 1")
     started = time.perf_counter()
     try:
-        report, code = COMMANDS[args.command](args)
+        report, code = COMMANDS[args.command][0](args)
     except CliError as exc:
         return _fail(args, exc.code, error=str(exc))
     except GradingError as exc:

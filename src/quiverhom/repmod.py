@@ -182,11 +182,16 @@ def zero_rep(quiver: Quiver, side: str, field: Field | None = None) -> Rep:
     return Rep(quiver, side, field, dims, maps)
 
 
+def _check_vertex(quiver: Quiver, vertex: int) -> None:
+    """Reject a 0-based vertex outside the quiver, naming it 1-based."""
+    if not 0 <= vertex < quiver.vertex_count:
+        raise ValueError(f"vertex {vertex + 1} out of range 1..{quiver.vertex_count}")
+
+
 def simple(quiver: Quiver, vertex: int, side: str = "left", field: Field | None = None) -> Rep:
     """The one-dimensional simple at a vertex, all arrows acting by zero."""
     field = field or Field(0)
-    if not 0 <= vertex < quiver.vertex_count:
-        raise ValueError(f"vertex {vertex + 1} out of range 1..{quiver.vertex_count}")
+    _check_vertex(quiver, vertex)
     dims = [1 if v == vertex else 0 for v in quiver.vertices]
     maps = []
     for a in quiver.arrows:
@@ -224,8 +229,7 @@ def truncated_free_rep(quiver: Quiver, vertex: int, n: int, side: str = "left", 
     arrows prepending at the source end.
     """
     field = field or Field(0)
-    if not 0 <= vertex < quiver.vertex_count:
-        raise ValueError(f"vertex {vertex + 1} out of range 1..{quiver.vertex_count}")
+    _check_vertex(quiver, vertex)
     table = enumerate_paths(quiver, n)
     if side == "left":
         dims, maps = _path_basis(quiver, field, table.paths(source=vertex))
@@ -250,10 +254,12 @@ def uniserial(quiver: Quiver, start: int, length: int, side: str = "left", field
     """Uniserial module following the unique outgoing walk from `start`: the
     truncated free module at `start` of that length.
 
-    On the loop quiver with side="left" this is k[x]/x^length.  Requires a
-    length of at least 1 and each visited vertex to have exactly one arrow
-    continuing the walk (in the opposite quiver for side="right").
+    On the loop quiver with side="left" this is k[x]/x^length.  Requires
+    `start` to be a vertex of the quiver, a length of at least 1 and each
+    visited vertex to have exactly one arrow continuing the walk (in the
+    opposite quiver for side="right").
     """
+    _check_vertex(quiver, start)
     if length < 1:
         raise ValueError(f"length {length} below 1")
     walk_quiver = quiver if side == "left" else opposite(quiver)
@@ -727,8 +733,7 @@ def truncated_free(quiver: Quiver, vertex: int, n: int, side: str = "left", fiel
     Materializable to degree n through the homology module.
     """
     field = field or Field(0)
-    if not 0 <= vertex < quiver.vertex_count:
-        raise ValueError(f"vertex {vertex + 1} out of range 1..{quiver.vertex_count}")
+    _check_vertex(quiver, vertex)
     return GradedPresentation(quiver, side, field, ((vertex, 0),), (), ((),))
 
 

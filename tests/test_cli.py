@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,8 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quiverhom.cli import main, parse_rep_literal
+from quiverhom.cli import COMMANDS, COMMON_OPTIONS, REQUIRED, _quick_parse, build_parser, main, parse_rep_literal
 from quiverhom.exactlin import Field
 from quiverhom.quiver import parse_quiver
 
@@ -465,3 +468,76 @@ def test_cli_import_loads_no_dataclasses_machinery():
     out = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+FLAGS = sorted({flag for *_, options in COMMANDS.values() for flag, *_ in COMMON_OPTIONS + options})
+VALUES = ["12", "0", "-1", "x", "", "F7", "examples_quivers/two_cycle.quiver"]
+TOKENS = [*COMMANDS, "bogus", *FLAGS, "--tr", "--trunc=12", "-h", "--", *VALUES]
+
+
+@st.composite
+def argvs(draw):
+    """A plain argv of a command, with at most two tokens of the vocabulary
+    inserted or overwritten, so that draws both parse and do not."""
+    command = draw(st.sampled_from([*COMMANDS, "bogus"]))
+    options = COMMON_OPTIONS + COMMANDS.get(command, (None, "", ()))[2]
+    plain = st.sampled_from([(flag,) if kind is bool else (flag, value) for flag, kind, *_ in options
+                             for value in (["12", "0"] if kind is int else ["x", "", "F7"])])
+    required = [token for flag, _, default, _ in options if default is REQUIRED for token in (flag, "x")]
+    argv = [command, *required, *(token for chunk in draw(st.lists(plain, max_size=5)) for token in chunk)]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at + draw(st.integers(0, 1))] = [draw(st.sampled_from(TOKENS))]
+    return argv
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(argvs())
+def test_quick_parse_agrees_with_argparse(argv):
+    quick = _quick_parse(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            expected = vars(build_parser().parse_args(argv))
+    except SystemExit:
+        assert quick is None, argv
+    else:
+        assert quick is None or vars(quick) == expected, argv
+
+
+def test_quick_parse_takes_every_golden_argv():
+    golden = json.loads((ROOT / "bench" / "golden.json").read_text(encoding="utf-8"))
+    parser = build_parser()
+    assert len(golden) == 153
+    for argv in map(str.split, golden):
+        assert vars(_quick_parse(argv)) == vars(parser.parse_args(argv)), argv
+
+
+def _run_module(*argv):
+    return subprocess.run([sys.executable, "-S", "-m", "quiverhom", *argv], cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True)
+
+
+def test_plain_command_loads_no_argparse():
+    # argparse loads gettext and locale: about 3 ms of every job, paid only for help and errors
+    heavy = ("argparse", "gettext", "locale")
+    probe = (f"import sys, quiverhom.cli as cli; loaded = set({heavy!r}) & set(sys.modules); "
+             "code = cli.main(['localcoh', '--quiver', 'examples_quivers/two_cycle.quiver', '--trunc', '10', "
+             "'--mmax', '10']); "
+             f"print(sorted(loaded), sorted(set({heavy!r}) & set(sys.modules)), code, file=sys.stderr)")
+    result = subprocess.run([sys.executable, "-S", "-c", probe], cwd=ROOT,
+                            env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True)
+    assert result.stderr.strip() == "[] [] 0"
+
+
+def test_help_and_usage_errors_stay_argparse():
+    helped = _run_module("--help")
+    assert helped.returncode == 0 and helped.stdout.startswith("usage: quiverhom")
+    for argv, message in (
+            (["gate", "--quiver", "q.quiver", "--bogus"], "quiverhom: error: unrecognized arguments: --bogus"),
+            (["gate", "--json"], "quiverhom gate: error: the following arguments are required: --quiver"),
+            (["gate", "--quiver", "q.quiver", "--trunc", "x"],
+             "quiverhom gate: error: argument --trunc: invalid int value: 'x'")):
+        failed = _run_module(*argv)
+        assert failed.returncode == 2 and failed.stdout == ""
+        assert failed.stderr.startswith("usage: quiverhom ") and failed.stderr.endswith(message + "\n")

@@ -725,6 +725,7 @@ def test_vertex_builders_reject_a_vertex_outside_the_quiver(vertex):
     message = rf"^vertex {vertex + 1} out of range 1\.\.1$"
     for build in (lambda: simple(LOOP, vertex), lambda: truncated_free_rep(LOOP, vertex, 2),
                   lambda: truncated_injective(LOOP, vertex, 2, "left"), lambda: uniserial(LOOP, vertex, 1),
+                  lambda: uniserial(LOOP, vertex, 2),
                   lambda: truncated_free(LOOP, vertex, 2)):
         with pytest.raises(ValueError, match=message):
             build()
