@@ -36,6 +36,7 @@ from .homology import (
     StabilizationError,
     duality_roundtrip_injective,
     ext_comodule_C,
+    ext_comodule_model,
     ext_fd,
     ext_model,
     ext_vs_algebra,
@@ -257,8 +258,9 @@ def cmd_ext(args) -> tuple:
             j = _vertex(args.target.split(":")[1], quiver)
         except (IndexError, ValueError) as exc:
             raise CliError(f"bad target spec {args.target!r}: {exc}", EXIT_PARSE) from None
+        model = ext_comodule_model(quiver, j, args.trunc, fld) if args.deg is None else None
         for i in degrees:
-            results[str(i)] = ext_comodule_C(quiver, j, i, args.trunc, fld).describe()
+            results[str(i)] = ext_comodule_C(quiver, j, i, args.trunc, fld, model=model).describe()
     elif args.target == "A":
         _gate(quiver, args)
         m = resolve_rep_spec(args.module, quiver, args.trunc, fld)

@@ -459,7 +459,13 @@ def ext_vs_algebra(m: Rep, i: int, trunc: int, want_rep: bool = True,
 # Ext_C(C, S_j) through the worked dual-complex route
 
 
-def ext_comodule_C(quiver: Quiver, j: int, i: int, trunc: int, fld: Field | None = None) -> ExtReport:
+def ext_comodule_model(quiver: Quiver, j: int, trunc: int, fld: Field) -> PresentationModel:
+    """The model that Ext^i_C(C, S_j) is read off: ext_model of S_j = A e_j / J."""
+    return ext_model(_stage_presentation(quiver, j, 1, fld, enumerate_paths(quiver, 1)), trunc)
+
+
+def ext_comodule_C(quiver: Quiver, j: int, i: int, trunc: int, fld: Field | None = None,
+                   model: PresentationModel | None = None) -> ExtReport:
     """Ext^i_C(C, S_j) for the simple left comodule at vertex j.
 
     Built exactly as the worked two-vertex computation: the minimal injective
@@ -472,7 +478,8 @@ def ext_comodule_C(quiver: Quiver, j: int, i: int, trunc: int, fld: Field | None
     matrices are the transposes of those of the Hom-dual of the minimal
     presentation of S_j (one relation per arrow out of j), so Ext^0 is read
     off the kernel blocks of that model and Ext^1 off its quotient blocks,
-    whose projection rows are the kernel vectors of the strip matrix.  The
+    whose projection rows are the kernel vectors of the strip matrix.  A
+    caller reading both degrees passes one ext_comodule_model as `model`.  The
     reported carrier keeps the grading and vertex support; dual-basis arrow
     actions are not reconstructed (socle-level carrier).
     """
@@ -482,8 +489,9 @@ def ext_comodule_C(quiver: Quiver, j: int, i: int, trunc: int, fld: Field | None
     window = window_length(quiver)
     if i >= 2:
         return ExtReport("ext_comodule_C", i, 0, note="hereditary scope: gldim <= 1", field=fld)
-    # A e_j / J is S_j
-    model = ext_model(_stage_presentation(quiver, j, 1, fld, enumerate_paths(quiver, 1)), trunc)
+    model = model or ext_comodule_model(quiver, j, trunc, fld)
+    if model.trunc != trunc:
+        raise ValueError(f"model truncated at {model.trunc}, not at {trunc}")
     heads = [v for v, _ in model.pres.generators]
     dims_by_degree = {}
     support_acc = {}
@@ -936,9 +944,11 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
     observed.  Each stage is presented by its two-term minimal resolution.
     In the degrees read (d = -ell - n) the other term of a stage's Hom-dual
     has no label, so a stage block is the whole space on its own labels, with
-    no model or elimination.  A piece with classes, its dimensions equal at
-    every stage, is certified by one rank: that of the composite of its
-    transitions from birth to m_max on the unit vectors of the birth labels.
+    no model or elimination.  Each (summand, stage, degree) lists its labels
+    once, split by target vertex for the pieces.  A piece with classes, its
+    dimensions equal at every stage, is certified by one rank: that of the
+    composite of its transitions from birth to m_max on the unit vectors of
+    the birth labels.
     Each transition is square of the same size, and the composite's
     determinant is the product of theirs, so it is invertible exactly when
     every transition is.
@@ -971,9 +981,8 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
                             if i else lambda lab: (lab,))
                    for u in rep_q.vertices for m in range(1, m_max)}
 
-    def labels(u, m, d, w):
-        # the labels of Hom(F1, A) at index 1 and of Hom(F0, A) at index 0, paths read in the
-        # opposite quiver; in the degrees read the other term has none, so these are the classes
+    def labels(u, m, d, w=None):
+        # the labels of Hom(F1, A) at index 1 and of Hom(F0, A) at index 0 (ending at w if given)
         gens = tuple((v, -dr) for v, dr in stages[(u, m)].relations) if i else ((u, 0),)
         return free_term_basis(op_table, gens, d, w)
 
@@ -994,8 +1003,14 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
             if birth + 1 > m_max:
                 raise StabilizationError(
                     f"degree {ell} needs stages beyond m_max", f"increase m_max beyond {m_max}")
+            # one label list per stage, split by target; each part keeps the table's order
+            by_target = []
+            for m in range(birth, m_max + 1):
+                by_target.append(split := {})
+                for lab in labels(u, m, d):
+                    split.setdefault(lab[1].target, []).append(lab)
             for w in rep_q.vertices:
-                chain = [labels(u, m, d, w) for m in range(birth, m_max + 1)]
+                chain = [split.get(w, []) for split in by_target]
                 dim = len(chain[-1])
                 # the composite birth -> m_max is square; it is invertible exactly when every
                 # transition is, since its determinant is the product of theirs
@@ -1048,7 +1063,7 @@ def _cycle_products(quiver, fld, stages, labels, n, m_max):
     """
     out = {}
     q_op = opposite(quiver)
-    for cyc in _simple_cycles(quiver):
+    for cyc in simple_cycles(quiver):
         d0 = -len(cyc) - n
         if -d0 + 1 > m_max:
             continue
@@ -1090,7 +1105,7 @@ def _route_product(fld: Field, steps):
     return val
 
 
-def _simple_cycles(quiver: Quiver) -> list:
+def simple_cycles(quiver: Quiver) -> list:
     """Arrow index lists of the simple cycles of a gate-bounded quiver."""
     cycles = []
     for comp in _scc_cycle_data(quiver):

@@ -404,7 +404,8 @@ def growth_gate(q: Quiver) -> GrowthVerdict:
     cycle to a different cycle.  This is a sufficient combinatorial condition
     for the path coalgebra to be artinian on both sides.  For bounded quivers
     the verdict certifies eventual periodicity of the count matrices by
-    exhibiting T with A^(T+P) = A^T for the adjacency matrix A.
+    exhibiting the least T with A^(T+P) = A^T for the adjacency matrix A,
+    growing the count sequence one power at a time up to A^(T+P) alone.
 
     Memoized: nothing reassigns a quiver's fields after construction, so
     each quiver (and each equal one) gets its verdict once, and later calls
@@ -432,25 +433,25 @@ def growth_gate(q: Quiver) -> GrowthVerdict:
         period = period * c["length"] // math.gcd(period, c["length"])
     # certify A^(T+P) = A^T; T is bounded by the amount of acyclic scaffolding
     horizon = 2 * (q.vertex_count + len(q.arrows)) + 2 * period + 4
-    powers = path_count_matrices(q, horizon + period)
-    transient = None
-    for t in range(1, horizon + 1):
-        if powers[t + period] == powers[t]:
-            transient = t
-            break
+    transient = next((t for t in range(1, horizon + 1)
+                      if (counts := path_count_matrices(q, t + period))[t + period] == counts[t]), None)
     if transient is None:
         raise RuntimeError("internal error: bounded quiver failed periodicity certificate")
-    bound = max(sum(sum(row) for row in powers[t]) for t in range(1, transient + period + 1))
-    bound = max(bound, q.vertex_count)
+    bound = max(q.vertex_count, *(sum(map(sum, counts[t])) for t in range(1, transient + period + 1)))
     return GrowthVerdict(True, period=period, degree_bound=bound, transient=transient)
 
 
+@functools.cache
+def _count_sequence(q: Quiver) -> list:
+    return [[[int(i == j) for j in q.vertices] for i in q.vertices]]
+
+
 def path_count_matrices(q: Quiver, up_to: int) -> list:
-    """counts[ell][s][t] = number of paths s -> t of length ell, for ell = 0..up_to."""
-    n = q.vertex_count
-    out = [[[int(i == j) for j in range(n)] for i in range(n)]]
-    adj = q.adjacency_counts()
-    for _ in range(up_to):
-        prev = out[-1]
-        out.append([[sum(prev[i][k] * adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)])
-    return out
+    """counts[ell][s][t] = number of paths s -> t of length ell, for ell = 0..up_to: a fresh
+    list of the read-only matrices of the quiver's one cached count sequence, grown as asked."""
+    seq = _count_sequence(q)
+    n, adj = q.vertex_count, q.adjacency_counts()
+    while len(seq) <= up_to:
+        prev = seq[-1]
+        seq.append([[sum(prev[i][k] * adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)])
+    return seq[:max(up_to, 0) + 1]

@@ -12,11 +12,12 @@ from __future__ import annotations
 from .exactlin import Field
 from .homology import (
     LocalCohReport,
-    _simple_cycles,
     ext_comodule_C,
+    ext_comodule_model,
     ext_model,
     ext_vs_algebra,
     local_cohomology,
+    simple_cycles,
 )
 from .quiver import Quiver, Record, growth_gate
 from .repmod import Rep, VertexTwist, hom_ext1_dims, presentation_of_rep, simple, truncated_injective, twist
@@ -200,7 +201,7 @@ def nakayama(q: Quiver, trunc: int, m_max: int, fld: Field | None = None) -> Nak
     scalars = [fld.one for _ in q.arrows]
     if identity_vertices and lc.cycle_products:
         # place each extracted cycle product on the first arrow of its cycle
-        for cyc in _simple_cycles(q):
+        for cyc in simple_cycles(q):
             label = "-".join(q.arrows[ai].label for ai in cyc)
             if label in lc.cycle_products:
                 scalars[cyc[0]] = fld.of(lc.cycle_products[label])
@@ -292,8 +293,9 @@ def chi_probe(q: Quiver, trunc: int, fld: Field | None = None) -> dict:
         dims_c = []
         certs = []
         supports = []
+        model = ext_comodule_model(q, sv, trunc, fld)
         for i in range(n + 1):
-            rep = ext_comodule_C(q, sv, i, trunc, fld)
+            rep = ext_comodule_C(q, sv, i, trunc, fld, model=model)
             dims_c.append(rep.total_dim)
             certs.append(rep.certificate)
             supports.append({str(v + 1): k for v, k in sorted((rep.vertex_support or {}).items())})

@@ -1,4 +1,5 @@
-"""Reference constructions on representations that only the tests need.
+"""Reference constructions on representations, and path counts, that only
+the tests need.
 
 Imported by test modules as `from rep_helpers import ...` (pytest puts
 `tests/` on the import path).
@@ -76,3 +77,16 @@ def count_presentations(monkeypatch) -> Counter:
         if getattr(module, "presentation_of_rep", None) is real:
             monkeypatch.setattr(module, "presentation_of_rep", counting)
     return calls
+
+
+def adjacency_powers(quiver, up_to: int) -> list:
+    """N_0 .. N_up_to, N_l[s][t] the number of paths s -> t of length l, as
+    plain products of the adjacency matrix (independent of the package's
+    cached count sequence)."""
+    adj = quiver.adjacency_counts()
+    n = quiver.vertex_count
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for _ in range(up_to):
+        powers.append([[sum(powers[-1][i][k] * adj[k][j] for k in range(n)) for j in range(n)]
+                       for i in range(n)])
+    return powers

@@ -105,6 +105,12 @@ def test_ext_comodule_command(quiver_file, capsys):
     assert table["0"]["dimension"] == 0
     assert table["1"]["dimension"] == 1
     assert table["1"]["vertex_support"] == {"2": 1}
+    # both degrees are read off one model; each matches its own --deg run
+    for i in ("0", "1"):
+        _, alone = run_json(
+            capsys, ["ext", "--quiver", quiver_file(TWO_CYCLE), "--module", "C",
+                     "--target", "simple:1", "--trunc", "8", "--deg", i, "--json"])
+        assert alone["tables"]["ext"][i] == table[i]
 
 
 def test_ext_fd_command(quiver_file, capsys):

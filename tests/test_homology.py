@@ -33,6 +33,7 @@ from quiverhom.homology import (
     dual_resolution_check,
     duality_roundtrip_injective,
     ext_comodule_C,
+    ext_comodule_model,
     ext_fd,
     ext_model,
     ext_vs_algebra,
@@ -290,11 +291,14 @@ EXT_C_FIXTURE = json.loads(
 
 @pytest.mark.parametrize("key", sorted(EXT_C_FIXTURE))
 def test_ext_comodule_reports_pinned(key):
+    # the same report with the model built inside and with one passed in
     name, j, i = key.split()
-    report = ext_comodule_C(EXT_C_QUIVERS[name], int(j) - 1, int(i), 6, Q)
-    got = json.loads(json.dumps(report.describe()))
-    got["rep_dims"] = list(report.rep.dims) if report.rep is not None else None
-    assert got == EXT_C_FIXTURE[key]
+    quiv = EXT_C_QUIVERS[name]
+    for model in (None, ext_comodule_model(quiv, int(j) - 1, 6, Q)):
+        report = ext_comodule_C(quiv, int(j) - 1, int(i), 6, Q, model=model)
+        got = json.loads(json.dumps(report.describe()))
+        got["rep_dims"] = list(report.rep.dims) if report.rep is not None else None
+        assert got == EXT_C_FIXTURE[key]
 
 
 def test_ext_comodule_mixed_kernel_classes():

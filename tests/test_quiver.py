@@ -1,6 +1,11 @@
+import math
+from pathlib import Path as FilePath
+
 import pytest
 
+from quiverhom import quiver as quiver_module
 from quiverhom.quiver import (
+    GrowthVerdict,
     Path,
     QuiverParseError,
     compose,
@@ -10,7 +15,9 @@ from quiverhom.quiver import (
     parse_quiver,
     path_count_matrices,
     trivial_path,
+    _scc_cycle_data,
 )
+from rep_helpers import adjacency_powers  # tests/rep_helpers.py
 
 
 LOOP = "vertices: 1\narrow x 1 1\n"
@@ -186,3 +193,82 @@ def test_opposite_enumeration_mirrors():
         for s in quiv.vertices:
             for t in quiv.vertices:
                 assert table.count(s, t, ell) == table_op.count(t, s, ell)
+
+
+# ----------------------------------------------------------------- gate and count contract
+
+EXAMPLES = FilePath(__file__).resolve().parent.parent / "examples_quivers"
+
+
+def cycle(order):
+    """The oriented cycle visiting the 1-based vertices in `order`."""
+    arrows = "".join(f"arrow a{v} {v} {order[(k + 1) % len(order)]}\n" for k, v in enumerate(order))
+    return f"vertices: {len(order)}\n{arrows}"
+
+
+def eager_gate(quiv):
+    """The bounded verdict as the gate first computed it: every power through
+    the horizon multiplied up front, then the first repeat searched."""
+    period = math.lcm(*(c["length"] for c in _scc_cycle_data(quiv) if c["kind"] == "cycle"))
+    horizon = 2 * (quiv.vertex_count + len(quiv.arrows)) + 2 * period + 4
+    powers = adjacency_powers(quiv, horizon + period)
+    transient = next(t for t in range(1, horizon + 1) if powers[t + period] == powers[t])
+    bound = max(sum(sum(row) for row in powers[t]) for t in range(1, transient + period + 1))
+    return GrowthVerdict(True, period=period, degree_bound=max(bound, quiv.vertex_count),
+                         transient=transient)
+
+
+def clear_count_caches():
+    growth_gate.cache_clear()
+    quiver_module._count_sequence.cache_clear()
+
+
+TAIL_INTO_LOOP = "vertices: 3\narrow x 1 1\narrow s 2 1\narrow t 3 2\n"
+A2 = "vertices: 2\narrow x 1 2\n"
+TWO_AND_THREE = "vertices: 5\narrow a 1 2\narrow b 2 1\narrow c 3 4\narrow d 4 5\narrow e 5 3\n"
+BOUNDED = {
+    **{path.stem: path.read_text() for path in sorted(EXAMPLES.glob("*.quiver")) if path.stem != "two_loops"},
+    **{f"cycle {order}": cycle(order) for order in
+       ([1], [1, 2], [1, 2, 3], [1, 3, 2], [1, 2, 3, 4], [1, 3, 2, 4], [1, 2, 3, 4, 5], [1, 2, 3, 5, 4])},
+    "tail into a loop": TAIL_INTO_LOOP,
+    "a2": A2,
+    "two cycle and three cycle": TWO_AND_THREE,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDED))
+def test_gate_matches_the_eager_reference(name):
+    clear_count_caches()
+    quiv = q(BOUNDED[name])
+    assert growth_gate(quiv) == eager_gate(quiv)
+
+
+def test_gate_reference_covers_transient_and_period():
+    assert (growth_gate(q(TAIL_INTO_LOOP)).transient, growth_gate(q(A2)).transient) == (2, 2)
+    assert growth_gate(q(TWO_AND_THREE)).period == 6
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+def test_gate_grows_counts_only_through_the_first_repeat(n):
+    # on an n-cycle T = 1 and P = n, so N_0 .. N_(n+1) are all the gate needs
+    clear_count_caches()
+    quiv = q(cycle(list(range(1, n + 1))))
+    assert growth_gate(quiv).transient == 1
+    assert len(quiver_module._count_sequence(quiv)) == n + 2
+
+
+def test_unbounded_gate_grows_no_counts():
+    clear_count_caches()
+    assert not growth_gate(q(TWO_LOOPS)).bounded
+    assert quiver_module._count_sequence.cache_info().currsize == 0
+
+
+def test_path_count_matrices_returns_a_fresh_list():
+    quiv = q(THREE_CYCLE)
+    first = path_count_matrices(quiv, 4)
+    first.append("extra")
+    first[0] = None
+    assert path_count_matrices(quiv, 4) == adjacency_powers(quiv, 4)
+    assert path_count_matrices(quiv, 2) == adjacency_powers(quiv, 2)
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert path_count_matrices(quiv, 0) == path_count_matrices(quiv, -3) == [identity]

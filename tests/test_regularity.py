@@ -90,6 +90,27 @@ def test_chi_probe_ranks_each_probe_pair_once(monkeypatch):
         assert len(pairs) == 2 * q.vertex_count ** 2
 
 
+def test_chi_probe_builds_one_comodule_model_per_simple(monkeypatch):
+    """Both degrees of the coalgebra probe Ext_C(C, S_j) are read off one
+    model, so ext_comodule_C builds none of its own."""
+    built = []
+    make = homology.ext_comodule_model
+
+    def counting(q, j, trunc, fld):
+        built.append(j)
+        return make(q, j, trunc, fld)
+
+    def refuse(*args):
+        raise AssertionError("ext_comodule_C built its own model")
+
+    monkeypatch.setattr(regularity, "ext_comodule_model", counting)
+    monkeypatch.setattr(homology, "ext_comodule_model", refuse)
+    for q in (LOOP, TWO_CYCLE, THREE_CYCLE, KRONECKER, NO_ARROW):
+        built.clear()
+        chi_probe(q, 8, Q)
+        assert built == list(q.vertices)
+
+
 def test_as_regular_check_resolves_each_simple_once(monkeypatch):
     """Both Ext degrees of a simple are read off one model of one
     presentation: 2 sides x 3 simples, and no other presentation."""
