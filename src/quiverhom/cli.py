@@ -264,10 +264,10 @@ def cmd_ext(args) -> tuple:
     elif args.target == "A":
         _gate(quiver, args)
         m = resolve_rep_spec(args.module, quiver, args.trunc, fld)
-        # both default degrees are read off one model
+        # both default degrees are read off one model; the report holds no module structure
         model = ext_model(presentation_of_rep(m), args.trunc) if args.deg is None else None
         for i in degrees:
-            results[str(i)] = ext_vs_algebra(m, i, args.trunc, model=model).describe()
+            results[str(i)] = ext_vs_algebra(m, i, args.trunc, want_rep=False, model=model).describe()
     else:
         m = resolve_rep_spec(args.module, quiver, args.trunc, fld)
         n = resolve_rep_spec(args.target, quiver, args.trunc, fld)

@@ -946,21 +946,14 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
     has no label, so a stage block is the whole space on its own labels, with
     no model or elimination.  Each (summand, stage, degree) lists its labels
     once, split by target vertex for the pieces.  A piece with classes, its
-    dimensions equal at every stage, is certified by one rank: that of the
-    composite of its transitions from birth to m_max on the unit vectors of
-    the birth labels.
-    Each transition is square of the same size, and the composite's
-    determinant is the product of theirs, so it is invertible exactly when
-    every transition is.
+    dimensions equal at every stage, is certified when each of its stage
+    transitions is a label bijection (`_bijects`), with no linear algebra.
     The vertex twist sigma is read off the degree-0 slice and checked against
     the path coalgebra in every degree, and arrow-level cycle products are
     extracted from the two one-sided module structures.
     """
     fld = fld or Field(0)
-    if side == "right":
-        rep_q = opposite(quiver)
-    else:
-        rep_q = quiver
+    rep_q = opposite(quiver) if side == "right" else quiver
     window_length(rep_q)  # gate check
     if i not in (0, 1):
         # each stage has a two-term resolution, so Ext^i vanishes for i >= 2
@@ -986,14 +979,6 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
         gens = tuple((v, -dr) for v, dr in stages[(u, m)].relations) if i else ((u, 0),)
         return free_term_basis(op_table, gens, d, w)
 
-    def composite(u, birth, chain):
-        # the unit vectors on the labels of stage `birth`, pushed through each stage to m_max
-        vecs = Kernel.whole(fld, len(chain[0])).basis
-        for m, (src, dst) in enumerate(zip(chain, chain[1:]), birth):
-            index = {lab: k for k, lab in enumerate(dst)}
-            vecs = [_push(fld, src, vec, stage_moves[(u, m)], index) for vec in vecs]
-        return Matrix.from_columns(fld, vecs, len(chain[-1]))
-
     dims = {}
     stabilized_at = {}
     for u in rep_q.vertices:
@@ -1012,9 +997,9 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
             for w in rep_q.vertices:
                 chain = [split.get(w, []) for split in by_target]
                 dim = len(chain[-1])
-                # the composite birth -> m_max is square; it is invertible exactly when every
-                # transition is, since its determinant is the product of theirs
-                if any(len(labs) != dim for labs in chain) or dim and rank(composite(u, birth, chain)) < dim:
+                if any(len(labs) != dim for labs in chain) or dim and not all(
+                        _bijects(stage_moves[(u, m)], src, dst)
+                        for m, (src, dst) in enumerate(zip(chain, chain[1:]), birth)):
                     raise StabilizationError(
                         f"colimit piece (u={u + 1}, w={w + 1}, degree {ell}) did not stabilize",
                         f"increase m_max beyond {m_max} or truncation beyond {trunc}")
@@ -1033,6 +1018,20 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
         cycle_products = _cycle_products(rep_q, fld, stages, labels, n, m_max)
     return LocalCohReport(i, n, dims, stabilized_at, ell_max, twist_sigma, twist_note,
                           cycle_products, fld, side)
+
+
+def _bijects(move, src, dst) -> bool:
+    """Whether `move` sends each label of `src` to exactly one label of `dst`,
+    distinct labels to distinct ones: a permutation matrix.  A stage move has
+    0/1 columns with disjoint supports, so a square one that is not a label
+    bijection has a zero column (docs/conventions.md)."""
+    index, hit = {lab: k for k, lab in enumerate(dst)}, set()
+    for lab in src:
+        ks = [k for img in move(lab) if (k := index.get(img)) is not None]
+        if len(ks) != 1 or ks[0] in hit:
+            return False
+        hit.add(ks[0])
+    return True
 
 
 def _match_twist(quiver: Quiver, dims: dict, ell_max: int):
@@ -1091,14 +1090,14 @@ def _cycle_products(quiver, fld, stages, labels, n, m_max):
 
 
 def _route_product(fld: Field, steps):
-    """Product of the 1x1 maps (pushes of (1,)) along a route of (src labels,
-    dst labels, move) steps, or None once a block is not one-dimensional or a
-    map vanishes.  `steps` is consumed lazily, so it stops at a failing step."""
+    """Product of the 1x1 maps along a route of (src, dst, move) steps, each the
+    count of dst[0] among the moves of src[0], or None once a label list is
+    not of length one or a map vanishes.  `steps` is consumed lazily."""
     val = fld.one
     for src, dst, move in steps:
         if len(src) != 1 or len(dst) != 1:
             return None
-        coord = _push(fld, src, (fld.one,), move, {dst[0]: 0})[0]
+        coord = fld.of(sum(lab == dst[0] for lab in move(src[0])))
         if fld.is_zero(coord):
             return None
         val = fld.mul(val, coord)

@@ -402,6 +402,23 @@ def test_ext_injective_against_algebra(quiver_file, capsys):
     assert report["tables"]["ext"]["0"]["dimension"] == 0
 
 
+def test_ext_against_algebra_builds_no_module_structure(quiver_file, capsys, monkeypatch):
+    """The ext report prints dimensions and certificates only, so neither
+    degree builds the graded Rep of Ext(M, A)."""
+    from quiverhom import homology
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ext --target A built a graded Rep")
+
+    monkeypatch.setattr(homology, "_graded_rep", refuse)
+    for deg in ([], ["--deg", "1"]):
+        code, report = run_json(
+            capsys, ["ext", "--quiver", quiver_file(LOOP), "--module", "injective:1:3",
+                     "--target", "A", "--trunc", "10", "--json", *deg])
+        assert code == 0
+        assert report["tables"]["ext"]["1"]["dimension"] == 4
+
+
 def test_quiver_file_field_used_when_no_flag(quiver_file, capsys):
     path = quiver_file(LOOP + "field: F3\n", name="loop_f3.quiver")
     code, report = run_json(capsys, ["asreg", "--quiver", path, "--trunc", "8", "--json"])

@@ -1,23 +1,31 @@
-"""The path-count oracle for local cohomology, as a property on generated
-disjoint unions of oriented cycles.
+"""Properties of local cohomology's colimit on generated quivers.
 
-At index 1 the colimit piece (u, w, ell) of H^1(A) is read at stage m_max in
-degree d = -ell - 1, so its dimension is the number of pairs of a path
-u -> v of length m_max and a path w -> v of length m_max - ell - 1:
+The path-count oracle, on disjoint unions of oriented cycles: at index 1 the
+colimit piece (u, w, ell) of H^1(A) is read at stage m_max in degree
+d = -ell - 1, so its dimension is the number of pairs of a path u -> v of
+length m_max and a path w -> v of length m_max - ell - 1:
 (N_m_max . N_(m_max-ell-1)^T)[u][w].  On the right side the quiver is read
 opposite, so N is transposed.  N is computed here from plain adjacency
 products (`rep_helpers.adjacency_powers`), independently of the package's
 count sequence.  Acyclic quivers are left out: their H^1 is refused today.
+
+The transition certificate, on quivers with branching as well: a stage
+transition of one length is a label bijection (`homology._bijects`) exactly
+when the matrix it induces on the labels is invertible.  The reference is
+the push of unit vectors along the move and the rank of the square matrix
+they give, as the colimit was certified before it read label moves.
 """
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from quiverhom.exactlin import Field  # noqa: E402
-from quiverhom.homology import local_cohomology  # noqa: E402
-from quiverhom.quiver import Arrow, Quiver, opposite  # noqa: E402
+from quiverhom.exactlin import Field, Kernel, Matrix, rank  # noqa: E402
+from quiverhom.homology import (  # noqa: E402
+    _bijects, _push, _relation_move, _stage_presentation, free_term_basis, local_cohomology,
+)
+from quiverhom.quiver import Arrow, Quiver, enumerate_paths, opposite, parse_quiver, trivial_path  # noqa: E402
 from rep_helpers import adjacency_powers  # noqa: E402  (tests/rep_helpers.py)
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -52,3 +60,109 @@ def test_local_cohomology_dims_are_path_counts(quiver, m_max, side, fld):
         for u in vs:
             for w in vs:
                 assert report.dim(u, w, ell) == sum(left[u][v] * right[w][v] for v in vs), (u, w, ell)
+
+
+@st.composite
+def loops_with_tail(draw):
+    """A loop at one vertex and a tail of 1-2 steps out of it or into it,
+    each step one arrow or two parallel ones.  Two parallel arrows into the
+    loop give stage transitions that are bijections on two labels."""
+    tail = draw(st.integers(1, 2))
+    numbering = draw(st.permutations(range(tail + 1)))
+    out = draw(st.booleans())
+    arrows = [Arrow("x", numbering[0], numbering[0])]
+    for k in range(tail):
+        ends = (numbering[k], numbering[k + 1])
+        for _ in range(draw(st.integers(1, 2))):
+            arrows.append(Arrow(f"t{len(arrows)}", *(ends if out else ends[::-1])))
+    return Quiver(tail + 1, tuple(arrows))
+
+
+@st.composite
+def acyclic_quivers(draw):
+    """An acyclic quiver on 2-4 vertices whose arrows, 1-2 between a pair,
+    go from lower to higher numbers (the Kronecker quiver among them)."""
+    n = draw(st.integers(2, 4))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    arrows = []
+    for a, b in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5)):
+        arrows.append(Arrow(f"a{len(arrows)}", a, b))
+    return Quiver(n, tuple(arrows))
+
+
+KRONECKER = Quiver(2, (Arrow("u", 0, 1), Arrow("v", 0, 1)))
+LOOP_WITH_TAIL = parse_quiver("vertices: 2\narrow x 1 1\narrow t 1 2\n")[0]
+
+
+def stage_chains(quiver, m_max, trunc, fld, side):
+    """Each chain of stage label lists the index-1 colimit reads, with its
+    moves: for summand u, degree d = -ell - 1 and target w, the labels of
+    stages -d .. m_max and the transitions between them.  Index 0 is left
+    out: its stage moves are the identity."""
+    rep_q = opposite(quiver) if side == "right" else quiver
+    table, op_table = enumerate_paths(rep_q, m_max), enumerate_paths(opposite(rep_q), trunc)
+    stages = {(u, m): _stage_presentation(rep_q, u, m, fld, table)
+              for u in rep_q.vertices for m in range(1, m_max + 1)}
+    for u in rep_q.vertices:
+        moves = {m: _relation_move(rep_q, stages[(u, m)], stages[(u, m + 1)], trivial_path(u))
+                 for m in range(1, m_max)}
+        for ell in range(m_max - 1):
+            for w in rep_q.vertices:
+                chain = [free_term_basis(op_table, tuple((v, -dr) for v, dr in stages[(u, m)].relations),
+                                         -ell - 1, w)
+                         for m in range(ell + 1, m_max + 1)]
+                yield (u, w, ell), chain, [moves[m] for m in range(ell + 1, m_max)]
+
+
+def composite(fld, chain, moves):
+    """The unit vectors on the first labels of `chain`, pushed along each
+    move through the next stage's labels: the square matrix of the
+    composite, when the chain keeps one length."""
+    vecs = Kernel.whole(fld, len(chain[0])).basis
+    for src, dst, move in zip(chain, chain[1:], moves):
+        index = {lab: k for k, lab in enumerate(dst)}
+        vecs = [_push(fld, src, vec, move, index) for vec in vecs]
+    return Matrix.from_columns(fld, vecs, len(chain[-1]))
+
+
+def invertible(fld, chain, moves):
+    return rank(composite(fld, chain, moves)) == len(chain[0])
+
+
+@PROPERTY
+@given(st.one_of(loops_with_tail(), st.just(KRONECKER), acyclic_quivers(), cycle_unions()),
+       st.integers(3, 7), st.integers(-3, 1), st.sampled_from(["left", "right"]),
+       st.sampled_from([Field(0), Field(2147483647)]))
+@example(LOOP_WITH_TAIL, 6, 0, "left", Field(0))
+def test_a_stage_transition_is_a_label_bijection_exactly_when_invertible(quiver, m_max, slack, side, fld):
+    """A square transition with labels is a label bijection exactly when
+    its pushed matrix has full rank; so a chain of one length passes every
+    bijection check exactly when its pushed composite, the colimit's former
+    certificate, has full rank."""
+    for piece, chain, moves in stage_chains(quiver, m_max, m_max + slack, fld, side):
+        for src, dst, move in zip(chain, chain[1:], moves):
+            if src and len(src) == len(dst):
+                assert _bijects(move, src, dst) == invertible(fld, [src, dst], [move]), piece
+        if chain[0] and all(len(labs) == len(chain[0]) for labs in chain):
+            assert all(_bijects(move, src, dst) for src, dst, move in zip(chain, chain[1:], moves)) \
+                == invertible(fld, chain, moves), piece
+
+
+def test_the_loop_with_tail_has_square_transitions_that_are_not_bijections():
+    """On the loop x with the tail t out of it, the piece (u, w) = (1, 1) of
+    degree ell has two labels at every stage from ell + 2 on, but each
+    transition there induces a matrix of rank 1 and is no label bijection.
+    The first stage has one label, so the colimit refuses the piece by its
+    lengths before it reads a move."""
+    fld = Field(0)
+    seen = 0
+    for (u, w, ell), chain, moves in stage_chains(LOOP_WITH_TAIL, 6, 6, fld, "left"):
+        if (u, w) != (0, 0):
+            continue
+        assert len(chain[0]) == 1
+        for src, dst, move in zip(chain[1:], chain[2:], moves[1:]):
+            assert len(src) == len(dst) == 2
+            assert rank(composite(fld, [src, dst], [move])) == 1
+            assert not _bijects(move, src, dst)
+            seen += 1
+    assert seen == 4 + 3 + 2 + 1

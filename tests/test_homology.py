@@ -547,9 +547,10 @@ def test_local_cohomology_insufficient_mmax():
 
 def test_a_singular_stage_transition_is_refused(monkeypatch):
     """Equal dimensions at every stage do not certify a colimit piece: each
-    transition must be invertible.  With every relation label moved to one
-    fixed label, the transitions of the first piece with classes are
-    singular, and the error names that piece 1-based."""
+    transition must be a label bijection.  With every relation label moved
+    to one fixed label, the transitions of the first piece with classes send
+    distinct labels to one label, or to none of the next stage, and the
+    error names that piece 1-based."""
     import quiverhom.homology as homology
 
     fixed = (0, Path(0, 0, ()))
@@ -559,10 +560,11 @@ def test_a_singular_stage_transition_is_refused(monkeypatch):
 
 
 def test_a_singular_transition_inside_the_stage_chain_is_refused(monkeypatch):
-    """One piece is certified by the composite of its stage transitions, so
-    that composite must keep every factor: with only the transition into
-    stage 5 singular (a zero move), every piece whose chain passes stage 5
-    is refused, and the error names the first one 1-based."""
+    """One piece is certified by each of its stage transitions in turn, so
+    no transition inside the chain is skipped: with only the move into
+    stage 5 sending every label to nothing, no label bijection, every piece
+    whose chain passes stage 5 is refused, and the error names the first
+    one 1-based."""
     import quiverhom.homology as homology
 
     real = homology._relation_move
