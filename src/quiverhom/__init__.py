@@ -20,13 +20,11 @@ from .repmod import (
     hom_dim,
     hom_ext1_dims,
     hom_space,
-    identity_twist,
     linear_dual,
     presentation_of_rep,
     random_graded_rep,
     rep_from_matrices,
     simple,
-    truncated_free,
     truncated_free_rep,
     truncated_injective,
     twist,
@@ -36,7 +34,6 @@ from .homology import (
     ExtReport,
     LocalCohReport,
     StabilizationError,
-    dual_resolution_check,
     duality_roundtrip_injective,
     ext_comodule_C,
     ext_fd,
@@ -44,7 +41,6 @@ from .homology import (
     ext_vs_algebra,
     hom_into_C,
     local_cohomology,
-    minimalize,
     rational_part,
     standard_resolution,
 )

@@ -150,12 +150,27 @@ def _at_least(text: str, least: int, what: str) -> int:
     return n
 
 
+# the most fields an object spec of each kind has, the kind included
+_SPEC_FIELDS = {"simple": 2, "injective": 3, "free": 3, "uniserial": 3}
+
+
+def _spec_fields(spec: str) -> list:
+    """The ':'-separated fields of an object spec; rep:<file> keeps the rest
+    as its path.  A spec with more fields than its kind takes is refused."""
+    kind = spec.split(":", 1)[0]
+    parts = spec.split(":", 1) if kind == "rep" else spec.split(":")
+    most = _SPEC_FIELDS.get(kind, len(parts))
+    if len(parts) > most:
+        raise ValueError(f"{kind} takes at most {most - 1} field(s) after its kind, got {len(parts) - 1}")
+    return parts
+
+
 def resolve_rep_spec(spec: str, quiver, trunc: int, fld: Field) -> Rep:
     """Object specs: simple:<v>, injective:<v>[:<N>], free:<v>[:<N>],
     uniserial:<v>:<len>, rep:<file>; vertices are 1-based."""
-    parts = spec.split(":")
-    kind = parts[0]
     try:
+        parts = _spec_fields(spec)
+        kind = parts[0]
         if kind == "simple":
             return simple(quiver, _vertex(parts[1], quiver), "left", fld)
         if kind == "injective":
@@ -255,7 +270,7 @@ def cmd_ext(args) -> tuple:
         if not args.target.startswith("simple:"):
             raise CliError("ext with module C needs target simple:<v>", EXIT_PARSE)
         try:
-            j = _vertex(args.target.split(":")[1], quiver)
+            j = _vertex(_spec_fields(args.target)[1], quiver)
         except (IndexError, ValueError) as exc:
             raise CliError(f"bad target spec {args.target!r}: {exc}", EXIT_PARSE) from None
         model = ext_comodule_model(quiver, j, args.trunc, fld) if args.deg is None else None
@@ -267,7 +282,7 @@ def cmd_ext(args) -> tuple:
         # both default degrees are read off one model; the report holds no module structure
         model = ext_model(presentation_of_rep(m), args.trunc) if args.deg is None else None
         for i in degrees:
-            results[str(i)] = ext_vs_algebra(m, i, args.trunc, want_rep=False, model=model).describe()
+            results[str(i)] = ext_vs_algebra(m, i, args.trunc, model=model).describe()
     else:
         m = resolve_rep_spec(args.module, quiver, args.trunc, fld)
         n = resolve_rep_spec(args.target, quiver, args.trunc, fld)
@@ -454,11 +469,11 @@ def cmd_verify(args) -> tuple:
             # one presentation for the rational part and one model for both Ext degrees
             pres = presentation_of_rep(m)
             model = ext_model(pres, args.trunc)
-            e_top = ext_vs_algebra(m, n_top, args.trunc, want_rep=False, model=model).total_dim
+            e_top = ext_vs_algebra(m, n_top, args.trunc, model=model).total_dim
             rat = rational_part(pres, args.trunc).rep.total_dim
             bad = e_top != rat
             if n_top > 0:
-                e0 = ext_vs_algebra(m, 0, args.trunc, want_rep=False, model=model).total_dim
+                e0 = ext_vs_algebra(m, 0, args.trunc, model=model).total_dim
                 if rat == m.total_dim and e0 != 0:
                     bad = True
             if bad:
@@ -478,8 +493,8 @@ def cmd_verify(args) -> tuple:
         if small.matrix(ell) != large.matrix(ell):
             final_fail += 1
     s1 = simple(quiver, 0, "left", fld)
-    r_small = ext_vs_algebra(s1, 1, args.trunc, want_rep=False)
-    r_large = ext_vs_algebra(s1, 1, args.trunc + 2, want_rep=False)
+    r_small = ext_vs_algebra(s1, 1, args.trunc)
+    r_large = ext_vs_algebra(s1, 1, args.trunc + 2)
     if r_small.graded_dims != r_large.graded_dims:
         final_fail += 1
     suite["graded_finality"] = {"cases": small.up_to + 2, "failures": final_fail}

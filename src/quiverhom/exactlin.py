@@ -264,11 +264,6 @@ class Matrix:
         return Matrix._normalized(self.field, tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)),
                                   self.cols + other.cols)
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ValueError("vstack: col mismatch")
-        return Matrix._normalized(self.field, self.entries + other.entries, self.cols)
-
     def column(self, j: int) -> tuple:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
@@ -277,9 +272,6 @@ class Matrix:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         return self.field.normal([sum(map(mul, row, vec)) for row in self.entries])
-
-    def is_zero_matrix(self) -> bool:
-        return not any(map(any, self.entries))
 
     def _compat(self, other):
         if self.rows != other.rows or self.cols != other.cols:

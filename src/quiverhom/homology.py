@@ -14,9 +14,8 @@ normalized through the opposite quiver on entry and translated back on exit.
 
 from __future__ import annotations
 
-from . import exactlin
 from .exactlin import Field, Kernel, Matrix, Quotient, rank
-from .pathcoalg import AlgElement, convolve
+from .pathcoalg import AlgElement
 from .quiver import (
     Path,
     Quiver,
@@ -34,11 +33,8 @@ from .repmod import (
     Rep,
     _reverse_path,
     arrow_ends,
-    commutation_matrix,
     hom_ext1_dims,
-    hom_space,
     presentation_of_rep,
-    zero_rep,
 )
 
 
@@ -99,9 +95,10 @@ def _hom_dual(pres: GradedPresentation) -> GradedPresentation:
 
 
 # ----------------------------------------------------------------------
-# standard resolution and minimalization
+# standard resolution
 
 
+# no command calls it; it stays because bench/tracer.py binds it by name
 def standard_resolution(m: Rep, degrees=None) -> GradedPresentation:
     """Standard two-term projective resolution of a nilpotent left module:
 
@@ -117,52 +114,24 @@ def standard_resolution(m: Rep, degrees=None) -> GradedPresentation:
     return presentation_of_rep(m, degrees)
 
 
-def minimalize(pres: GradedPresentation) -> GradedPresentation:
-    """The same left module presented with every entry in the radical.
-
-    Cancels unit entries (nonzero scalars on a trivial path) one at a time,
-    the first by generator, then relation, then path; the generators and
-    relations left are the Betti numbers.
-    """
-    if pres.side != "left":
-        raise ValueError("minimalize expects a left presentation")
-    f = pres.field
-    gens, rels = list(pres.generators), list(pres.relations)
-    entries = [list(row) for row in pres.entries]
-    while True:
-        hit = next(((g, r, c) for g, row in enumerate(entries) for r, el in enumerate(row)
-                    for p, c in el.coeffs.items() if p.length == 0), None)
-        if hit is None:
-            break
-        g0, r0, unit = hit
-        inv_el = AlgElement(f, {trivial_path(gens[g0][0]): f.inv(unit)})
-        entries = [[entries[g][r] - convolve(convolve(entries[g0][r], inv_el), entries[g][r0])
-                    for r in range(len(rels)) if r != r0]
-                   for g in range(len(gens)) if g != g0]
-        del gens[g0], rels[r0]
-    return GradedPresentation(pres.quiver, "left", f, tuple(gens), tuple(rels),
-                              tuple(tuple(row) for row in entries))
-
-
 # ----------------------------------------------------------------------
 # reports
 
 
 class ExtReport(Record):
     """Dimension data for one Ext group, with certificates where truncation
-    is involved.  graded_dims maps internal degree to dimension; rep carries
-    the module structure when applicable and finite."""
+    is involved.  graded_dims maps internal degree to dimension and
+    vertex_support vertex to dimension; no module structure is kept."""
 
-    __slots__ = ("subject", "degree", "total_dim", "graded_dims", "vertex_support", "rep",
-                 "certificate", "field", "note", "basis")
+    __slots__ = ("subject", "degree", "total_dim", "graded_dims", "vertex_support",
+                 "certificate", "field", "note")
 
     def __init__(self, subject: str, degree: int, total_dim: int, graded_dims: dict | None = None,
-                 vertex_support: dict | None = None, rep: Rep | None = None,
-                 certificate: dict | None = None, field: Field | None = None,
-                 note: str | None = None, basis: list | None = None):
+                 vertex_support: dict | None = None, certificate: dict | None = None,
+                 field: Field | None = None, note: str | None = None):
         self.subject, self.degree, self.total_dim = subject, degree, total_dim
-        self.graded_dims, self.vertex_support, self.rep = graded_dims, vertex_support, rep
-        self.certificate, self.field, self.note, self.basis = certificate, field, note, basis
+        self.graded_dims, self.vertex_support = graded_dims, vertex_support
+        self.certificate, self.field, self.note = certificate, field, note
 
     def describe(self) -> dict:
         d = {
@@ -187,15 +156,11 @@ class ExtReport(Record):
 # finite-dimensional Ext (Euler complex; no truncation involved)
 
 
-def ext_fd(m: Rep, n: Rep, i: int, with_basis: bool = False) -> ExtReport:
+def ext_fd(m: Rep, n: Rep, i: int) -> ExtReport:
     """Ext^i between finite-dimensional representations on the same side.
 
     Degree 0 is the hom space, degree 1 the cokernel of the commutation map;
-    hereditary scope makes everything above a certified zero.  With
-    with_basis, degree 0 reports hom morphisms (per-vertex matrix tuples)
-    and degree 1 reports cocycle representatives (per-arrow matrix tuples,
-    the components of the commutation defect) spanning the cokernel: the
-    `Quotient` representatives, so each has a single nonzero entry.
+    hereditary scope makes everything above a certified zero.
     """
     if m.side != n.side:
         raise ValueError("side mismatch")
@@ -203,30 +168,7 @@ def ext_fd(m: Rep, n: Rep, i: int, with_basis: bool = False) -> ExtReport:
         raise ValueError("negative cohomological degree")
     if i >= 2:
         return ExtReport("ext_fd", i, 0, note="hereditary scope: gldim <= 1", field=m.field)
-    if not with_basis:
-        return ExtReport("ext_fd", i, hom_ext1_dims(m, n)[i], field=m.field)
-    f = m.field
-    q = m.quiver
-    if i == 0:
-        basis = hom_space(m, n)
-        return ExtReport("ext_fd", 0, len(basis), field=f, basis=basis,
-                         note="basis: hom morphisms, one matrix per vertex")
-    quot = Quotient(commutation_matrix(m, n))
-    cocycles = []
-    for amb in quot.basis:
-        per_arrow = []
-        offset = 0
-        for ai, a in enumerate(q.arrows):
-            dom, cod = arrow_ends(m.side, a)
-            block = [
-                [amb[offset + r * m.dims[dom] + c] for c in range(m.dims[dom])]
-                for r in range(n.dims[cod])
-            ]
-            per_arrow.append(Matrix(f, block, cols=m.dims[dom]))
-            offset += n.dims[cod] * m.dims[dom]
-        cocycles.append(tuple(per_arrow))
-    return ExtReport("ext_fd", 1, len(cocycles), field=f, basis=cocycles,
-                     note="basis: cocycle representatives, one matrix per arrow")
+    return ExtReport("ext_fd", i, hom_ext1_dims(m, n)[i], field=m.field)
 
 
 # ----------------------------------------------------------------------
@@ -377,31 +319,29 @@ def ext_model(pres: GradedPresentation, trunc: int) -> PresentationModel:
     return PresentationModel(_hom_dual(pres), trunc)
 
 
-def ext_vs_algebra(m: Rep, i: int, trunc: int, want_rep: bool = True,
-                   model: PresentationModel | None = None) -> ExtReport:
-    """Graded module structure of Ext^i(M, A), on the side opposite M's,
-    degreewise to `trunc`.
+def ext_vs_algebra(m: Rep, i: int, trunc: int, model: PresentationModel | None = None) -> ExtReport:
+    """Graded and vertex dimensions of Ext^i(M, A), a module on the side
+    opposite M's, degreewise to `trunc`.
 
     Uses a path-length grading of M (available on the instances in scope:
-    acyclic quivers and disjoint unions of cycles).  The blocks are those of
-    `model`, by default ext_model(presentation_of_rep(m), trunc): its
-    quotient blocks for Ext^1, its kernel blocks for Ext^0.  A caller that
-    reads both degrees passes one model to both calls, so M is resolved once
-    and each (degree, vertex) matrix eliminated once.  The certificate
-    records the first internal degree past which all graded pieces vanish
-    through a window of two growth periods; failure to certify raises,
-    naming the smallest parameter change expected to fix it.
+    acyclic quivers and disjoint unions of cycles).  The dimensions are those
+    of `model`, by default ext_model(presentation_of_rep(m), trunc): of its
+    quotient blocks for Ext^1, of the kernels of its (degree, vertex)
+    matrices for Ext^0.  A caller that reads both degrees passes one model
+    to both calls, so M is resolved once and each (degree, vertex) matrix
+    eliminated once.  The certificate records the first internal degree
+    past which all graded pieces vanish through a window of two growth
+    periods; failure to certify raises, naming the smallest parameter change
+    expected to fix it.
     """
     if model is not None and model.trunc != trunc:
         raise ValueError(f"model truncated at {model.trunc}, not at {trunc}")
     window = window_length(m.quiver)
-    out_side = "right" if m.side == "left" else "left"
     if i >= 2:
         return ExtReport("ext_vs_algebra", i, 0, graded_dims={},
                          note="hereditary scope: gldim <= 1", field=m.field)
     if m.is_zero():
         return ExtReport("ext_vs_algebra", i, 0, graded_dims={}, vertex_support={},
-                         rep=zero_rep(m.quiver, out_side, m.field) if want_rep else None,
                          certificate={"stable_from": 0, "window": window}, field=m.field)
     if model is None:
         model = ext_model(presentation_of_rep(m), trunc)
@@ -437,22 +377,9 @@ def ext_vs_algebra(m: Rep, i: int, trunc: int, want_rep: bool = True,
         )
     certificate = {"stable_from": stable_from, "window": window, "checked_through": d_max}
     total = sum(dims_by_degree.values())
-    rep = None
-    if want_rep:
-        # _graded_rep asks only for the images of classes, so a block is built only where it has some
-        get = model.block if i else model.kernel
-
-        def image(ai, dom, cod, d):
-            if not dims.get((d + 1, cod)):
-                return None
-            return d + 1, _induced_map(m.field, get(d, dom), get(d + 1, cod), _left_mult(model.quiver, ai))
-
-        fibers = {w: [(d, j) for d in range(d_min, d_max + 1) for j in range(dims[(d, w)])]
-                  for w in m.quiver.vertices}
-        rep = _graded_rep(m.quiver, out_side, m.field, fibers, image)
     return ExtReport("ext_vs_algebra", i, total,
                      graded_dims={d: n for d, n in sorted(dims_by_degree.items()) if n},
-                     vertex_support=support, rep=rep, certificate=certificate, field=m.field)
+                     vertex_support=support, certificate=certificate, field=m.field)
 
 
 # ----------------------------------------------------------------------
@@ -477,11 +404,11 @@ def ext_comodule_C(quiver: Quiver, j: int, i: int, trunc: int, fld: Field | None
     and Ext^0 / Ext^1 are the linear duals of its cokernel / kernel.  Its
     matrices are the transposes of those of the Hom-dual of the minimal
     presentation of S_j (one relation per arrow out of j), so Ext^0 is read
-    off the kernel blocks of that model and Ext^1 off its quotient blocks,
-    whose projection rows are the kernel vectors of the strip matrix.  A
-    caller reading both degrees passes one ext_comodule_model as `model`.  The
-    reported carrier keeps the grading and vertex support; dual-basis arrow
-    actions are not reconstructed (socle-level carrier).
+    off the kernel dimensions of that model's (degree, vertex) matrices and
+    Ext^1 off its quotient blocks, whose projection rows are the kernel
+    vectors of the strip matrix.  A caller reading both degrees passes one
+    ext_comodule_model as `model`.  The report keeps the grading and vertex
+    support; no arrow action is built.
     """
     fld = fld or Field(0)
     if not 0 <= j < quiver.vertex_count:
@@ -521,24 +448,14 @@ def ext_comodule_C(quiver: Quiver, j: int, i: int, trunc: int, fld: Field | None
             f"increase truncation beyond {trunc}",
         )
     total = sum(dims_by_degree.values())
-    note = None
-    if mixed:
-        note = "kernel classes mix vertex blocks; support reports unmixed classes only"
-    rep = None
-    if not mixed:
-        dims = [support_acc.get(v, 0) for v in quiver.vertices]
-        maps = []
-        for a in quiver.arrows:
-            dom, cod = arrow_ends("left", a)
-            maps.append(Matrix.zeros(fld, dims[cod], dims[dom]))
-        rep = Rep(quiver, "left", fld, dims, maps)
     return ExtReport(
         "ext_comodule_C", i, total,
         graded_dims={d: n for d, n in sorted(dims_by_degree.items()) if n},
-        vertex_support=support_acc or {}, rep=rep,
+        vertex_support=support_acc or {},
         certificate={"stable_from": stable_from, "window": window, "checked_through": d_hi},
         field=fld,
-        note=note or "carrier is the graded vertex-support of the right comodule",
+        note=("kernel classes mix vertex blocks; support reports unmixed classes only" if mixed
+              else "carrier is the graded vertex-support of the right comodule"),
     )
 
 
@@ -553,9 +470,8 @@ class PresentationModel:
     the opposite quiver (paths inside entries reversed).  Blocks are indexed
     by (degree, vertex); vertex of a basis label (g, p) is target(p).  The
     model of _hom_dual(P) for a presentation P of M has Ext^1(M, A) as its
-    quotient blocks and Ext^0(M, A) as its kernel blocks; both kinds of block
-    (d, v) sit on the one F1 -> F0 matrix of that degree and vertex, whose
-    rank the model keeps.
+    quotient blocks and Ext^0(M, A) as the kernels of the same F1 -> F0
+    matrices, one per degree and vertex, whose ranks the model keeps.
     """
 
     def __init__(self, pres: GradedPresentation, trunc: int):
@@ -575,49 +491,41 @@ class PresentationModel:
     def block(self, d: int, v: int) -> _Block:
         """Block (d, v): the F0 labels ending at v modulo the relation image.
         The projection rows of its Quotient are the basis dual to its classes."""
-        return self._build(Quotient, d, v)
-
-    def kernel(self, d: int, v: int) -> _Block:
-        """The kernel of F1 -> F0 in degree d, on the F1 labels ending at v."""
-        return self._build(Kernel, d, v)
+        # the differential preserves targets, so the blocks ending at each v make up the
+        # degree-d matrix; with no relation label a block is all of its own
+        blk = self._blocks.get((d, v))
+        if blk is None:
+            labels = self._labels(Quotient, d, v)
+            rels = self._labels(Kernel, d, v) if labels else ()
+            if rels:
+                space = Quotient(free_diff_matrix(self.fld, labels, rels, self.pres.entries))
+                self._ranks[(d, v)] = len(labels) - space.dim
+            else:
+                space = Quotient.whole(self.fld, len(labels))
+            blk = self._blocks[(d, v)] = _Block(labels, space)
+        return blk
 
     def _sides(self, space) -> tuple:
-        """The generator lists of a block's own labels and of the other side's."""
+        """The generator lists of the labels a dimension of kind `space`
+        counts (F0 for Quotient, F1 for Kernel) and of the other side's."""
         p = self.pres
         return (p.generators, p.relations) if space is Quotient else (p.relations, p.generators)
 
     def _labels(self, space, d: int, v: int) -> list:
-        """The labels of block (d, v) of kind `space`, without building it."""
+        """The labels of kind `space` in degree d ending at v."""
         return free_term_basis(self.table, self._sides(space)[0], d, v)
 
-    def _build(self, space, d: int, v: int) -> _Block:
-        # the differential preserves targets, so the blocks ending at each v make up the
-        # degree-d matrix; with no labels on the other side a block is all of its own
-        key = (space, d, v)
-        blk = self._blocks.get(key)
-        if blk is None:
-            labels = self._labels(space, d, v)
-            other = free_term_basis(self.table, self._sides(space)[1], d, v) if labels else ()
-            if other:
-                rows, cols = (labels, other) if space is Quotient else (other, labels)
-                sp = space(free_diff_matrix(self.fld, rows, cols, self.pres.entries))
-                self._ranks[(d, v)] = len(labels) - sp.dim
-            else:
-                sp = space.whole(self.fld, len(labels))
-            blk = self._blocks[key] = _Block(labels, sp)
-        return blk
-
     def dim(self, d: int, v: int | None = None, space=Quotient) -> int:
-        """Dimension of block (d, v) of kind `space` (Quotient for `block`,
-        Kernel for `kernel`), or of all of degree d, without building it.
-        It is the number of the block's own labels minus the rank of the
-        (d, v) matrix F1 -> F0: the quotient of F0 by the image and the kernel
-        on F1 have the same rank to subtract.  With one label side empty that
-        rank is 0; otherwise it is one elimination per (d, v), shared by both
-        kinds and read off a block already built."""
+        """Dimension of block (d, v) (space=Quotient) or of the kernel of its
+        F1 -> F0 matrix (space=Kernel), or of all of degree d, without
+        building a block.  It is the number of its own labels minus the rank
+        of the (d, v) matrix F1 -> F0: the quotient of F0 by the image and the
+        kernel on F1 have the same rank to subtract.  With one label side
+        empty that rank is 0; otherwise it is one elimination per (d, v),
+        shared by both kinds and read off a block already built."""
         if v is None:
             return sum(self.dim(d, w, space) for w in self.quiver.vertices)
-        blk = self._blocks.get((space, d, v))
+        blk = self._blocks.get((d, v)) if space is Quotient else None
         if blk is not None:
             return blk.dim
         own, other = self._sides(space)
@@ -645,7 +553,7 @@ class PresentationModel:
         return self._actions[key]
 
 
-# the benchmark tracer counts homology.blocks by wrapping AlgebraExtEngine.block
+# no command uses this alias; it stays because bench/tracer.py binds it by name
 AlgebraExtEngine = PresentationModel
 
 
@@ -808,77 +716,6 @@ def hom_into_C(pres: GradedPresentation, trunc: int) -> HomIntoCReport:
     out_side = "right" if pres.side == "left" else "left"
     rep = _graded_rep(pres.quiver, out_side, model.fld, fibers, image)
     return HomIntoCReport(rep, dims_by_degree)
-
-
-# ----------------------------------------------------------------------
-# the dual-resolution exactness check
-
-
-def dual_resolution_check(pres: GradedPresentation, trunc: int, depth: int) -> dict:
-    """Degreewise exactness of the rationalized dual of a free resolution.
-
-    Extends the presentation F1 -> F0 -> M -> 0 by the kernel cover F2 (free,
-    by heredity), then verifies through the requested degree that the graded
-    dual sequence 0 -> M* -> F0* -> F1* -> F2* -> 0 is exact, i.e. that the
-    ranks tie out degreewise.  The kernel of F1 -> F0 is taken per (degree,
-    target vertex) from PresentationModel.kernel, so rank_d1 is F1_d minus its
-    dimension.  The F2 generators of block (d, v) are the kernel vectors
-    outside the radical layer, the arrow pushes of the kernel in degree
-    d - 1: the pivot columns past the pushes of [pushes | kernel basis].
-    Returns the per-degree table.
-    """
-    model = PresentationModel(pres, trunc)
-    f = model.fld
-    q = model.quiver
-    table = model.table
-    gens, rels = model.pres.generators, model.pres.relations
-
-    # kernel of F1 -> F0 per (degree, target vertex), then a minimal free cover F2
-    rel_degs = [d for _, d in rels]
-    k_lo = min(rel_degs) if rel_degs else 0
-    kernels = {(d, v): model.kernel(d, v) for d in range(k_lo, depth + 2) for v in q.vertices}
-    f2_gens = []
-    f2_columns = []  # per F2 generator: relation index -> {path: coefficient}
-    for (d, v), blk in kernels.items():
-        kern = blk.space.basis
-        if not kern:
-            continue
-        pushes = []
-        for ai, a in enumerate(q.arrows):
-            prev = kernels.get((d - 1, a.source))
-            if a.target == v and prev is not None:
-                move = _left_mult(q, ai)
-                pushes.extend(_push(f, prev.labels, vec, move, blk.index) for vec in prev.space.basis)
-        for c, _ in exactlin._echelon(Matrix.from_columns(f, pushes + kern, len(blk.labels))):
-            if c < len(pushes):
-                continue
-            f2_gens.append((v, d))
-            column = {}
-            for (r, p), x in zip(blk.labels, kern[c - len(pushes)]):
-                if not f.is_zero(x):
-                    column.setdefault(r, {})[p] = x
-            f2_columns.append(column)
-    f2_entries = tuple(tuple(AlgElement(f, column.get(r)) for column in f2_columns)
-                       for r in range(len(rels)))
-
-    table_rows = []
-    all_exact = True
-    for d in range(min(0, k_lo), depth + 1):
-        m_d = model.dim(d)
-        f0_d = len(free_term_basis(table, gens, d))
-        f1_labels = free_term_basis(table, rels, d)
-        f1_d = len(f1_labels)
-        mat2 = free_diff_matrix(f, f1_labels, free_term_basis(table, f2_gens, d), f2_entries)
-        f2_d = mat2.cols
-        r1 = f1_d - sum(kernels[(d, v)].dim for v in q.vertices if (d, v) in kernels)
-        r2 = rank(mat2)
-        exact_here = (r1 == f0_d - m_d) and (r2 == f1_d - r1) and (r2 == f2_d)
-        all_exact = all_exact and exact_here
-        table_rows.append({
-            "degree": d, "dim_M": m_d, "dim_F0": f0_d, "dim_F1": f1_d, "dim_F2": f2_d,
-            "rank_d1": r1, "rank_d2": r2, "exact": exact_here,
-        })
-    return {"passes": all_exact, "rows": table_rows, "depth": depth}
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ multiply like the paths themselves, (p^)(q^) = (p q)^ when composable.
 from __future__ import annotations
 
 from .exactlin import Field
-from .quiver import Path, Quiver, Record, compose, enumerate_paths, path_count_matrices, trivial_path
+from .quiver import Path, Quiver, Record, compose, enumerate_paths, path_count_matrices
 
 
 def comultiply(q: Quiver, p: Path) -> list:
@@ -127,7 +127,7 @@ class AlgElement:
 
 
 class TruncatedDualAlgebra:
-    """A = C* materialized in degrees <= N: convolution, idempotents, radical."""
+    """A = C* materialized in degrees <= N: its convolution product."""
 
     def __init__(self, quiver: Quiver, truncation: int, field: Field | None = None):
         self.quiver = quiver
@@ -135,34 +135,9 @@ class TruncatedDualAlgebra:
         self.field = field or Field(0)
         self.coalgebra = PathCoalgebra(quiver, truncation, self.field)
 
-    def dual_path(self, p: Path) -> AlgElement:
-        return AlgElement.dual_path(self.field, p)
-
-    def idempotent(self, v: int) -> AlgElement:
-        return self.dual_path(trivial_path(v))
-
-    def unit(self) -> AlgElement:
-        """The counit of C, i.e. the sum of all vertex idempotents."""
-        return AlgElement(
-            self.field, {trivial_path(v): self.field.one for v in self.quiver.vertices}
-        )
-
     def convolve(self, f: AlgElement, g: AlgElement, n: int | None = None) -> AlgElement:
         """The product f g, exact in all degrees <= n (default: the truncation)."""
         return convolve(f, g, self.truncation if n is None else n)
-
-    def radical_power_basis(self, m: int, n: int | None = None) -> list:
-        """Dual-basis functionals of all paths of length in [m, n].
-
-        These span the degree <= n part of J^m, the m-th radical power.
-        """
-        n = self.truncation if n is None else n
-        if m > n + 1:
-            raise ValueError(f"radical power {m} exceeds truncation window {n}+1")
-        out = []
-        for ell in range(m, n + 1):
-            out.extend(self.dual_path(p) for p in self.coalgebra.paths.by_length[ell])
-        return out
 
 
 def convolve(f: AlgElement, g: AlgElement, n: int | None = None) -> AlgElement:

@@ -85,7 +85,7 @@ def as_regular_check(q: Quiver, trunc: int, fld: Field | None = None) -> Regular
             model = ext_model(presentation_of_rep(s), trunc)
             degs = {}
             for i in range(n + 1):
-                report = ext_vs_algebra(s, i, trunc, want_rep=False, model=model)
+                report = ext_vs_algebra(s, i, trunc, model=model)
                 degs[i] = report
                 if i < n and report.total_dim != 0:
                     ok = False

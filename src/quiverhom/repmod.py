@@ -175,13 +175,6 @@ def rep_from_matrices(quiver: Quiver, dims, arrow_maps, side: str, field: Field 
     return Rep(quiver, side, field, dims, mats)
 
 
-def zero_rep(quiver: Quiver, side: str, field: Field | None = None) -> Rep:
-    field = field or Field(0)
-    dims = [0] * quiver.vertex_count
-    maps = [Matrix.zeros(field, 0, 0) for _ in quiver.arrows]
-    return Rep(quiver, side, field, dims, maps)
-
-
 def _check_vertex(quiver: Quiver, vertex: int) -> None:
     """Reject a 0-based vertex outside the quiver, naming it 1-based."""
     if not 0 <= vertex < quiver.vertex_count:
@@ -320,6 +313,7 @@ def _check_pair(m: Rep, n: Rep) -> None:
         raise ValueError("side mismatch")
 
 
+# no command calls it; it stays because bench/tracer.py binds it by name
 def hom_space(m: Rep, n: Rep) -> list:
     """Basis of Hom(M, N): tuples of per-vertex matrices commuting with all arrows.
 
@@ -401,19 +395,6 @@ class VertexTwist(Record):
             k += 1
         return k
 
-    def inverse(self, quiver: Quiver, field: Field) -> "VertexTwist":
-        n = len(self.sigma)
-        inv_sigma = [0] * n
-        for v, w in enumerate(self.sigma):
-            inv_sigma[w] = v
-        inv_arrow = [0] * len(self.arrow_map)
-        for a, b in enumerate(self.arrow_map):
-            inv_arrow[b] = a
-        inv_scalars = [None] * len(self.arrow_map)
-        for a, b in enumerate(self.arrow_map):
-            inv_scalars[b] = field.inv(field.of(self.scalars[a]))
-        return VertexTwist(tuple(inv_sigma), tuple(inv_arrow), tuple(inv_scalars))
-
     def describe(self) -> dict:
         return {
             "vertex_map": [v + 1 for v in self.sigma],
@@ -421,14 +402,6 @@ class VertexTwist(Record):
             "scalars": [str(c) for c in self.scalars],
             "order": self.order(),
         }
-
-
-def identity_twist(quiver: Quiver) -> VertexTwist:
-    return VertexTwist(
-        tuple(range(quiver.vertex_count)),
-        tuple(range(len(quiver.arrows))),
-        tuple(1 for _ in quiver.arrows),
-    )
 
 
 def twist(m: Rep, t: VertexTwist) -> Rep:
@@ -725,16 +698,6 @@ class GradedPresentation(Record):
             "generators": [[v + 1, d] for v, d in self.generators],
             "relations": [[v + 1, d] for v, d in self.relations],
         }
-
-
-def truncated_free(quiver: Quiver, vertex: int, n: int, side: str = "left", field: Field | None = None) -> GradedPresentation:
-    """Rank-one free presentation at a vertex: one generator, no relations.
-
-    Materializable to degree n through the homology module.
-    """
-    field = field or Field(0)
-    _check_vertex(quiver, vertex)
-    return GradedPresentation(quiver, side, field, ((vertex, 0),), (), ((),))
 
 
 def presentation_of_rep(m: Rep, degrees=None) -> GradedPresentation:

@@ -24,10 +24,8 @@ from quiverhom.repmod import (
     random_graded_rep,
     simple,
     uniserial,
-    zero_rep,
 )
 from quiverhom.homology import (
-    dual_resolution_check,
     ext_fd,
     ext_vs_algebra,
     hom_into_C,
@@ -40,6 +38,7 @@ from quiverhom.regularity import (
     inner_test,
     nakayama,
 )
+from rep_helpers import dual_resolution_check, zero_rep  # tests/rep_helpers.py
 
 Q = Field(0)
 LOOP = parse_quiver("vertices: 1\narrow x 1 1\n")[0]
@@ -134,14 +133,13 @@ def test_criterion_4_torsion_ext_identities(capsys):
             m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=3)
             if m.total_dim == 0:
                 continue
-            ext1 = ext_vs_algebra(m, 1, 12, want_rep=False).total_dim
+            ext1 = ext_vs_algebra(m, 1, 12).total_dim
             rat = rational_part(presentation_of_rep(m), 12)
             ok = ok and ext1 == rat.rep.total_dim
             # finite-dimensional modules are all torsion, so M / Rat M = 0
             ok = ok and rat.rep.total_dim == m.total_dim
-            ext0 = ext_vs_algebra(m, 0, 12, want_rep=False).total_dim
-            ext0_quotient = ext_vs_algebra(zero_rep(quiv, "left", Q), 0, 12,
-                                           want_rep=False).total_dim
+            ext0 = ext_vs_algebra(m, 0, 12).total_dim
+            ext0_quotient = ext_vs_algebra(zero_rep(quiv, "left", Q), 0, 12).total_dim
             ok = ok and ext0 == ext0_quotient
             done += 1
     with capsys.disabled():
@@ -255,8 +253,8 @@ def test_criterion_7_property_suites(capsys):
                 failures += 1
         for v in quiv.vertices:
             s = simple(quiv, v, "left", Q)
-            if (ext_vs_algebra(s, 1, 10, want_rep=False).graded_dims
-                    != ext_vs_algebra(s, 1, 12, want_rep=False).graded_dims):
+            if (ext_vs_algebra(s, 1, 10).graded_dims
+                    != ext_vs_algebra(s, 1, 12).graded_dims):
                 failures += 1
     ok = failures == 0
     with capsys.disabled():

@@ -3,7 +3,9 @@
 bench/tracer.py wraps the package from outside by binding names such as
 `exactlin._rref`, `Matrix`, `AlgebraExtEngine.block`, `standard_resolution`,
 `hom_space`, `Rep` and `PathTable`; a renamed or removed name shows up here
-as a crash or as a counter that stays at zero.
+as a crash or as a counter that stays at zero.  `AlgebraExtEngine`,
+`standard_resolution` and `hom_space` stay in `src` only because the tracer
+binds them, until ROADMAP items 1 and 7 allow edits under `bench/`.
 """
 
 import json

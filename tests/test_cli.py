@@ -393,6 +393,33 @@ def test_bad_object_spec_exits_two(quiver_file, capsys):
         assert message in report["error"]
 
 
+@pytest.mark.parametrize("module, target, message", [
+    ("simple:1:7", "A", "simple takes at most 1 field(s) after its kind, got 2"),
+    ("free:1:2:9", "A", "free takes at most 2 field(s) after its kind, got 3"),
+    ("uniserial:1:2:3", "A", "uniserial takes at most 2 field(s) after its kind, got 3"),
+    ("injective:1:1:x", "A", "injective takes at most 2 field(s) after its kind, got 3"),
+    ("free:1:2", "simple:1:9", "simple takes at most 1 field(s) after its kind, got 2"),
+    ("C", "simple:1:9", "simple takes at most 1 field(s) after its kind, got 2"),
+], ids=["simple", "free", "uniserial", "injective", "target", "comodule-target"])
+def test_object_spec_with_extra_fields_exits_two(quiver_file, capsys, module, target, message):
+    code, report = run_json(capsys, ["ext", "--quiver", quiver_file(TWO_CYCLE), "--module", module,
+                                     "--target", target, "--trunc", "8", "--json"])
+    assert code == 2
+    spec = target if module in ("C", "free:1:2") else module
+    assert report["error"].startswith("bad ") and f"spec {spec!r}: {message}" in report["error"]
+
+
+def test_rep_spec_keeps_colons_in_its_path(quiver_file, capsys, tmp_path):
+    # rep:<file> reads everything after the first colon as the path
+    folder = tmp_path / "a:b"
+    folder.mkdir()
+    (folder / "m.rep").write_text("side: left\ndims: 1 0\n", encoding="utf-8")
+    code, report = run_json(capsys, ["ext", "--quiver", quiver_file(TWO_CYCLE), "--module",
+                                     f"rep:{folder / 'm.rep'}", "--target", "A", "--trunc", "8", "--json"])
+    assert code == 0
+    assert report["tables"]["ext"]["1"]["dimension"] == 1
+
+
 def test_ext_injective_against_algebra(quiver_file, capsys):
     code, report = run_json(
         capsys, ["ext", "--quiver", quiver_file(LOOP), "--module", "injective:1:3",
@@ -464,7 +491,7 @@ def test_verify_double_dual_roundtrip_catches_a_broken_dual(quiver_file, capsys,
 
 def test_verify_builds_each_commutation_matrix_once(quiver_file, capsys, monkeypatch):
     """Hom and Ext^1 of one pair are read off one commutation matrix."""
-    from quiverhom import homology, repmod
+    from quiverhom import repmod
 
     pairs = []  # the (M, N) objects themselves, so no id is reused during the run
     real = repmod.commutation_matrix
@@ -474,7 +501,6 @@ def test_verify_builds_each_commutation_matrix_once(quiver_file, capsys, monkeyp
         return real(m, n)
 
     monkeypatch.setattr(repmod, "commutation_matrix", counting)
-    monkeypatch.setattr(homology, "commutation_matrix", counting)
     code, report = run_json(
         capsys, ["verify", "--quiver", quiver_file(KRONECKER), "--trunc", "6",
                  "--cases", "12", "--seed", "2", "--json"])

@@ -115,7 +115,7 @@ def test_functor_values_as_module_structures():
     """
     import random
 
-    from rep_helpers import assert_isomorphic
+    from rep_helpers import assert_isomorphic, ext_rep
 
     from quiverhom.repmod import (
         VertexTwist,
@@ -149,7 +149,7 @@ def test_functor_values_as_module_structures():
             pres = presentation_of_rep(m)
             assert_isomorphic(rational_part(pres, trunc).rep, m)
             assert_isomorphic(hom_into_C(pres, trunc).rep, dual)
-            e1 = ext_vs_algebra(m, 1, trunc).rep
+            e1 = ext_rep(m, 1, trunc)
             assert_isomorphic(e1, twist(dual, t_inv))
             done += 1
 

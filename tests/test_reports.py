@@ -6,13 +6,7 @@ import random
 from quiverhom.exactlin import Field
 from quiverhom.pathcoalg import bigraded_dims
 from quiverhom.quiver import growth_gate, parse_quiver
-from quiverhom.repmod import (
-    identity_twist,
-    presentation_of_rep,
-    random_graded_rep,
-    simple,
-    truncated_free,
-)
+from quiverhom.repmod import presentation_of_rep, random_graded_rep, simple
 from quiverhom.homology import (
     ext_comodule_C,
     ext_fd,
@@ -29,6 +23,7 @@ from quiverhom.regularity import (
     inner_test,
     nakayama,
 )
+from rep_helpers import identity_twist, truncated_free  # tests/rep_helpers.py
 
 Q = Field(0)
 TWO_CYCLE = parse_quiver("vertices: 2\narrow x 1 2\narrow y 2 1\n")[0]
