@@ -14,6 +14,8 @@ normalized through the opposite quiver on entry and translated back on exit.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .exactlin import Field, Kernel, Matrix, Quotient, rank
 from .pathcoalg import AlgElement
 from .quiver import (
@@ -26,7 +28,6 @@ from .quiver import (
     growth_gate,
     opposite,
     path_count_matrices,
-    trivial_path,
 )
 from .repmod import (
     GradedPresentation,
@@ -268,12 +269,7 @@ def _induced_map(fld: Field, src: _Block, dst: _Block, move) -> Matrix:
     """Matrix of the map on classes src -> dst induced by a label move: column
     j holds the coordinates in `dst` of the representative `src.space.basis[j]`
     moved along `move`."""
-    cols = []
-    for vec in src.space.basis:
-        try:
-            cols.append(dst.space.coordinates(_push(fld, src.labels, vec, move, dst.index)))
-        except ValueError:
-            raise AssertionError("vector not in kernel block") from None
+    cols = [dst.space.coordinates(_push(fld, src.labels, vec, move, dst.index)) for vec in src.space.basis]
     return Matrix.from_columns(fld, cols, dst.dim)
 
 
@@ -353,12 +349,12 @@ def ext_vs_algebra(m: Rep, i: int, trunc: int, model: PresentationModel | None =
             f"increase truncation to at least {window + 1}",
         )
     space = Quotient if i else Kernel
-    dims = {(d, w): model.dim(d, w, space) for d in range(d_min, d_max + 1) for w in m.quiver.vertices}
     dims_by_degree = {}
     support = {}
-    for (d, w), n in dims.items():
-        dims_by_degree[d] = dims_by_degree.get(d, 0) + n
-        if n:
+    # only a block with labels of its own kind can have a nonzero dimension
+    for d, w in model._counts[space]:
+        if d <= d_max and (n := model.dim(d, w, space)):
+            dims_by_degree[d] = dims_by_degree.get(d, 0) + n
             support[w] = support.get(w, 0) + n
     stable_from = _stable_zero_from(dims_by_degree, d_min, d_max, window)
     if stable_from is None:
@@ -420,27 +416,28 @@ def ext_comodule_C(quiver: Quiver, j: int, i: int, trunc: int, fld: Field | None
     if model.trunc != trunc:
         raise ValueError(f"model truncated at {model.trunc}, not at {trunc}")
     heads = [v for v, _ in model.pres.generators]
+    space = Quotient if i else Kernel
     dims_by_degree = {}
     support_acc = {}
     mixed = False
     d_hi = trunc - 1
-    for d in range(-1, d_hi + 1):
-        dims = [model.dim(d, v, Quotient if i else Kernel) for v in quiver.vertices]
-        dim = dims_by_degree[d] = sum(dims)
-        if i == 0:
-            if dim:
-                support_acc[j] = support_acc.get(j, 0) + dim
+    for d, v in model._counts[space]:
+        if d > d_hi or not (dim := model.dim(d, v, space)):
             continue
-        for blk in (model.block(d, v) for v, n in zip(quiver.vertices, dims) if n):
-            # on a whole-space block the projection is the identity: class k is label k
-            supports = ([{heads[g]} for g, _ in blk.labels] if blk.dim == len(blk.labels) else
-                        [{heads[blk.labels[idx][0]] for idx, x in enumerate(vec) if not fld.is_zero(x)}
-                         for vec in blk.space.projection.entries])
-            for verts in supports:
-                if len(verts) > 1:
-                    mixed = True
-                for v in verts:
-                    support_acc[v] = support_acc.get(v, 0) + (1 if len(verts) == 1 else 0)
+        dims_by_degree[d] = dims_by_degree.get(d, 0) + dim
+        if i == 0:
+            support_acc[j] = support_acc.get(j, 0) + dim
+            continue
+        blk = model.block(d, v)
+        # on a whole-space block the projection is the identity: class k is label k
+        supports = ([{heads[g]} for g, _ in blk.labels] if blk.dim == len(blk.labels) else
+                    [{heads[blk.labels[idx][0]] for idx, x in enumerate(vec) if not fld.is_zero(x)}
+                     for vec in blk.space.projection.entries])
+        for verts in supports:
+            if len(verts) > 1:
+                mixed = True
+            for w in verts:
+                support_acc[w] = support_acc.get(w, 0) + (1 if len(verts) == 1 else 0)
     stable_from = _stable_zero_from(dims_by_degree, -1, d_hi, window)
     if stable_from is None:
         raise StabilizationError(
@@ -461,6 +458,15 @@ def ext_comodule_C(quiver: Quiver, j: int, i: int, trunc: int, fld: Field | None
 
 # ----------------------------------------------------------------------
 # graded presentations: materialization, rational part, Hom(-, C)
+
+
+def _label_counts(counts: list, gens) -> Counter:
+    """{(degree, vertex): number of labels} of the free term on `gens`, as
+    free_term_basis lists them, read off the path counts `counts`."""
+    out = Counter()
+    for gv, gd in gens:
+        out.update({(gd + ell, w): c for ell, mat in enumerate(counts) for w, c in enumerate(mat[gv]) if c})
+    return out
 
 
 class PresentationModel:
@@ -484,6 +490,13 @@ class PresentationModel:
         self.fld = pres.field
         self.trunc = trunc
         self.table = enumerate_paths(self.quiver, trunc)
+        # the labels per (degree, vertex): F0 for Quotient, F1 for Kernel
+        counts = path_count_matrices(self.quiver, trunc)
+        self._counts = {Quotient: _label_counts(counts, pres.generators),
+                        Kernel: _label_counts(counts, pres.relations)}
+        # one generator or one relation, and no entry a sum of paths: every rank is a count
+        self._monomial = 1 in (len(pres.generators), len(pres.relations)) and all(
+            len(el.coeffs) <= 1 for row in pres.entries for el in row)
         self._blocks = {}
         self._ranks = {}
         self._actions = {}
@@ -505,15 +518,9 @@ class PresentationModel:
             blk = self._blocks[(d, v)] = _Block(labels, space)
         return blk
 
-    def _sides(self, space) -> tuple:
-        """The generator lists of the labels a dimension of kind `space`
-        counts (F0 for Quotient, F1 for Kernel) and of the other side's."""
-        p = self.pres
-        return (p.generators, p.relations) if space is Quotient else (p.relations, p.generators)
-
     def _labels(self, space, d: int, v: int) -> list:
-        """The labels of kind `space` in degree d ending at v."""
-        return free_term_basis(self.table, self._sides(space)[0], d, v)
+        """The F0 (space=Quotient) or F1 (space=Kernel) labels in degree d ending at v."""
+        return free_term_basis(self.table, self.pres.generators if space is Quotient else self.pres.relations, d, v)
 
     def dim(self, d: int, v: int | None = None, space=Quotient) -> int:
         """Dimension of block (d, v) (space=Quotient) or of the kernel of its
@@ -521,26 +528,36 @@ class PresentationModel:
         building a block.  It is the number of its own labels minus the rank
         of the (d, v) matrix F1 -> F0: the quotient of F0 by the image and the
         kernel on F1 have the same rank to subtract.  With one label side
-        empty that rank is 0; otherwise it is one elimination per (d, v),
-        shared by both kinds and read off a block already built."""
+        empty that rank is 0; otherwise it is one rank per (d, v), shared by
+        both kinds and read off a block already built."""
         if v is None:
             return sum(self.dim(d, w, space) for w in self.quiver.vertices)
         blk = self._blocks.get((d, v)) if space is Quotient else None
         if blk is not None:
             return blk.dim
-        own, other = self._sides(space)
-        count = self.table.count
-        n = sum(count(gv, v, d - gd) for gv, gd in own)
-        if n and any(count(gv, v, d - gd) for gv, gd in other):
+        n = self._counts[space].get((d, v), 0)
+        if n and (d, v) in self._counts[Kernel if space is Quotient else Quotient]:
             return n - self._rank(d, v)
         return n
 
     def _rank(self, d: int, v: int) -> int:
-        """Rank of the degree-d F1 -> F0 matrix on the labels ending at v."""
+        """Rank of the degree-d F1 -> F0 matrix on the labels ending at v.  A
+        monomial presentation's is counted (docs/conventions.md, "Engines"):
+        with one relation, the F1 labels, or 0 when every image lies past the
+        truncation; with one generator, the F0 labels the F1 labels hit."""
         r = self._ranks.get((d, v))
         if r is None:
-            rows, cols = self._labels(Quotient, d, v), self._labels(Kernel, d, v)
-            r = self._ranks[(d, v)] = rank(free_diff_matrix(self.fld, rows, cols, self.pres.entries))
+            p = self.pres
+            if self._monomial and len(p.relations) == 1:
+                hit = any(row[0].coeffs and d - gd <= self.trunc for (_, gd), row in zip(p.generators, p.entries))
+                r = self._counts[Kernel].get((d, v), 0) if hit else 0
+            elif self._monomial:
+                r = len({compose(path, q) for rel, path in self._labels(Kernel, d, v)
+                         for q in p.entries[0][rel].coeffs})
+            else:
+                r = rank(free_diff_matrix(self.fld, self._labels(Quotient, d, v), self._labels(Kernel, d, v),
+                                          p.entries))
+            self._ranks[(d, v)] = r
         return r
 
     def arrow_action(self, d: int, arrow_index: int) -> Matrix:
@@ -779,15 +796,13 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
     a graded piece counts as stabilized once every observed transition from
     its first appearance on is an isomorphism and at least one transition was
     observed.  Each stage is presented by its two-term minimal resolution.
-    In the degrees read (d = -ell - n) the other term of a stage's Hom-dual
-    has no label, so a stage block is the whole space on its own labels, with
-    no model or elimination.  Each (summand, stage, degree) lists its labels
-    once, split by target vertex for the pieces.  A piece with classes, its
-    dimensions equal at every stage, is certified when each of its stage
-    transitions is a label bijection (`_bijects`), with no linear algebra.
-    The vertex twist sigma is read off the degree-0 slice and checked against
-    the path coalgebra in every degree, and arrow-level cycle products are
-    extracted from the two one-sided module structures.
+    In the degrees read (d = -ell - n) a stage block is the whole space on
+    its own labels, so its dimension is a path count (`_stage_labels`), and
+    a transition is a label bijection exactly when the counts say so
+    (`_uncertified`): no label, vector or matrix is built.  The vertex
+    twist sigma is read off the degree-0 slice and checked against the path
+    coalgebra in every degree, and arrow-level cycle products are extracted
+    from the two one-sided module structures of the stage-m_max blocks.
     """
     fld = fld or Field(0)
     rep_q = opposite(quiver) if side == "right" else quiver
@@ -800,48 +815,33 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
     if ell_max < 0:
         raise StabilizationError("m_max too small for any stabilized degree",
                                  f"increase m_max to at least {n + 2}")
-    # m_max may exceed the truncation of the stage labels by one
-    table = enumerate_paths(rep_q, m_max)
-    op_table = enumerate_paths(opposite(rep_q), trunc)
-    stages = {(u, m): _stage_presentation(rep_q, u, m, fld, table)
-              for u in rep_q.vertices for m in range(1, m_max + 1)}
-    # the surjection of stage m + 1 onto stage m lifts to the identity on F0
-    # and to [x p] -> x [p] on F1
-    stage_moves = {(u, m): (_relation_move(rep_q, stages[(u, m)], stages[(u, m + 1)], trivial_path(u))
-                            if i else lambda lab: (lab,))
-                   for u in rep_q.vertices for m in range(1, m_max)}
-
-    def labels(u, m, d, w=None):
-        # the labels of Hom(F1, A) at index 1 and of Hom(F0, A) at index 0 (ending at w if given)
-        gens = tuple((v, -dr) for v, dr in stages[(u, m)].relations) if i else ((u, 0),)
-        return free_term_basis(op_table, gens, d, w)
-
+    vs = rep_q.vertices
+    counts = path_count_matrices(rep_q, m_max)
+    rows = [[[(t, c) for t, c in enumerate(row) if c] for row in mat] for mat in counts]
+    cols = [[[(s, c) for s, row in enumerate(mat) if (c := row[t])] for t in vs] for mat in counts]
+    # a label whose stage path ends at x has one image per arrow out of x
+    images = [len(rep_q.arrows_from(x)) for x in vs]
     dims = {}
     stabilized_at = {}
-    for u in rep_q.vertices:
+    for u in vs:
         for ell in range(ell_max + 1):
             d = -ell - n
             birth = max(1, -d)
             if birth + 1 > m_max:
                 raise StabilizationError(
                     f"degree {ell} needs stages beyond m_max", f"increase m_max beyond {m_max}")
-            # one label list per stage, split by target; each part keeps the table's order
-            by_target = []
-            for m in range(birth, m_max + 1):
-                by_target.append(split := {})
-                for lab in labels(u, m, d):
-                    split.setdefault(lab[1].target, []).append(lab)
-            for w in rep_q.vertices:
-                chain = [split.get(w, []) for split in by_target]
-                dim = len(chain[-1])
-                if any(len(labs) != dim for labs in chain) or dim and not all(
-                        _bijects(stage_moves[(u, m)], src, dst)
-                        for m, (src, dst) in enumerate(zip(chain, chain[1:]), birth)):
+            if i:
+                chain = [_stage_labels(rows, cols, u, d, m, trunc) for m in range(birth, m_max + 1)]
+                if failed := _uncertified(chain, images):
                     raise StabilizationError(
-                        f"colimit piece (u={u + 1}, w={w + 1}, degree {ell}) did not stabilize",
+                        f"colimit piece (u={u + 1}, w={min(failed) + 1}, degree {ell}) did not stabilize",
                         f"increase m_max beyond {m_max} or truncation beyond {trunc}")
-                if dim:
-                    dims[(u, w, ell)] = dim
+                last = chain[-1]
+            else:
+                # every stage has the same labels (0, y), y a path w -> u of length d, and every move is the identity
+                last = {(w, u): c for w, c in cols[d][u]} if 0 <= d <= trunc else {}
+            for (w, _), c in sorted(last.items()):
+                dims[(u, w, ell)] = dims.get((u, w, ell), 0) + c
             stabilized_at[(u, ell)] = birth
     # twist matching against the path coalgebra
     twist_sigma = None
@@ -852,23 +852,32 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
         twist_note = "identically zero"
     cycle_products = {}
     if i == n and twist_sigma is not None and all(twist_sigma[v] == v for v in rep_q.vertices):
-        cycle_products = _cycle_products(rep_q, fld, stages, labels, n, m_max)
+        cycle_products = _cycle_products(rep_q, fld, n, m_max, trunc)
     return LocalCohReport(i, n, dims, stabilized_at, ell_max, twist_sigma, twist_note,
                           cycle_products, fld, side)
 
 
-def _bijects(move, src, dst) -> bool:
-    """Whether `move` sends each label of `src` to exactly one label of `dst`,
-    distinct labels to distinct ones: a permutation matrix.  A stage move has
-    0/1 columns with disjoint supports, so a square one that is not a label
-    bijection has a zero column (docs/conventions.md)."""
-    index, hit = {lab: k for k, lab in enumerate(dst)}, set()
-    for lab in src:
-        ks = [k for img in move(lab) if (k := index.get(img)) is not None]
-        if len(ks) != 1 or ks[0] in hit:
-            return False
-        hit.add(ks[0])
-    return True
+def _stage_labels(rows: list, cols: list, u: int, d: int, m: int, trunc: int) -> dict:
+    """{(w, x): number} of the index-1 labels of the colimit pieces (u, w) at
+    stage m in degree d whose stage path ends at x: N_m[u][x] N_(m+d)[w][x]
+    (docs/conventions.md), none when m + d > trunc.  rows[l][s] and
+    cols[l][t] list the nonzero path counts N_l[s][t] by row and column."""
+    k = m + d
+    return {(w, x): a * b for x, a in rows[m][u] for w, b in cols[k][x]} if k <= trunc else {}
+
+
+def _uncertified(chain: list, images: list) -> set:
+    """The targets w of the pieces with a move along `chain` (from
+    `_stage_labels`) that is no label bijection: with another number of
+    labels, or a label at x moved to images[x] != 1 (docs/conventions.md)."""
+    sizes = []
+    for stage in chain:
+        sizes.append(size := {})
+        for (w, _), c in stage.items():
+            size[w] = size.get(w, 0) + c
+    last = sizes[-1]
+    failed = {w for size in sizes[:-1] for w in size.keys() | last.keys() if size.get(w) != last.get(w)}
+    return failed.union(w for stage in chain[:-1] for w, x in stage if images[x] != 1)
 
 
 def _match_twist(quiver: Quiver, dims: dict, ell_max: int):
@@ -887,18 +896,26 @@ def _match_twist(quiver: Quiver, dims: dict, ell_max: int):
     return sigma, "1 matching vertex permutation(s); reporting the lexicographically first"
 
 
-def _cycle_products(quiver, fld, stages, labels, n, m_max):
+def _cycle_products(quiver, fld, n, m_max, trunc):
     """Ratio of right-route to left-route composites around each cycle.
 
-    Both composites connect the same stabilized one-dimensional blocks,
-    whole on their labels(u, m_max, d, w); the basis ambiguities cancel in
-    the ratio, which equals the product of the twist scalars around the
-    cycle.  Requires all touched blocks to be one-dimensional (true on the
+    Both composites connect the same stabilized one-dimensional blocks of
+    stage m_max, whole on their labels; the basis ambiguities cancel in the
+    ratio, which equals the product of the twist scalars around the cycle.
+    Requires all touched blocks to be one-dimensional (true on the
     disjoint-cycle instances with identity vertex twist); returns {} when
     that fails.
     """
     out = {}
     q_op = opposite(quiver)
+    # m_max may exceed the truncation of the stage labels by one
+    table, op_table = enumerate_paths(quiver, m_max), enumerate_paths(q_op, trunc)
+    stages = [_stage_presentation(quiver, u, m_max, fld, table) for u in quiver.vertices]
+
+    def labels(u, d, w):
+        # the labels of Hom(F1, A) of stage m_max of summand u in degree d, ending at w
+        return free_term_basis(op_table, tuple((v, -dr) for v, dr in stages[u].relations), d, w)
+
     for cyc in simple_cycles(quiver):
         d0 = -len(cyc) - n
         if -d0 + 1 > m_max:
@@ -906,8 +923,8 @@ def _cycle_products(quiver, fld, stages, labels, n, m_max):
         u0 = quiver.arrows[cyc[0]].source
         # right route: within summand u0, arrow actions move (d, t(b)) -> (d+1, s(b))
         kappa = _route_product(fld, (
-            (labels(u0, m_max, d0 + k, quiver.arrows[b].target),
-             labels(u0, m_max, d0 + k + 1, quiver.arrows[b].source),
+            (labels(u0, d0 + k, quiver.arrows[b].target),
+             labels(u0, d0 + k + 1, quiver.arrows[b].source),
              _left_mult(q_op, b))
             for k, b in enumerate(reversed(cyc))))
         if kappa is None:
@@ -915,10 +932,10 @@ def _cycle_products(quiver, fld, stages, labels, n, m_max):
         # left route: across summands, right multiplication by b on the
         # quotient modules moves summand s(b) to t(b)
         mu = _route_product(fld, (
-            (labels(quiver.arrows[b].source, m_max, d0 + k, u0),
-             labels(quiver.arrows[b].target, m_max, d0 + k + 1, u0),
-             _relation_move(quiver, stages[(quiver.arrows[b].source, m_max)],
-                            stages[(quiver.arrows[b].target, m_max)], _arrow_path(quiver, b)))
+            (labels(quiver.arrows[b].source, d0 + k, u0),
+             labels(quiver.arrows[b].target, d0 + k + 1, u0),
+             _relation_move(quiver, stages[quiver.arrows[b].source],
+                            stages[quiver.arrows[b].target], _arrow_path(quiver, b)))
             for k, b in enumerate(cyc)))
         if mu is not None:
             label = "-".join(quiver.arrows[ai].label for ai in cyc)

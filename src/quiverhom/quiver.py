@@ -70,13 +70,6 @@ class Quiver(Record):
     def arrows_from(self, v: int) -> list:
         return [i for i, a in enumerate(self.arrows) if a.source == v]
 
-    def adjacency_counts(self) -> list:
-        """counts[s][t] = number of arrows s -> t."""
-        m = [[0] * self.vertex_count for _ in range(self.vertex_count)]
-        for a in self.arrows:
-            m[a.source][a.target] += 1
-        return m
-
 
 class Path(Record):
     """A path of the quiver; arrows listed in traversal order (first traversed first)."""
@@ -216,10 +209,6 @@ class PathTable:
             return []
         return [p for ell in lengths for p in self.by_length[ell]
                 if (source is None or p.source == source) and (target is None or p.target == target)]
-
-    def count(self, source: int, target: int, length: int) -> int:
-        """len(paths(source, target, length)), read off the index."""
-        return len(self._by_ends.get((source, target, length), ()))
 
     def contains(self, p: Path) -> bool:
         return p in self._index
@@ -450,8 +439,12 @@ def path_count_matrices(q: Quiver, up_to: int) -> list:
     """counts[ell][s][t] = number of paths s -> t of length ell, for ell = 0..up_to: a fresh
     list of the read-only matrices of the quiver's one cached count sequence, grown as asked."""
     seq = _count_sequence(q)
-    n, adj = q.vertex_count, q.adjacency_counts()
+    heads = [[q.arrows[ai].target for ai in q.arrows_from(k)] for k in q.vertices]
     while len(seq) <= up_to:
-        prev = seq[-1]
-        seq.append([[sum(prev[i][k] * adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)])
+        # each path s -> k of length l goes on along every arrow out of k
+        seq.append(nxt := [[0] * q.vertex_count for _ in q.vertices])
+        for new, row in zip(nxt, seq[-2]):
+            for k, c in enumerate(row):
+                for t in heads[k] if c else ():
+                    new[t] += c
     return seq[:max(up_to, 0) + 1]

@@ -280,15 +280,15 @@ def chi_probe(q: Quiver, trunc: int, fld: Field | None = None) -> dict:
     fld = fld or Field(0)
     n = global_dimension(q)
     inj_trunc = min(3, trunc)
+    simples = [simple(q, v, "right", fld) for v in q.vertices]
+    injectives = [truncated_injective(q, v, inj_trunc, "right", fld) for v in q.vertices]
     probes = {}
-    for sv in q.vertices:
-        s = simple(q, sv, "right", fld)
+    for sv, s in enumerate(simples):
         per_probe = {}
         for pv in q.vertices:
-            dims = list(hom_ext1_dims(simple(q, pv, "right", fld), s)[:n + 1])
+            dims = list(hom_ext1_dims(simples[pv], s)[:n + 1])
             per_probe[f"simple:{pv + 1}"] = {"dims": dims, "finite": True}
-            inj = truncated_injective(q, pv, inj_trunc, "right", fld)
-            dims_inj = list(hom_ext1_dims(inj, s)[:n + 1])
+            dims_inj = list(hom_ext1_dims(injectives[pv], s)[:n + 1])
             per_probe[f"injective:{pv + 1}"] = {"dims": dims_inj, "finite": True}
         dims_c = []
         certs = []

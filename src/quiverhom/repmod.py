@@ -569,7 +569,9 @@ def graded_form(m: Rep):
 
     Two strategies: a vertex level function (acyclic instances) on m as it
     stands, then fiberwise nilpotent chain bases (serial instances such as
-    disjoint cycles) with the change of basis applied.
+    disjoint cycles) with the change of basis applied.  A module the radical
+    kills (a simple among them) needs no search: each basis vector is a
+    chain top of height 1, so m stands as it is, in degree 0.
     """
     try:
         degs = _level_grading(m)
@@ -577,6 +579,8 @@ def graded_form(m: Rep):
         return m, degs
     except GradingError:
         pass
+    if m.nil_bound <= 1:
+        return m, tuple((0,) * n for n in m.dims)
     degs, base_change, inverse_change = _chain_basis(m)
     f = m.field
     new_maps = []

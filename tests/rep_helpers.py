@@ -113,13 +113,39 @@ def adjacency_powers(quiver, up_to: int) -> list:
     """N_0 .. N_up_to, N_l[s][t] the number of paths s -> t of length l, as
     plain products of the adjacency matrix (independent of the package's
     cached count sequence)."""
-    adj = quiver.adjacency_counts()
     n = quiver.vertex_count
+    adj = [[0] * n for _ in range(n)]
+    for a in quiver.arrows:
+        adj[a.source][a.target] += 1
     powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
     for _ in range(up_to):
         powers.append([[sum(powers[-1][i][k] * adj[k][j] for k in range(n)) for j in range(n)]
                        for i in range(n)])
     return powers
+
+
+def count_rows_and_columns(quiver, up_to: int) -> tuple:
+    """The nonzero entries of adjacency_powers(quiver, up_to) by row and by
+    column, as `homology._stage_labels` reads path counts: rows[l][s] lists
+    (t, N_l[s][t]) and cols[l][t] lists (s, N_l[s][t])."""
+    powers = adjacency_powers(quiver, up_to)
+    vs = range(quiver.vertex_count)
+    return ([[[(t, mat[s][t]) for t in vs if mat[s][t]] for s in vs] for mat in powers],
+            [[[(s, mat[s][t]) for s in vs if mat[s][t]] for t in vs] for mat in powers])
+
+
+def bijects(move, src, dst) -> bool:
+    """Whether the label move `move` sends each label of `src` to exactly
+    one label of `dst`, distinct labels to distinct ones: a permutation
+    matrix.  The reference for the colimit's counted transition verdict
+    (`homology._uncertified`), read off the labels themselves."""
+    index, hit = {lab: k for k, lab in enumerate(dst)}, set()
+    for lab in src:
+        ks = [k for img in move(lab) if (k := index.get(img)) is not None]
+        if len(ks) != 1 or ks[0] in hit:
+            return False
+        hit.add(ks[0])
+    return True
 
 
 def path_action(rep: Rep, p: Path) -> Matrix:

@@ -18,12 +18,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_traced_job_counts_every_layer():
-    # asreg eliminates and builds blocks (local cohomology builds none); no
-    # command calls standard_resolution, so homology.resolutions stays at
-    # zero, but the tracer still binds that name and a rename crashes the job
+    # verify's random modules are eliminated and their blocks built (the
+    # regularity commands count their ranks and local cohomology builds no
+    # block); no command calls standard_resolution, so homology.resolutions
+    # stays at zero, but the tracer still binds that name and a rename
+    # crashes the job
     proc = subprocess.run(
-        [sys.executable, "bench/job.py", "1", "asreg",
-         "--quiver", "examples_quivers/three_cycle.quiver", "--trunc", "6", "--json"],
+        [sys.executable, "bench/job.py", "1", "verify", "--quiver", "examples_quivers/loop.quiver",
+         "--trunc", "12", "--seed", "3", "--cases", "2", "--json"],
         cwd=ROOT, env=dict(os.environ, PYTHONPATH="src"),
         capture_output=True, text=True, timeout=300,
     )

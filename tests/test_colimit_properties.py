@@ -9,11 +9,22 @@ opposite, so N is transposed.  N is computed here from plain adjacency
 products (`rep_helpers.adjacency_powers`), independently of the package's
 count sequence.  Acyclic quivers are left out: their H^1 is refused today.
 
-The transition certificate, on quivers with branching as well: a stage
-transition of one length is a label bijection (`homology._bijects`) exactly
-when the matrix it induces on the labels is invertible.  The reference is
-the push of unit vectors along the move and the rank of the square matrix
-they give, as the colimit was certified before it read label moves.
+The transition certificate, on quivers with branching as well: the colimit
+reads each stage's labels as path counts split by the vertex their stage
+path ends at (`homology._stage_labels`), and decides each transition from
+those counts and the out-degrees (`homology._uncertified`).  The
+counts must split the label lists as they are, and the count verdict must
+agree with the label bijection test on the lists themselves
+(`rep_helpers.bijects`), and, on a square transition, with the invertibility
+of the matrix it induces on the labels.  That reference is the push of unit
+vectors along the move and the rank of the square matrix they give, as the
+colimit was certified before it read label moves.
+
+The counted ranks, on the same quivers: a presentation with one generator
+or one relation and single-path entries is monomial, and
+`PresentationModel._rank` counts its ranks with no matrix built.  The count
+must equal `exactlin.rank` of `free_diff_matrix` on the same labels, on
+both sides and over both fields.
 """
 
 import pytest
@@ -21,12 +32,16 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from quiverhom.exactlin import Field, Kernel, Matrix, rank  # noqa: E402
+from quiverhom import homology  # noqa: E402
+from quiverhom.exactlin import Field, Kernel, Matrix, Quotient, rank  # noqa: E402
 from quiverhom.homology import (  # noqa: E402
-    _bijects, _push, _relation_move, _stage_presentation, free_term_basis, local_cohomology,
+    PresentationModel, _push, _relation_move, _stage_labels, _stage_presentation, _uncertified,
+    free_diff_matrix, free_term_basis, local_cohomology,
 )
+from quiverhom.pathcoalg import AlgElement  # noqa: E402
+from quiverhom.repmod import GradedPresentation, _reverse_path  # noqa: E402
 from quiverhom.quiver import Arrow, Quiver, enumerate_paths, opposite, parse_quiver, trivial_path  # noqa: E402
-from rep_helpers import adjacency_powers  # noqa: E402  (tests/rep_helpers.py)
+from rep_helpers import adjacency_powers, bijects, count_rows_and_columns  # noqa: E402  (tests/rep_helpers.py)
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
@@ -92,26 +107,47 @@ def acyclic_quivers(draw):
 
 KRONECKER = Quiver(2, (Arrow("u", 0, 1), Arrow("v", 0, 1)))
 LOOP_WITH_TAIL = parse_quiver("vertices: 2\narrow x 1 1\narrow t 1 2\n")[0]
+# the path 1 -> 2 -> 3 -> 4 with the arrows 1 -> 4 and 2 -> 4: in piece
+# (u, w, degree) = (1, 1, 0) the transition from stage 2 to stage 3 keeps
+# one label, but the label of stage 2 ends at the sink 4 and has no image;
+# the label of stage 3 reaches 4 by other last arrows
+FAN_INTO_A_SINK = parse_quiver(
+    "vertices: 4\narrow a 1 2\narrow b 1 4\narrow c 2 3\narrow d 2 4\narrow e 3 4\n")[0]
 
 
 def stage_chains(quiver, m_max, trunc, fld, side):
     """Each chain of stage label lists the index-1 colimit reads, with its
-    moves: for summand u, degree d = -ell - 1 and target w, the labels of
-    stages -d .. m_max and the transitions between them.  Index 0 is left
-    out: its stage moves are the identity."""
+    moves and its counted verdicts: for summand u, degree d = -ell - 1 and
+    target w, the labels of stages -d .. m_max, the transitions between
+    them, and whether `_uncertified` certifies each transition.  The counts
+    of `_stage_labels` are checked against each label list, split by the end
+    of the stage path each label's relation names.  Index 0 is left out: its
+    stage moves are the identity."""
     rep_q = opposite(quiver) if side == "right" else quiver
     table, op_table = enumerate_paths(rep_q, m_max), enumerate_paths(opposite(rep_q), trunc)
+    rows, cols = count_rows_and_columns(rep_q, m_max)
+    images = [len(rep_q.arrows_from(x)) for x in rep_q.vertices]
     stages = {(u, m): _stage_presentation(rep_q, u, m, fld, table)
               for u in rep_q.vertices for m in range(1, m_max + 1)}
     for u in rep_q.vertices:
         moves = {m: _relation_move(rep_q, stages[(u, m)], stages[(u, m + 1)], trivial_path(u))
                  for m in range(1, m_max)}
         for ell in range(m_max - 1):
+            stage_range = range(ell + 1, m_max + 1)
+            counted = [_stage_labels(rows, cols, u, -ell - 1, m, trunc) for m in stage_range]
+            whole = _uncertified(counted, images)
+            steps = [_uncertified(counted[k:k + 2], images) for k in range(len(counted) - 1)]
             for w in rep_q.vertices:
                 chain = [free_term_basis(op_table, tuple((v, -dr) for v, dr in stages[(u, m)].relations),
                                          -ell - 1, w)
-                         for m in range(ell + 1, m_max + 1)]
-                yield (u, w, ell), chain, [moves[m] for m in range(ell + 1, m_max)]
+                         for m in stage_range]
+                for m, labs, stage in zip(stage_range, chain, counted):
+                    ends = [stages[(u, m)].relations[r][0] for r, _ in labs]
+                    assert [stage.get((w, x), 0) for x in rep_q.vertices] == [
+                        ends.count(x) for x in rep_q.vertices], (u, w, ell, m)
+                verdicts = [w not in failed for failed in steps]
+                assert (w not in whole) == all(verdicts), (u, w, ell)
+                yield (u, w, ell), chain, [moves[m] for m in range(ell + 1, m_max)], verdicts
 
 
 def composite(fld, chain, moves):
@@ -134,18 +170,20 @@ def invertible(fld, chain, moves):
        st.integers(3, 7), st.integers(-3, 1), st.sampled_from(["left", "right"]),
        st.sampled_from([Field(0), Field(2147483647)]))
 @example(LOOP_WITH_TAIL, 6, 0, "left", Field(0))
+@example(FAN_INTO_A_SINK, 4, 0, "left", Field(0))
 def test_a_stage_transition_is_a_label_bijection_exactly_when_invertible(quiver, m_max, slack, side, fld):
-    """A square transition with labels is a label bijection exactly when
-    its pushed matrix has full rank; so a chain of one length passes every
-    bijection check exactly when its pushed composite, the colimit's former
-    certificate, has full rank."""
-    for piece, chain, moves in stage_chains(quiver, m_max, m_max + slack, fld, side):
-        for src, dst, move in zip(chain, chain[1:], moves):
+    """A transition is certified by its counts exactly when it is a label
+    bijection on the lists themselves, and a square transition with labels
+    is one exactly when its pushed matrix has full rank; so a chain of one
+    length passes every count verdict exactly when its pushed composite, the
+    colimit's former certificate, has full rank."""
+    for piece, chain, moves, verdicts in stage_chains(quiver, m_max, m_max + slack, fld, side):
+        for src, dst, move, verdict in zip(chain, chain[1:], moves, verdicts):
+            assert verdict == (len(src) == len(dst) and bijects(move, src, dst)), piece
             if src and len(src) == len(dst):
-                assert _bijects(move, src, dst) == invertible(fld, [src, dst], [move]), piece
+                assert verdict == invertible(fld, [src, dst], [move]), piece
         if chain[0] and all(len(labs) == len(chain[0]) for labs in chain):
-            assert all(_bijects(move, src, dst) for src, dst, move in zip(chain, chain[1:], moves)) \
-                == invertible(fld, chain, moves), piece
+            assert all(verdicts) == invertible(fld, chain, moves), piece
 
 
 def test_the_loop_with_tail_has_square_transitions_that_are_not_bijections():
@@ -153,16 +191,75 @@ def test_the_loop_with_tail_has_square_transitions_that_are_not_bijections():
     degree ell has two labels at every stage from ell + 2 on, but each
     transition there induces a matrix of rank 1 and is no label bijection.
     The first stage has one label, so the colimit refuses the piece by its
-    lengths before it reads a move."""
+    counts at the first transition already."""
     fld = Field(0)
     seen = 0
-    for (u, w, ell), chain, moves in stage_chains(LOOP_WITH_TAIL, 6, 6, fld, "left"):
+    for (u, w, ell), chain, moves, verdicts in stage_chains(LOOP_WITH_TAIL, 6, 6, fld, "left"):
         if (u, w) != (0, 0):
             continue
         assert len(chain[0]) == 1
-        for src, dst, move in zip(chain[1:], chain[2:], moves[1:]):
+        for src, dst, move, verdict in zip(chain[1:], chain[2:], moves[1:], verdicts[1:]):
             assert len(src) == len(dst) == 2
             assert rank(composite(fld, [src, dst], [move])) == 1
-            assert not _bijects(move, src, dst)
+            assert not bijects(move, src, dst) and not verdict
             seen += 1
     assert seen == 4 + 3 + 2 + 1
+
+
+@st.composite
+def monomial_presentations(draw):
+    """A presentation with one generator or one relation on a generated
+    quiver, on either side and over either field.  Each entry is zero or a
+    nonzero multiple of one path of length 0-3; the term it joins to the
+    fixed one sits at that path's other end.  Repeated paths, paths that
+    start another, and zero entries at any degree all occur."""
+    quiver = draw(st.one_of(loops_with_tail(), st.just(KRONECKER), acyclic_quivers(), cycle_unions()))
+    side = draw(st.sampled_from(["left", "right"]))
+    fld = draw(st.sampled_from([Field(0), Field(2147483647)]))
+    one_generator = draw(st.booleans())
+    # entries are drawn as left data, paths from generator to relation, on
+    # the quiver a right presentation is read on
+    table = enumerate_paths(quiver if side == "left" else opposite(quiver), 3)
+    vertex = st.sampled_from(list(quiver.vertices))
+    fixed = (draw(vertex), draw(st.integers(-2, 2)))
+    others, entries = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 3)) == 0:
+            others.append((draw(vertex), draw(st.integers(-3, 5))))
+            entries.append(AlgElement.zero(fld))
+            continue
+        path = draw(st.sampled_from(table.paths(source=fixed[0]) if one_generator else
+                                    table.paths(target=fixed[0])))
+        others.append((path.target, fixed[1] + path.length) if one_generator else
+                      (path.source, fixed[1] - path.length))
+        scalar = fld.of(draw(st.integers(1, 4)) * draw(st.sampled_from([1, -1])))
+        entries.append(AlgElement(fld, {path if side == "left" else _reverse_path(path): scalar}))
+    if one_generator:
+        return GradedPresentation(quiver, side, fld, (fixed,), tuple(others), (tuple(entries),))
+    return GradedPresentation(quiver, side, fld, tuple(others), (fixed,), tuple((el,) for el in entries))
+
+
+@PROPERTY
+@given(monomial_presentations(), st.integers(1, 6))
+def test_a_monomial_rank_is_counted_and_equals_the_elimination(pres, trunc):
+    """Each counted rank of a monomial presentation, at every (degree,
+    vertex) with labels on both sides, equals the rank of its F1 -> F0
+    matrix, and no matrix is eliminated for it; the dimensions of both kinds
+    are the label numbers minus that rank."""
+    def refuse(m):
+        raise AssertionError("a monomial rank ran an elimination")
+
+    model = PresentationModel(pres, trunc)
+    assert model._monomial
+    gens, rels = model.pres.generators, model.pres.relations
+    low = min(deg for _, deg in gens + rels)
+    labels = {(d, v): (free_term_basis(model.table, gens, d, v), free_term_basis(model.table, rels, d, v))
+              for d in range(low - 1, low + trunc + 5) for v in model.quiver.vertices}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homology, "rank", refuse)
+        counted = {key: model._rank(*key) for key, (rows, cols) in labels.items() if rows and cols}
+        dims = {key: (model.dim(*key, Quotient), model.dim(*key, Kernel)) for key in labels}
+    for key, (rows, cols) in labels.items():
+        r = rank(free_diff_matrix(pres.field, rows, cols, model.pres.entries)) if rows and cols else 0
+        assert counted.get(key, 0) == r, key
+        assert dims[key] == (len(rows) - r, len(cols) - r), key

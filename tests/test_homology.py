@@ -44,6 +44,7 @@ from quiverhom.homology import (
 )
 from rep_helpers import (  # tests/rep_helpers.py
     assert_isomorphic,
+    count_rows_and_columns,
     direct_sum,
     dual_resolution_check,
     ext1_via_presentation,
@@ -473,23 +474,35 @@ def test_local_cohomology_three_cycle_rotation():
     assert sigma != (0, 1, 2)
 
 
-def test_local_cohomology_translates_each_stage_pair_once(monkeypatch):
+def test_local_cohomology_presents_only_the_stages_its_cycle_products_read(monkeypatch):
+    """The colimit pieces are certified from path counts, so the only stage
+    presentations built are those of stage m_max, once per summand, for the
+    cycle products, and the only relation moves are their right
+    multiplications by arrows: none at all where the twist moves a vertex."""
     from quiverhom import homology
 
-    calls = []
-    relation_move = homology._relation_move
+    presented, moved = [], []
+    stage_presentation, relation_move = homology._stage_presentation, homology._relation_move
 
-    def counting(quiver, src, dst, e):
-        calls.append((src.generators, src.relations, dst.relations, e))
+    def presenting(quiver, u, m, fld, table):
+        presented.append((u, m))
+        return stage_presentation(quiver, u, m, fld, table)
+
+    def moving(quiver, src, dst, e):
+        moved.append(e)
         return relation_move(quiver, src, dst, e)
 
-    monkeypatch.setattr(homology, "_relation_move", counting)
+    monkeypatch.setattr(homology, "_stage_presentation", presenting)
+    monkeypatch.setattr(homology, "_relation_move", moving)
     m_max = 6
     h1 = local_cohomology(THREE_CYCLE, 1, m_max, m_max, Q)
-    # the twist is a rotation, so no cycle products: every relation move is a
-    # stage transition m -> m + 1 of one summand, built once for all pieces
+    # the twist is a rotation, so no cycle products
     assert h1.twist_sigma != (0, 1, 2) and not h1.cycle_products
-    assert len(set(calls)) == len(calls) == THREE_CYCLE.vertex_count * (m_max - 1)
+    assert presented == moved == []
+    h1 = local_cohomology(LOOP, 1, m_max, m_max, Q)
+    assert h1.cycle_products == {"x": 1}
+    assert presented == [(0, m_max)]
+    assert moved and all(e.arrows for e in moved)
 
 
 def test_local_cohomology_builds_no_rep_and_no_standard_resolution(monkeypatch):
@@ -543,38 +556,36 @@ def test_local_cohomology_insufficient_mmax():
         local_cohomology(LOOP, 1, 1, 10, Q)
 
 
-def test_a_singular_stage_transition_is_refused(monkeypatch):
-    """Equal dimensions at every stage do not certify a colimit piece: each
-    transition must be a label bijection.  With every relation label moved
-    to one fixed label, the transitions of the first piece with classes send
-    distinct labels to one label, or to none of the next stage, and the
-    error names that piece 1-based."""
-    import quiverhom.homology as homology
+def piece_sizes(quiver, u, w, ell, stages):
+    """The numbers of labels of the index-1 piece (u, w, ell) at its first
+    `stages` stages, as local_cohomology counts them (trunc 12)."""
+    from quiverhom.homology import _stage_labels
 
-    fixed = (0, Path(0, 0, ()))
-    monkeypatch.setattr(homology, "_relation_move", lambda quiver, src, dst, e: lambda lab: (fixed,))
+    rows, cols = count_rows_and_columns(quiver, 12)
+    return [sum(c for (v, _), c in _stage_labels(rows, cols, u, -ell - 1, m, 12).items() if v == w)
+            for m in range(ell + 1, ell + 1 + stages)]
+
+
+def test_a_singular_stage_transition_is_refused():
+    """A piece is certified only when each of its stage transitions is a
+    label bijection.  On the Kronecker quiver the first transition of the
+    piece (u, w, degree) = (1, 2, 0) sends its two labels to a stage with
+    none, a singular map, and the error names that piece 1-based."""
+    assert piece_sizes(KRONECKER, 0, 1, 0, 3) == [2, 0, 0]
     with pytest.raises(StabilizationError, match=r"colimit piece \(u=1, w=2, degree 0\) did not stabilize"):
-        local_cohomology(THREE_CYCLE, 1, 12, 12, Q)
+        local_cohomology(KRONECKER, 1, 12, 12, Q)
 
 
-def test_a_singular_transition_inside_the_stage_chain_is_refused(monkeypatch):
+def test_a_singular_transition_inside_the_stage_chain_is_refused():
     """One piece is certified by each of its stage transitions in turn, so
-    no transition inside the chain is skipped: with only the move into
-    stage 5 sending every label to nothing, no label bijection, every piece
-    whose chain passes stage 5 is refused, and the error names the first
-    one 1-based."""
-    import quiverhom.homology as homology
-
-    real = homology._relation_move
-
-    def zero_into_stage_5(quiver, src, dst, e):
-        if dst.relations[0][1] == 5:
-            return lambda lab: ()
-        return real(quiver, src, dst, e)
-
-    monkeypatch.setattr(homology, "_relation_move", zero_into_stage_5)
+    no transition inside the chain is skipped.  On the path 1 -> 2 -> 3 the
+    piece (u, w, degree) = (1, 2, 0) has one label at stages 1 and 2, a
+    bijection between them, and none at stage 3: the second transition is
+    singular, and the error names that piece 1-based."""
+    a3 = parse_quiver("vertices: 3\narrow a 1 2\narrow b 2 3\n")[0]
+    assert piece_sizes(a3, 0, 1, 0, 4) == [1, 1, 0, 0]
     with pytest.raises(StabilizationError, match=r"colimit piece \(u=1, w=2, degree 0\) did not stabilize"):
-        local_cohomology(THREE_CYCLE, 1, 12, 12, Q)
+        local_cohomology(a3, 1, 12, 12, Q)
 
 
 def test_local_cohomology_builds_no_presentation_model(monkeypatch):
@@ -902,45 +913,58 @@ def test_stage_presentations_match_path_basis_model(name):
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_QUIVERS))
-def test_stage_labels_are_the_whole_blocks_of_the_hom_dual_model(name, monkeypatch):
-    """Every label list local_cohomology reads, at index 0 and 1, is the
-    label list of the same block of ext_model(stage) for a stage whose
-    Hom-dual term it lists, and that block is the whole space on its labels:
-    in the degrees read, the other term of the Hom-dual has no label."""
+def test_stage_counts_are_the_whole_blocks_of_the_hom_dual_model(name, monkeypatch):
+    """Every stage count local_cohomology reads is the dimension of the same
+    block of ext_model(stage), of kind Hom(F1, A) at index 1 (each count
+    `_stage_labels` gives, summed over the ends of the stage paths) and
+    Hom(F0, A) at index 0 (a reported dimension, equal at every stage of
+    its piece), and that block is the whole space on its labels: in the
+    degrees read, the other term of the Hom-dual has no label."""
     import quiverhom.homology as homology
 
     quiv = parse_quiver(ORACLE_QUIVERS[name])[0]
-    read = {}
+    read = []
+    stage_labels = homology._stage_labels
 
-    def recording(table, gens, degree, target=None):
-        read[(tuple(gens), degree, target)] = labels = free_term_basis(table, gens, degree, target)
-        return labels
+    def recording(rows, cols, u, d, m, trunc):
+        read.append((u, d, m, stage := stage_labels(rows, cols, u, d, m, trunc)))
+        return stage
 
     checked = 0
     for fld in (Q, Field(2147483647)):
         for trunc, m_max in ((6, 6), (5, 6), (6, 4)):
             table = enumerate_paths(quiv, m_max)
-            for i in (0, 1):
-                read.clear()
-                with monkeypatch.context() as patch:
-                    patch.setattr(homology, "free_term_basis", recording)
-                    try:
-                        local_cohomology(quiv, i, m_max, trunc, fld)
-                    except StabilizationError:
-                        pass
-                assert read
-                matched = set()
-                for u in quiv.vertices:
-                    for m in range(1, m_max + 1):
-                        model = ext_model(_stage_presentation(quiv, u, m, fld, table), trunc)
-                        own = model.pres.generators if i else model.pres.relations
-                        for (gens, d, w), labels in read.items():
-                            if gens == own:
-                                blk = ext_block(model, i, d, w)
-                                assert blk.labels == labels and blk.dim == len(labels), (i, u, m, d, w)
-                                matched.add((gens, d, w))
-                                checked += bool(labels)
-                assert matched == set(read)
+            models = {}
+
+            def whole_block(i, u, m, d, w):
+                if (u, m) not in models:
+                    models[(u, m)] = ext_model(_stage_presentation(quiv, u, m, fld, table), trunc)
+                blk = ext_block(models[(u, m)], i, d, w)
+                assert blk.dim == len(blk.labels), (i, u, m, d, w)
+                return blk.dim
+
+            read.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(homology, "_stage_labels", recording)
+                try:
+                    local_cohomology(quiv, 1, m_max, trunc, fld)
+                except StabilizationError:
+                    pass
+            assert read
+            for u, d, m, stage in read:
+                for w in quiv.vertices:
+                    count = sum(c for (v, _), c in stage.items() if v == w)
+                    assert count == whole_block(1, u, m, d, w), (u, m, d, w)
+                    checked += bool(count)
+            n = 1 if quiv.arrows else 0
+            h0 = local_cohomology(quiv, 0, m_max, trunc, fld)
+            for u in quiv.vertices:
+                for ell in range(h0.max_degree + 1):
+                    d = -ell - n
+                    for w in quiv.vertices:
+                        for m in range(max(1, -d), m_max + 1):
+                            assert h0.dim(u, w, ell) == whole_block(0, u, m, d, w), (u, m, d, w)
+                            checked += h0.dim(u, w, ell)
     assert checked
 
 

@@ -125,8 +125,8 @@ def test_counts_match_adjacency_powers():
         for ell, counts in enumerate(all_counts):
             for s in quiv.vertices:
                 for t in quiv.vertices:
-                    assert counts[s][t] == table.count(s, t, ell) == len(table.paths(s, t, ell))
-                assert table.count(s, t, -1) == table.count(s, t, 6) == 0
+                    assert counts[s][t] == len(table.paths(s, t, ell))
+                assert table.paths(s, t, -1) == table.paths(s, t, 6) == []
 
 
 def test_gate_two_cycle_bounded_period_2():
@@ -192,7 +192,7 @@ def test_opposite_enumeration_mirrors():
     for ell in range(5):
         for s in quiv.vertices:
             for t in quiv.vertices:
-                assert table.count(s, t, ell) == table_op.count(t, s, ell)
+                assert len(table.paths(s, t, ell)) == len(table_op.paths(t, s, ell))
 
 
 # ----------------------------------------------------------------- gate and count contract

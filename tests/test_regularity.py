@@ -118,6 +118,34 @@ def test_as_regular_check_resolves_each_simple_once(monkeypatch):
     assert calls == {"as_regular_check": 6}
 
 
+def test_regularity_on_cycles_eliminates_only_the_probe_pairs(monkeypatch):
+    """On a cycle every rank the regularity verdicts read off a model is a
+    count: the Hom-dual of a simple's presentation has one relation and
+    single-path entries, a simple is graded with no chain-basis search, and
+    local cohomology reads path counts.  So as_regular_check and nakayama
+    run no forward elimination, and chi_probe runs one per finite probe
+    pair, the rank of its commutation matrix."""
+    from quiverhom import exactlin
+
+    runs = []
+    echelon = exactlin._echelon
+
+    def counting(m):
+        runs.append(m)
+        return echelon(m)
+
+    monkeypatch.setattr(exactlin, "_echelon", counting)
+    for n in range(1, 6):
+        q = _cycle(n)
+        for fld in (Q, Field(2147483647)):
+            runs.clear()
+            assert as_regular_check(q, 12, fld).as_regular
+            assert nakayama(q, 12, 12, fld).gldim == 1
+            assert runs == []
+            chi_probe(q, 12, fld)
+            assert len(runs) == 2 * n ** 2
+
+
 def test_natural_map_values():
     assert nakayama(TWO_CYCLE, 10, 8, Q).vertex_map == (1, 0)
     assert nakayama(LOOP, 8, 6, Q).vertex_map == (0,)
