@@ -14,6 +14,7 @@ normalized through the opposite quiver on entry and translated back on exit.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 
 from .exactlin import Field, Kernel, Matrix, Quotient, rank
@@ -234,35 +235,11 @@ def _label_matrix(fld: Field, rows, cols, images) -> Matrix:
     return Matrix._normalized(fld, tuple(map(tuple, mat)), len(cols))
 
 
-def _arrow_path(quiver: Quiver, ai: int) -> Path:
-    a = quiver.arrows[ai]
-    return Path(a.source, a.target, (ai,))
-
-
 def _left_mult(quiver: Quiver, ai: int):
     """Label move (g, p) -> (g, a p): left multiplication by arrow ai."""
-    arrow = _arrow_path(quiver, ai)
+    a = quiver.arrows[ai]
+    arrow = Path(a.source, a.target, (ai,))
     return lambda lab: ((lab[0], compose(arrow, lab[1])),) if lab[1].target == arrow.source else ()
-
-
-def _relation_move(quiver: Quiver, src: GradedPresentation, dst: GradedPresentation, e: Path):
-    """Label move on Hom(F1, A) from stage presentation `src` to `dst`.
-
-    The comparison map of relation terms sends [p2] of `dst` to x [p] of
-    `src` wherever p2 e = x p with x an arrow, so the label (p, y) moves to
-    the sum of the labels (p2, x y); labels name each relation by its index,
-    and their paths are read in the opposite quiver, where x y is y x.
-    With e = e_u this is the stage transition m -> m + 1 of summand u; with
-    e an arrow b it is induced by right multiplication A e_t(b) / J^m ->
-    A e_s(b) / J^m.
-    """
-    index = {next(iter(el.coeffs)): r for r, el in enumerate(src.entries[0])}
-    hits = {}
-    for r2, el in enumerate(dst.entries[0]):
-        pe = compose(next(iter(el.coeffs)), e)
-        x_op = _reverse_path(_arrow_path(quiver, pe.arrows[-1]))
-        hits.setdefault(index[Path(pe.source, x_op.target, pe.arrows[:-1])], []).append((r2, x_op))
-    return lambda lab: ((r2, compose(lab[1], x_op)) for r2, x_op in hits.get(lab[0], ()))
 
 
 def _induced_map(fld: Field, src: _Block, dst: _Block, move) -> Matrix:
@@ -489,7 +466,6 @@ class PresentationModel:
         self.quiver = pres.quiver
         self.fld = pres.field
         self.trunc = trunc
-        self.table = enumerate_paths(self.quiver, trunc)
         # the labels per (degree, vertex): F0 for Quotient, F1 for Kernel
         counts = path_count_matrices(self.quiver, trunc)
         self._counts = {Quotient: _label_counts(counts, pres.generators),
@@ -500,6 +476,12 @@ class PresentationModel:
         self._blocks = {}
         self._ranks = {}
         self._actions = {}
+
+    @functools.cached_property
+    def table(self):
+        """The paths through the truncation, enumerated on first read: only
+        blocks, label lists and kill matrices need them."""
+        return enumerate_paths(self.quiver, self.trunc)
 
     def block(self, d: int, v: int) -> _Block:
         """Block (d, v): the F0 labels ending at v modulo the relation image.
@@ -799,10 +781,12 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
     In the degrees read (d = -ell - n) a stage block is the whole space on
     its own labels, so its dimension is a path count (`_stage_labels`), and
     a transition is a label bijection exactly when the counts say so
-    (`_uncertified`): no label, vector or matrix is built.  The vertex
-    twist sigma is read off the degree-0 slice and checked against the path
-    coalgebra in every degree, and arrow-level cycle products are extracted
-    from the two one-sided module structures of the stage-m_max blocks.
+    (`_uncertified`).  The vertex twist sigma is read off the degree-0
+    slice and checked against the path coalgebra in every degree.  Where
+    sigma fixes every vertex, the cycle products of the two one-sided
+    module structures of the stage-m_max blocks are counted off the same
+    path counts (`_cycle_products`); each is 1 where it is defined.  No
+    path, path table, presentation, label list, vector or matrix is built.
     """
     fld = fld or Field(0)
     rep_q = opposite(quiver) if side == "right" else quiver
@@ -852,7 +836,7 @@ def local_cohomology(quiver: Quiver, i: int, m_max: int, trunc: int,
         twist_note = "identically zero"
     cycle_products = {}
     if i == n and twist_sigma is not None and all(twist_sigma[v] == v for v in rep_q.vertices):
-        cycle_products = _cycle_products(rep_q, fld, n, m_max, trunc)
+        cycle_products = _cycle_products(rep_q, fld, n, m_max, trunc, rows, cols, images)
     return LocalCohReport(i, n, dims, stabilized_at, ell_max, twist_sigma, twist_note,
                           cycle_products, fld, side)
 
@@ -896,66 +880,44 @@ def _match_twist(quiver: Quiver, dims: dict, ell_max: int):
     return sigma, "1 matching vertex permutation(s); reporting the lexicographically first"
 
 
-def _cycle_products(quiver, fld, n, m_max, trunc):
-    """Ratio of right-route to left-route composites around each cycle.
+def _cycle_products(quiver, fld, n, m_max, trunc, rows, cols, images) -> dict:
+    """{cycle label: fld.one} for each cycle whose right-route and left-route
+    composites through the stage-m_max blocks are defined, counted off the
+    path counts `rows` and `cols` and the out-degrees `images` as
+    `local_cohomology` holds them (docs/conventions.md, "Cycle products,
+    counted").
 
-    Both composites connect the same stabilized one-dimensional blocks of
-    stage m_max, whole on their labels; the basis ambiguities cancel in the
-    ratio, which equals the product of the twist scalars around the cycle.
-    Requires all touched blocks to be one-dimensional (true on the
-    disjoint-cycle instances with identity vertex twist); returns {} when
-    that fails.
+    A route is defined when every block it passes through has one label and
+    every step sends the one label onto the next; each step is then a 0/1
+    count equal to 1, so the ratio of the two routes is 1.  A cycle needs
+    len(cyc) + n + 1 stages, or it gets no entry.
     """
+    def count(u, d, w, m=m_max, weight=None):
+        # the labels of piece (u, w) at stage m in degree d, each weighted by weight[x],
+        # x the end of its stage path
+        return sum(c * (weight[x] if weight else 1)
+                   for (v, x), c in _stage_labels(rows, cols, u, d, m, trunc).items() if v == w)
+
     out = {}
-    q_op = opposite(quiver)
-    # m_max may exceed the truncation of the stage labels by one
-    table, op_table = enumerate_paths(quiver, m_max), enumerate_paths(q_op, trunc)
-    stages = [_stage_presentation(quiver, u, m_max, fld, table) for u in quiver.vertices]
-
-    def labels(u, d, w):
-        # the labels of Hom(F1, A) of stage m_max of summand u in degree d, ending at w
-        return free_term_basis(op_table, tuple((v, -dr) for v, dr in stages[u].relations), d, w)
-
     for cyc in simple_cycles(quiver):
         d0 = -len(cyc) - n
         if -d0 + 1 > m_max:
             continue
         u0 = quiver.arrows[cyc[0]].source
-        # right route: within summand u0, arrow actions move (d, t(b)) -> (d+1, s(b))
-        kappa = _route_product(fld, (
-            (labels(u0, d0 + k, quiver.arrows[b].target),
-             labels(u0, d0 + k + 1, quiver.arrows[b].source),
-             _left_mult(q_op, b))
-            for k, b in enumerate(reversed(cyc))))
-        if kappa is None:
-            continue
-        # left route: across summands, right multiplication by b on the
-        # quotient modules moves summand s(b) to t(b)
-        mu = _route_product(fld, (
-            (labels(quiver.arrows[b].source, d0 + k, u0),
-             labels(quiver.arrows[b].target, d0 + k + 1, u0),
-             _relation_move(quiver, stages[quiver.arrows[b].source],
-                            stages[quiver.arrows[b].target], _arrow_path(quiver, b)))
-            for k, b in enumerate(cyc)))
-        if mu is not None:
-            label = "-".join(quiver.arrows[ai].label for ai in cyc)
-            out[label] = fld.mul(kappa, fld.inv(mu))
+        arrows = [quiver.arrows[b] for b in cyc]
+        # right route: within summand u0, arrow actions move (d, t(b)) -> (d+1, s(b)); the
+        # one label has one image, inside the truncation once the next block has a label
+        steps = [c for k, a in enumerate(reversed(arrows))
+                 for c in (count(u0, d0 + k, a.target), count(u0, d0 + k + 1, a.source))]
+        # left route: across summands, right multiplication by b moves summand s(b) to
+        # t(b); a label whose stage path is b q, q of length m_max - 1 from t(b), has one
+        # image per arrow out of t(q), and any other label has none
+        steps += [c for k, a in enumerate(arrows)
+                  for c in (count(a.source, d0 + k, u0), count(a.target, d0 + k + 1, u0),
+                            count(a.target, d0 + k + 1, u0, m_max - 1, images))]
+        if all(c == 1 for c in steps):
+            out["-".join(a.label for a in arrows)] = fld.one
     return out
-
-
-def _route_product(fld: Field, steps):
-    """Product of the 1x1 maps along a route of (src, dst, move) steps, each the
-    count of dst[0] among the moves of src[0], or None once a label list is
-    not of length one or a map vanishes.  `steps` is consumed lazily."""
-    val = fld.one
-    for src, dst, move in steps:
-        if len(src) != 1 or len(dst) != 1:
-            return None
-        coord = fld.of(sum(lab == dst[0] for lab in move(src[0])))
-        if fld.is_zero(coord):
-            return None
-        val = fld.mul(val, coord)
-    return val
 
 
 def simple_cycles(quiver: Quiver) -> list:

@@ -17,7 +17,6 @@ from .homology import (
     ext_model,
     ext_vs_algebra,
     local_cohomology,
-    simple_cycles,
 )
 from .quiver import Quiver, Record, growth_gate
 from .repmod import Rep, VertexTwist, hom_ext1_dims, presentation_of_rep, simple, truncated_injective, twist
@@ -160,10 +159,11 @@ def nakayama(q: Quiver, trunc: int, m_max: int, fld: Field | None = None) -> Nak
     """Nakayama twist: vertex part from the natural map on simples, arrow part
     from the bigraded local-cohomology match; the two sources must agree.
 
-    For an identity vertex map the cycle products extracted from the two
-    one-sided module structures of the stabilized local cohomology decide
-    innerness; a non-identity vertex map is never inner, since inner
-    automorphisms of a basic complete algebra fix the idempotent classes.
+    For an identity vertex map the cycle products counted off the stabilized
+    local cohomology decide innerness: each is 1, and with none counted
+    (m_max too small for every cycle) innerness is undetermined.  A
+    non-identity vertex map is never inner, since inner automorphisms of a
+    basic complete algebra fix the idempotent classes.
     Only H^n at n = gldim is computed: in the degrees local_cohomology reads,
     no block at the other index has labels of its own, so its vanishing
     holds by construction and is not checked.
@@ -198,14 +198,8 @@ def nakayama(q: Quiver, trunc: int, m_max: int, fld: Field | None = None) -> Nak
         )
     arrow_map = _arrow_matching(q, sigma)
     identity_vertices = all(sigma[v] == v for v in q.vertices)
-    scalars = [fld.one for _ in q.arrows]
-    if identity_vertices and lc.cycle_products:
-        # place each extracted cycle product on the first arrow of its cycle
-        for cyc in simple_cycles(q):
-            label = "-".join(q.arrows[ai].label for ai in cyc)
-            if label in lc.cycle_products:
-                scalars[cyc[0]] = fld.of(lc.cycle_products[label])
-    twist_datum = VertexTwist(sigma, arrow_map, tuple(scalars))
+    # a cycle product is 1 wherever it is counted, so every arrow scalar is 1
+    twist_datum = VertexTwist(sigma, arrow_map, tuple(fld.one for _ in q.arrows))
     twist_datum.validate(q, fld)
     inner_verdict = inner_test(q, twist_datum, fld)
     inner = "yes" if inner_verdict["inner"] else "no"

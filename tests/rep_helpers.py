@@ -29,17 +29,20 @@ from quiverhom.homology import (
     _induced_map,
     _left_mult,
     _push,
+    _stage_presentation,
     ext_model,
     free_diff_matrix,
     free_term_basis,
+    simple_cycles,
 )
 from quiverhom.pathcoalg import AlgElement, convolve
-from quiverhom.quiver import Path, Quiver, trivial_path
+from quiverhom.quiver import Path, Quiver, compose, enumerate_paths, opposite, trivial_path
 from quiverhom.repmod import (
     GradedPresentation,
     Rep,
     VertexTwist,
     _check_vertex,
+    _reverse_path,
     arrow_ends,
     commutation_matrix,
     hom_space,
@@ -146,6 +149,87 @@ def bijects(move, src, dst) -> bool:
             return False
         hit.add(ks[0])
     return True
+
+
+def arrow_path(quiver: Quiver, ai: int) -> Path:
+    a = quiver.arrows[ai]
+    return Path(a.source, a.target, (ai,))
+
+
+def relation_move(quiver: Quiver, src: GradedPresentation, dst: GradedPresentation, e: Path):
+    """Label move on Hom(F1, A) from stage presentation `src` to `dst`.
+
+    The comparison map of relation terms sends [p2] of `dst` to x [p] of
+    `src` wherever p2 e = x p with x an arrow, so the label (p, y) moves to
+    the sum of the labels (p2, x y); labels name each relation by its index,
+    and their paths are read in the opposite quiver, where x y is y x.
+    With e = e_u this is the stage transition m -> m + 1 of summand u; with
+    e an arrow b it is induced by right multiplication A e_t(b) / J^m ->
+    A e_s(b) / J^m.
+    """
+    index = {next(iter(el.coeffs)): r for r, el in enumerate(src.entries[0])}
+    hits = {}
+    for r2, el in enumerate(dst.entries[0]):
+        pe = compose(next(iter(el.coeffs)), e)
+        x_op = _reverse_path(arrow_path(quiver, pe.arrows[-1]))
+        hits.setdefault(index[Path(pe.source, x_op.target, pe.arrows[:-1])], []).append((r2, x_op))
+    return lambda lab: ((r2, compose(lab[1], x_op)) for r2, x_op in hits.get(lab[0], ()))
+
+
+def route_product(fld, steps):
+    """Product of the 1x1 maps along a route of (src, dst, move) steps, each the
+    count of dst[0] among the moves of src[0], or None once a label list is
+    not of length one or a map vanishes.  `steps` is consumed lazily."""
+    val = fld.one
+    for src, dst, move in steps:
+        if len(src) != 1 or len(dst) != 1:
+            return None
+        coord = fld.of(sum(lab == dst[0] for lab in move(src[0])))
+        if fld.is_zero(coord):
+            return None
+        val = fld.mul(val, coord)
+    return val
+
+
+def cycle_products_by_routes(quiver: Quiver, fld, n: int, m_max: int, trunc: int) -> dict:
+    """Ratio of right-route to left-route composites around each cycle, walked
+    on the labels of the stage-m_max presentations and their moves.  The
+    reference for the counted `homology._cycle_products`."""
+    out = {}
+    q_op = opposite(quiver)
+    # m_max may exceed the truncation of the stage labels by one
+    table, op_table = enumerate_paths(quiver, m_max), enumerate_paths(q_op, trunc)
+    stages = [_stage_presentation(quiver, u, m_max, fld, table) for u in quiver.vertices]
+
+    def labels(u, d, w):
+        # the labels of Hom(F1, A) of stage m_max of summand u in degree d, ending at w
+        return free_term_basis(op_table, tuple((v, -dr) for v, dr in stages[u].relations), d, w)
+
+    for cyc in simple_cycles(quiver):
+        d0 = -len(cyc) - n
+        if -d0 + 1 > m_max:
+            continue
+        u0 = quiver.arrows[cyc[0]].source
+        # right route: within summand u0, arrow actions move (d, t(b)) -> (d+1, s(b))
+        kappa = route_product(fld, (
+            (labels(u0, d0 + k, quiver.arrows[b].target),
+             labels(u0, d0 + k + 1, quiver.arrows[b].source),
+             _left_mult(q_op, b))
+            for k, b in enumerate(reversed(cyc))))
+        if kappa is None:
+            continue
+        # left route: across summands, right multiplication by b on the
+        # quotient modules moves summand s(b) to t(b)
+        mu = route_product(fld, (
+            (labels(quiver.arrows[b].source, d0 + k, u0),
+             labels(quiver.arrows[b].target, d0 + k + 1, u0),
+             relation_move(quiver, stages[quiver.arrows[b].source],
+                           stages[quiver.arrows[b].target], arrow_path(quiver, b)))
+            for k, b in enumerate(cyc)))
+        if mu is not None:
+            label = "-".join(quiver.arrows[ai].label for ai in cyc)
+            out[label] = fld.mul(kappa, fld.inv(mu))
+    return out
 
 
 def path_action(rep: Rep, p: Path) -> Matrix:

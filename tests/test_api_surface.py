@@ -1,9 +1,10 @@
 """Dead-API guard: the package holds what the commands, README's library
 quickstart and the benchmark tracer reach, and nothing only tests call.
 
-- Every public top-level function or class is reached, name by name and
-  transitively through the definitions it mentions, from `cli.py`, from the
-  quickstart, or from a package name that `bench/tracer.py` binds.
+- Every top-level function or class, public or private, is reached, name
+  by name and transitively through the definitions it mentions, from
+  `cli.py`, from the quickstart, or from a package name that
+  `bench/tracer.py` binds.
 - Every public method of a package class is referenced as an attribute in
   `src` or in the benchmark's own code; references from tests do not count.
 
@@ -45,9 +46,9 @@ def _tracer_names() -> set:
             if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in layers}
 
 
-def test_every_public_definition_is_reached():
+def test_every_definition_is_reached():
     mentions = {}      # top-level name -> names its definitions mention
-    public = []        # (module, name)
+    defs = []          # (module, name) of each top-level function or class
     roots = _quickstart_names() | _tracer_names()
     for path, tree in _modules().items():
         for node in tree.body:
@@ -66,15 +67,15 @@ def test_every_public_definition_is_reached():
                 continue
             for name in defined:
                 mentions.setdefault(name, set()).update(_names(node) - {name})
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                public.append((path.name, node.name))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((path.name, node.name))
     reached, todo = set(), list(roots)
     while todo:
         name = todo.pop()
         if name not in reached:
             reached.add(name)
             todo.extend(mentions.get(name, ()))
-    assert [f"{module}:{name}" for module, name in public if name not in reached] == []
+    assert [f"{module}:{name}" for module, name in defs if name not in reached] == []
 
 
 def test_every_public_method_is_referenced():

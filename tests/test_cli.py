@@ -160,6 +160,19 @@ def test_nakayama_nine_disjoint_loops(quiver_file, capsys):
     assert lc["cycle_products"] == {f"x{v}": "1" for v in range(1, 10)}
 
 
+@pytest.mark.parametrize("text, labels", [(LOOP, ["x"]), ("vertices: 2\narrow x 1 1\narrow y 2 2\n", ["x", "y"])])
+def test_nakayama_innerness_is_undetermined_below_the_cycle_products_stage(quiver_file, capsys, text, labels):
+    # a loop's cycle product reads stages through 3: at --mmax 2 none is
+    # counted, so innerness is undetermined, and at 3 each loop's is 1
+    for m_max, products, inner in (("2", {}, "undetermined"), ("3", dict.fromkeys(labels, "1"), "yes")):
+        code, report = run_json(capsys, ["nakayama", "--quiver", quiver_file(text), "--mmax", m_max, "--json"])
+        assert code == 0
+        assert report["verdicts"] == {"applicable": True, "inner": inner}
+        nak = report["tables"]["nakayama"]
+        assert nak["local_cohomology"]["cycle_products"] == products
+        assert nak["twist"]["scalars"] == ["1"] * len(labels)
+
+
 def test_cy_loop(quiver_file, capsys):
     code, report = run_json(
         capsys, ["cy", "--quiver", quiver_file(LOOP), "--trunc", "8", "--mmax", "6",

@@ -20,6 +20,13 @@ of the matrix it induces on the labels.  That reference is the push of unit
 vectors along the move and the rank of the square matrix they give, as the
 colimit was certified before it read label moves.
 
+The counted cycle products, on the same quivers: `homology._cycle_products`
+decides from path counts where the right-route and left-route composites
+around a cycle are defined and gives each such cycle the product 1.  It
+must equal the walk of those routes on the stage-m_max labels and their
+moves (`rep_helpers.cycle_products_by_routes`), at every m_max, whatever
+the twist.
+
 The counted ranks, on the same quivers: a presentation with one generator
 or one relation and single-path entries is monomial, and
 `PresentationModel._rank` counts its ranks with no matrix built.  The count
@@ -35,13 +42,15 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from quiverhom import homology  # noqa: E402
 from quiverhom.exactlin import Field, Kernel, Matrix, Quotient, rank  # noqa: E402
 from quiverhom.homology import (  # noqa: E402
-    PresentationModel, _push, _relation_move, _stage_labels, _stage_presentation, _uncertified,
+    PresentationModel, _push, _stage_labels, _stage_presentation, _uncertified,
     free_diff_matrix, free_term_basis, local_cohomology,
 )
 from quiverhom.pathcoalg import AlgElement  # noqa: E402
 from quiverhom.repmod import GradedPresentation, _reverse_path  # noqa: E402
 from quiverhom.quiver import Arrow, Quiver, enumerate_paths, opposite, parse_quiver, trivial_path  # noqa: E402
-from rep_helpers import adjacency_powers, bijects, count_rows_and_columns  # noqa: E402  (tests/rep_helpers.py)
+from rep_helpers import (  # noqa: E402  (tests/rep_helpers.py)
+    adjacency_powers, bijects, count_rows_and_columns, cycle_products_by_routes, relation_move,
+)
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
@@ -113,6 +122,11 @@ LOOP_WITH_TAIL = parse_quiver("vertices: 2\narrow x 1 1\narrow t 1 2\n")[0]
 # the label of stage 3 reaches 4 by other last arrows
 FAN_INTO_A_SINK = parse_quiver(
     "vertices: 4\narrow a 1 2\narrow b 1 4\narrow c 2 3\narrow d 2 4\narrow e 3 4\n")[0]
+# the two-cycle a, c with both of its vertices sending an arrow to the sink
+# 3: on the left route of a-c, a block with one label can hold a label whose
+# stage path does not start with the arrow the step multiplies by, so the
+# step maps it to 0
+TWO_CYCLE_INTO_A_SINK = parse_quiver("vertices: 3\narrow a 1 2\narrow b 1 3\narrow c 2 1\narrow d 2 3\n")[0]
 
 
 def stage_chains(quiver, m_max, trunc, fld, side):
@@ -130,7 +144,7 @@ def stage_chains(quiver, m_max, trunc, fld, side):
     stages = {(u, m): _stage_presentation(rep_q, u, m, fld, table)
               for u in rep_q.vertices for m in range(1, m_max + 1)}
     for u in rep_q.vertices:
-        moves = {m: _relation_move(rep_q, stages[(u, m)], stages[(u, m + 1)], trivial_path(u))
+        moves = {m: relation_move(rep_q, stages[(u, m)], stages[(u, m + 1)], trivial_path(u))
                  for m in range(1, m_max)}
         for ell in range(m_max - 1):
             stage_range = range(ell + 1, m_max + 1)
@@ -204,6 +218,26 @@ def test_the_loop_with_tail_has_square_transitions_that_are_not_bijections():
             assert not bijects(move, src, dst) and not verdict
             seen += 1
     assert seen == 4 + 3 + 2 + 1
+
+
+@PROPERTY
+@given(st.one_of(cycle_unions(), loops_with_tail(), st.just(KRONECKER), acyclic_quivers()),
+       st.integers(1, 8), st.sampled_from(["left", "right"]),
+       st.sampled_from([Field(0), Field(2147483647)]))
+@example(FAN_INTO_A_SINK, 6, "left", Field(0))
+@example(TWO_CYCLE_INTO_A_SINK, 5, "left", Field(0))
+def test_cycle_products_are_counted_as_the_label_routes_give_them(quiver, trunc, side, fld):
+    """The cycle products counted off the path counts equal the ratio of the
+    right-route and left-route composites walked on the labels of the
+    stage-m_max presentations, at every m_max from 2 to trunc + 1, whatever
+    the twist: the same cycles get an entry, and each entry is 1."""
+    rep_q = opposite(quiver) if side == "right" else quiver
+    images = [len(rep_q.arrows_from(x)) for x in rep_q.vertices]
+    for m_max in range(2, trunc + 2):
+        rows, cols = count_rows_and_columns(rep_q, m_max)
+        counted = homology._cycle_products(rep_q, fld, 1, m_max, trunc, rows, cols, images)
+        assert counted == cycle_products_by_routes(rep_q, fld, 1, m_max, trunc), m_max
+        assert all(value == fld.one for value in counted.values())
 
 
 @st.composite

@@ -55,6 +55,7 @@ from rep_helpers import (  # tests/rep_helpers.py
     kernel_block,
     minimalize,
     path_action,
+    relation_move,
     truncated_free,
     zero_rep,
 )
@@ -474,35 +475,26 @@ def test_local_cohomology_three_cycle_rotation():
     assert sigma != (0, 1, 2)
 
 
-def test_local_cohomology_presents_only_the_stages_its_cycle_products_read(monkeypatch):
-    """The colimit pieces are certified from path counts, so the only stage
-    presentations built are those of stage m_max, once per summand, for the
-    cycle products, and the only relation moves are their right
-    multiplications by arrows: none at all where the twist moves a vertex."""
-    from quiverhom import homology
+def test_local_cohomology_lists_no_path_table_or_presentation(monkeypatch):
+    """The colimit pieces and the cycle products are both counted off the
+    quiver's path counts, so local cohomology builds no stage presentation,
+    no free-term label list and no path table, on a fresh path cache too."""
+    from quiverhom import homology, quiver
 
-    presented, moved = [], []
-    stage_presentation, relation_move = homology._stage_presentation, homology._relation_move
+    def refuse(*args, **kwargs):
+        raise AssertionError("local cohomology built a stage presentation, label list or path table")
 
-    def presenting(quiver, u, m, fld, table):
-        presented.append((u, m))
-        return stage_presentation(quiver, u, m, fld, table)
-
-    def moving(quiver, src, dst, e):
-        moved.append(e)
-        return relation_move(quiver, src, dst, e)
-
-    monkeypatch.setattr(homology, "_stage_presentation", presenting)
-    monkeypatch.setattr(homology, "_relation_move", moving)
+    nine_loops = parse_quiver("vertices: 9\n" + "".join(f"arrow x{v} {v} {v}\n" for v in range(1, 10)))[0]
+    enumerate_paths.cache_clear()
+    monkeypatch.setattr(homology, "_stage_presentation", refuse)
+    monkeypatch.setattr(homology, "free_term_basis", refuse)
+    monkeypatch.setattr(quiver.PathTable, "__init__", refuse)
     m_max = 6
     h1 = local_cohomology(THREE_CYCLE, 1, m_max, m_max, Q)
     # the twist is a rotation, so no cycle products
     assert h1.twist_sigma != (0, 1, 2) and not h1.cycle_products
-    assert presented == moved == []
-    h1 = local_cohomology(LOOP, 1, m_max, m_max, Q)
-    assert h1.cycle_products == {"x": 1}
-    assert presented == [(0, m_max)]
-    assert moved and all(e.arrows for e in moved)
+    assert local_cohomology(LOOP, 1, m_max, m_max, Q).cycle_products == {"x": 1}
+    assert local_cohomology(nine_loops, 1, m_max, 8, Q).cycle_products == {f"x{v}": 1 for v in range(1, 10)}
 
 
 def test_local_cohomology_builds_no_rep_and_no_standard_resolution(monkeypatch):
@@ -864,7 +856,6 @@ def test_stage_presentations_match_path_basis_model(name):
     """The minimal stage presentations and their relation moves give the
     blocks, stage transitions and right-multiplication moves of the
     path-basis model, up to isomorphism: equal dimensions and ranks."""
-    from quiverhom.homology import _relation_move
     from quiverhom.quiver import trivial_path
 
     def rank_of(src: _Block, dst: _Block, move) -> int:
@@ -894,7 +885,7 @@ def test_stage_presentations_match_path_basis_model(name):
                             if m < m_max and d <= trunc - m - 1:
                                 n_old, n_new = blocks(u, m + 1, d, w)
                                 stage_old = _translate(old[(u, m)][1][i], old[(u, m + 1)][1][i], lambda lab: lab)
-                                stage_new = (_relation_move(quiv, new[(u, m)], new[(u, m + 1)], trivial_path(u))
+                                stage_new = (relation_move(quiv, new[(u, m)], new[(u, m + 1)], trivial_path(u))
                                              if i else lambda lab: (lab,))
                                 assert (rank_of(b_old, n_old, stage_old)
                                         == rank_of(b_new, n_new, stage_new)), (i, u, m, d, w)
@@ -905,7 +896,7 @@ def test_stage_presentations_match_path_basis_model(name):
                                     t_old, t_new = blocks(a.target, m, d + 1, w)
                                     right_old = _translate(old[(u, m)][1][1], old[(a.target, m)][1][1],
                                                            _shift_right(quiv, b))
-                                    right_new = _relation_move(quiv, new[(u, m)], new[(a.target, m)],
+                                    right_new = relation_move(quiv, new[(u, m)], new[(a.target, m)],
                                                                Path(a.source, a.target, (b,)))
                                     assert (rank_of(b_old, t_old, right_old)
                                             == rank_of(b_new, t_new, right_new)), (b, u, m, d, w)
@@ -1173,7 +1164,6 @@ def test_class_maps_do_not_depend_on_the_representative(name):
     their Hom-duals, whose blocks have both."""
     from types import SimpleNamespace
 
-    from quiverhom.homology import _relation_move
     from quiverhom.quiver import trivial_path
 
     def checked_columns(model, d, v, dst, move, want):
@@ -1216,7 +1206,7 @@ def test_class_maps_do_not_depend_on_the_representative(name):
             action_checked += checked_arrow_actions(model)
             if m == m_max:
                 continue
-            move = _relation_move(quiv, stages[(u, m)], stages[(u, m + 1)], trivial_path(u))
+            move = relation_move(quiv, stages[(u, m)], stages[(u, m + 1)], trivial_path(u))
             for d in degrees(model):
                 for v in quiv.vertices:
                     dst = models[(u, m + 1)].block(d, v)

@@ -146,6 +146,22 @@ def test_regularity_on_cycles_eliminates_only_the_probe_pairs(monkeypatch):
             assert len(runs) == 2 * n ** 2
 
 
+def test_nakayama_on_cycles_builds_no_path_table(monkeypatch):
+    """Every dimension nakayama reads on a cycle is counted off path counts,
+    and a model enumerates its path table only when a block, label list or
+    kill matrix reads it, so a fresh path cache stays empty."""
+    from quiverhom import quiver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nakayama built a path table")
+
+    monkeypatch.setattr(quiver.PathTable, "__init__", refuse)
+    for n in range(1, 6):
+        for fld in (Q, Field(2147483647)):
+            quiver.enumerate_paths.cache_clear()
+            assert nakayama(_cycle(n), 12, 12, fld).inner == ("yes" if n == 1 else "no")
+
+
 def test_natural_map_values():
     assert nakayama(TWO_CYCLE, 10, 8, Q).vertex_map == (1, 0)
     assert nakayama(LOOP, 8, 6, Q).vertex_map == (0,)
