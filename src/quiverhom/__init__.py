@@ -1,7 +1,7 @@
 """Homological invariants of path coalgebras and their completed dual algebras."""
 
 from .exactlin import Field, Matrix, rank
-from .pathcoalg import AlgElement, PathCoalgebra, TruncatedDualAlgebra, bigraded_dims, comultiply
+from .pathcoalg import AlgElement, PathCoalgebra, bigraded_dims, comultiply, convolve
 from .quiver import (
     GrowthVerdict,
     Path,

@@ -44,7 +44,7 @@ from .homology import (
     local_cohomology,
     rational_part,
 )
-from .pathcoalg import AlgElement, PathCoalgebra, TruncatedDualAlgebra, bigraded_dims
+from .pathcoalg import AlgElement, PathCoalgebra, bigraded_dims, convolve
 from .quiver import QuiverParseError, growth_gate, parse_quiver
 from .regularity import (
     NotASRegularError,
@@ -392,8 +392,8 @@ def cmd_verify(args) -> tuple:
     suite["coalgebra_laws"] = {"cases": len(coalg.basis()), "failures": law_fail}
 
     # convolution associativity on random triples
-    alg = TruncatedDualAlgebra(quiver, min(args.trunc, 5), fld)
-    basis = alg.coalgebra.basis()
+    n_conv = min(args.trunc, 5)
+    basis = PathCoalgebra(quiver, n_conv, fld).basis()
     conv_fail = 0
     for _ in range(cases):
         f, g, h = (
@@ -401,7 +401,7 @@ def cmd_verify(args) -> tuple:
                              for p in rng.sample(basis, min(3, len(basis)))})
             for _ in range(3)
         )
-        if alg.convolve(alg.convolve(f, g), h) != alg.convolve(f, alg.convolve(g, h)):
+        if convolve(convolve(f, g, n_conv), h, n_conv) != convolve(f, convolve(g, h, n_conv), n_conv):
             conv_fail += 1
     suite["convolution_associativity"] = {"cases": cases, "failures": conv_fail}
 
@@ -470,7 +470,7 @@ def cmd_verify(args) -> tuple:
             pres = presentation_of_rep(m)
             model = ext_model(pres, args.trunc)
             e_top = ext_vs_algebra(m, n_top, args.trunc, model=model).total_dim
-            rat = rational_part(pres, args.trunc).rep.total_dim
+            rat = rational_part(pres, args.trunc).total_dim
             bad = e_top != rat
             if n_top > 0:
                 e0 = ext_vs_algebra(m, 0, args.trunc, model=model).total_dim

@@ -264,9 +264,6 @@ class Matrix:
         return Matrix._normalized(self.field, tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)),
                                   self.cols + other.cols)
 
-    def column(self, j: int) -> tuple:
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
     def apply(self, vec) -> tuple:
         """Matrix times column vector."""
         if len(vec) != self.cols:

@@ -34,7 +34,6 @@ from .repmod import (
     GradedPresentation,
     Rep,
     _reverse_path,
-    arrow_ends,
     hom_ext1_dims,
     presentation_of_rep,
 )
@@ -174,7 +173,7 @@ def ext_fd(m: Rep, n: Rep, i: int) -> ExtReport:
 
 
 # ----------------------------------------------------------------------
-# graded blocks: labels, classes, label moves, and the Rep they assemble into
+# graded blocks: labels, classes, and the maps label moves induce on them
 
 
 class _Block:
@@ -235,11 +234,9 @@ def _label_matrix(fld: Field, rows, cols, images) -> Matrix:
     return Matrix._normalized(fld, tuple(map(tuple, mat)), len(cols))
 
 
-def _left_mult(quiver: Quiver, ai: int):
-    """Label move (g, p) -> (g, a p): left multiplication by arrow ai."""
-    a = quiver.arrows[ai]
-    arrow = Path(a.source, a.target, (ai,))
-    return lambda lab: ((lab[0], compose(arrow, lab[1])),) if lab[1].target == arrow.source else ()
+def _left_mult(p: Path):
+    """Label move (g, q) -> (g, p q): left multiplication by the path p."""
+    return lambda lab: ((lab[0], compose(p, lab[1])),) if lab[1].target == p.source else ()
 
 
 def _induced_map(fld: Field, src: _Block, dst: _Block, move) -> Matrix:
@@ -248,26 +245,6 @@ def _induced_map(fld: Field, src: _Block, dst: _Block, move) -> Matrix:
     moved along `move`."""
     cols = [dst.space.coordinates(_push(fld, src.labels, vec, move, dst.index)) for vec in src.space.basis]
     return Matrix.from_columns(fld, cols, dst.dim)
-
-
-def _graded_rep(quiver: Quiver, side: str, fld: Field, fibers: dict, image) -> Rep:
-    """The Rep whose fiber at v has the graded classes fibers[v], keyed (degree, j).
-
-    image(ai, dom, cod, d) gives (d2, matrix) or None for a zero map: column
-    j of the matrix is the image under arrow ai of class (d, j) of fiber dom,
-    as coordinates over the classes (d2, r) of fiber cod.
-    """
-    def arrow_matrix(ai, dom, cod):
-        hits = {d: image(ai, dom, cod, d) for d in {d for d, _ in fibers[dom]}}
-
-        def images(key):
-            hit = hits[key[0]]
-            return () if hit is None else (((hit[0], r), x) for r, x in enumerate(hit[1].column(key[1])))
-
-        return _label_matrix(fld, fibers[cod], fibers[dom], images)
-
-    maps = [arrow_matrix(ai, *arrow_ends(side, a)) for ai, a in enumerate(quiver.arrows)]
-    return Rep(quiver, side, fld, [len(fibers[v]) for v in quiver.vertices], maps)
 
 
 # ----------------------------------------------------------------------
@@ -379,9 +356,12 @@ def ext_comodule_C(quiver: Quiver, j: int, i: int, trunc: int, fld: Field | None
     presentation of S_j (one relation per arrow out of j), so Ext^0 is read
     off the kernel dimensions of that model's (degree, vertex) matrices and
     Ext^1 off its quotient blocks, whose projection rows are the kernel
-    vectors of the strip matrix.  A caller reading both degrees passes one
-    ext_comodule_model as `model`.  The report keeps the grading and vertex
-    support; no arrow action is built.
+    vectors of the strip matrix.  A class is supported at the heads of the
+    generators its row touches; a block of the dimension of its own labels
+    is the whole space, so its support is counted off the path counts, and
+    only the other blocks are built.  A caller reading both degrees passes
+    one ext_comodule_model as `model`.  The report keeps the grading and
+    vertex support; no arrow action is built.
     """
     fld = fld or Field(0)
     if not 0 <= j < quiver.vertex_count:
@@ -398,6 +378,7 @@ def ext_comodule_C(quiver: Quiver, j: int, i: int, trunc: int, fld: Field | None
     support_acc = {}
     mixed = False
     d_hi = trunc - 1
+    counts = path_count_matrices(model.quiver, trunc)
     for d, v in model._counts[space]:
         if d > d_hi or not (dim := model.dim(d, v, space)):
             continue
@@ -405,11 +386,16 @@ def ext_comodule_C(quiver: Quiver, j: int, i: int, trunc: int, fld: Field | None
         if i == 0:
             support_acc[j] = support_acc.get(j, 0) + dim
             continue
+        if dim == model._counts[Quotient][(d, v)]:
+            # a whole-space block: class k is label k, at the head of its generator, and
+            # generator (gv, gd) has one label per path gv -> v of length d - gd
+            for gv, gd in model.pres.generators:
+                if 0 <= d - gd <= trunc and (n := counts[d - gd][gv][v]):
+                    support_acc[gv] = support_acc.get(gv, 0) + n
+            continue
         blk = model.block(d, v)
-        # on a whole-space block the projection is the identity: class k is label k
-        supports = ([{heads[g]} for g, _ in blk.labels] if blk.dim == len(blk.labels) else
-                    [{heads[blk.labels[idx][0]] for idx, x in enumerate(vec) if not fld.is_zero(x)}
-                     for vec in blk.space.projection.entries])
+        supports = [{heads[blk.labels[idx][0]] for idx, x in enumerate(vec) if not fld.is_zero(x)}
+                    for vec in blk.space.projection.entries]
         for verts in supports:
             if len(verts) > 1:
                 mixed = True
@@ -475,7 +461,6 @@ class PresentationModel:
             len(el.coeffs) <= 1 for row in pres.entries for el in row)
         self._blocks = {}
         self._ranks = {}
-        self._actions = {}
 
     @functools.cached_property
     def table(self):
@@ -542,46 +527,44 @@ class PresentationModel:
             self._ranks[(d, v)] = r
         return r
 
-    def arrow_action(self, d: int, arrow_index: int) -> Matrix:
-        """Left multiplication by an arrow: block (d, source) -> (d+1, target)."""
-        key = (d, arrow_index)
-        if key not in self._actions:
-            a = self.quiver.arrows[arrow_index]
-            self._actions[key] = _induced_map(self.fld, self.block(d, a.source), self.block(d + 1, a.target),
-                                              _left_mult(self.quiver, arrow_index))
-        return self._actions[key]
-
 
 # no command uses this alias; it stays because bench/tracer.py binds it by name
 AlgebraExtEngine = PresentationModel
 
 
 class RationalPartReport(Record):
-    __slots__ = ("rep", "dims_by_degree", "certificate")
+    """Dimensions of the rational part of a presented module: its nonzero
+    dimensions by degree, the certificate of how they were decided, and
+    their sum.  No module structure is kept."""
 
-    def __init__(self, rep: Rep, dims_by_degree: dict, certificate: dict):
-        self.rep, self.dims_by_degree, self.certificate = rep, dims_by_degree, certificate
+    __slots__ = ("dims_by_degree", "certificate", "total_dim")
+
+    def __init__(self, dims_by_degree: dict, certificate: dict, total_dim: int):
+        self.dims_by_degree, self.certificate, self.total_dim = dims_by_degree, certificate, total_dim
 
     def describe(self) -> dict:
         return {
             "dims_by_degree": {str(k): v for k, v in sorted(self.dims_by_degree.items())},
-            "total_dim": self.rep.total_dim,
+            "total_dim": self.total_dim,
             "certificate": self.certificate,
         }
 
 
 def rational_part(pres: GradedPresentation, trunc: int) -> RationalPartReport:
-    """Maximal locally radical-nilpotent submodule of the presented module.
+    """Dimensions of the maximal locally radical-nilpotent submodule of the
+    presented module.
 
     Degreewise: an element of degree d is torsion when every length-k path
     composite kills it for some k; the per-degree torsion chain must
     stabilize over a window of two growth periods, and the graded family
     itself must vanish through such a window (finite-dimensionality
-    certificate).  Raises StabilizationError when the truncation is too small.
+    certificate).  An arrow takes a class that every length-k path kills to
+    one that every length-(k-1) path kills, so the torsion is a submodule
+    and its dimensions are all that is counted.  Raises StabilizationError
+    when the truncation is too small.
     """
     model = PresentationModel(pres, trunc)
     q = model.quiver
-    f = model.fld
     window = window_length(q)
     gen_degrees = [d for _, d in model.pres.generators]
     d_lo = min(gen_degrees) if gen_degrees else 0
@@ -590,37 +573,20 @@ def rational_part(pres: GradedPresentation, trunc: int) -> RationalPartReport:
     # when the module itself dies beyond some degree, torsion is decided
     # exactly: J^k M_d lands in a vanishing graded piece
     module_zero_from = _stable_zero_from(module_dims, d_lo, d_hi, window)
-    torsion = {}
-    dims_by_degree = {}
-    certified_through = d_lo - 1
     if module_zero_from is not None:
         # every nonzero block (d, v) lies below module_zero_from, and its
         # composites of length module_zero_from - d land in a zero piece:
         # the whole block is torsion
-        for d in range(d_lo, d_hi + 1):
-            torsion[d] = {v: Kernel.whole(f, n) for v in q.vertices if (n := model.dim(d, v))}
-            dims_by_degree[d] = module_dims[d]
+        dims_by_degree = module_dims
         certified_through = d_hi
     else:
+        dims_by_degree = {}
+        certified_through = d_lo - 1
         for d in range(d_lo, d_hi + 1):
-            per_vertex = {}
-            decided = True
-            for v in q.vertices:
-                if model.dim(d, v) == 0:
-                    continue
-                ranks = []
-                for k in range(1, d_hi - d + 1):
-                    kern = Kernel(_kill_matrix(model, d, v, k))
-                    ranks.append(kern.dim)
-                tail_ok = len(ranks) > window and len(set(ranks[-(window + 1):])) == 1
-                if not tail_ok:
-                    decided = False
-                    break
-                per_vertex[v] = kern
-            if not decided:
+            dims = [_torsion_dim(model, d, v, d_hi - d, window) for v in q.vertices if model.dim(d, v)]
+            if None in dims:
                 break
-            torsion[d] = per_vertex
-            dims_by_degree[d] = sum(kern.dim for kern in per_vertex.values())
+            dims_by_degree[d] = sum(dims)
             certified_through = d
     first_zero = _stable_zero_from(dims_by_degree, d_lo, certified_through, window)
     if first_zero is None:
@@ -629,40 +595,29 @@ def rational_part(pres: GradedPresentation, trunc: int) -> RationalPartReport:
             f"vanish through a window of {window} within the certified degrees",
             f"increase truncation beyond {trunc}",
         )
-    # drop the (certified-zero) tail so the assembled carrier is exactly Gamma
-    torsion = {d: pv for d, pv in torsion.items() if d < first_zero or dims_by_degree.get(d, 0)}
-
-    def image(ai, dom, cod, d):
-        dst = torsion.get(d + 1, {}).get(cod)
-        if dst is None:
-            return None
-        action = model.arrow_action(d, ai)
-        try:
-            cols = [dst.coordinates(action.apply(vec)) for vec in torsion[d][dom].basis]
-        except ValueError:
-            raise AssertionError("torsion not closed under the radical action") from None
-        return d + 1, Matrix.from_columns(f, cols, dst.dim)
-
-    fibers = {v: [(d, j) for d in sorted(torsion) if v in torsion[d] for j in range(torsion[d][v].dim)]
-              for v in q.vertices}
-    rep = _graded_rep(pres.quiver, pres.side, f, fibers, image)
     cert = {"window": window, "zero_from_degree": first_zero,
             "certified_through": certified_through,
             "mode": "exact (module vanishes beyond a degree)" if module_zero_from is not None else "window policy"}
-    return RationalPartReport(rep, {d: n for d, n in dims_by_degree.items() if n}, cert)
+    return RationalPartReport({d: n for d, n in dims_by_degree.items() if n}, cert, sum(dims_by_degree.values()))
+
+
+def _torsion_dim(model: PresentationModel, d: int, v: int, k_max: int, window: int) -> int | None:
+    """Dimension of the classes of block (d, v) that every path of length
+    k_max kills, when the dimensions for k = 1..k_max hold still over their
+    last window + 1 values; None when they do not."""
+    dims = [Kernel(_kill_matrix(model, d, v, k)).dim for k in range(1, k_max + 1)]
+    return dims[-1] if len(dims) > window and len(set(dims[-(window + 1):])) == 1 else None
 
 
 def _kill_matrix(model: PresentationModel, d: int, v: int, k: int) -> Matrix:
-    """Stacked matrix of all length-k path composites out of block (d, v)."""
-    f = model.fld
-    blk_dim = model.dim(d, v)
+    """The maps that the length-k paths out of v induce on block (d, v), one
+    per path in table order, stacked: the path p maps the block to block
+    (d + k, target(p)) by left multiplication."""
+    src = model.block(d, v)
     rows = []
     for p in model.table.paths(source=v, length=k):
-        cur = Matrix.identity(f, blk_dim)
-        for step, ai in enumerate(p.arrows):
-            cur = model.arrow_action(d + step, ai) * cur
-        rows.extend(cur.entries)
-    return Matrix(f, rows, cols=blk_dim)
+        rows.extend(_induced_map(model.fld, src, model.block(d + k, p.target), _left_mult(p)).entries)
+    return Matrix(model.fld, rows, cols=src.dim)
 
 
 # ----------------------------------------------------------------------
@@ -670,51 +625,40 @@ def _kill_matrix(model: PresentationModel, d: int, v: int, k: int) -> Matrix:
 
 
 class HomIntoCReport(Record):
-    """Hom_A(M, C) as a module on the other side, and its nonzero dimensions
-    by degree.  Hom(M, C) is the graded dual of M, so these must equal M's
-    graded dimensions; `cli verify` checks that on random modules."""
+    """Dimensions of Hom_A(M, C), a module on the other side: its nonzero
+    dimensions by degree and their sum.  Hom(M, C) is the graded dual of M,
+    so these must equal M's graded dimensions; `cli verify` checks that on
+    random modules.  No module structure is kept."""
 
-    __slots__ = ("rep", "dims_by_degree")
+    __slots__ = ("dims_by_degree", "total_dim")
 
-    def __init__(self, rep: Rep, dims_by_degree: dict):
-        self.rep, self.dims_by_degree = rep, dims_by_degree
+    def __init__(self, dims_by_degree: dict, total_dim: int):
+        self.dims_by_degree, self.total_dim = dims_by_degree, total_dim
 
     def describe(self) -> dict:
         return {
             "dims_by_degree": {str(k): v for k, v in sorted(self.dims_by_degree.items())},
-            "total_dim": self.rep.total_dim,
+            "total_dim": self.total_dim,
         }
 
 
 def hom_into_C(pres: GradedPresentation, trunc: int) -> HomIntoCReport:
-    """Hom_A(M, C) for a presented module M, read off PresentationModel.
+    """Dimensions of Hom_A(M, C) for a presented module M, read off
+    PresentationModel.
 
     Hom(A e_v<del>, C) is the injective I(v) (paths out of v), so Hom(M, C)
     is the degreewise kernel of the transposed presentation matrix: per
-    (degree, vertex), the annihilator of the relation image, with basis the
-    projection rows of the model's block, dual to its classes.  An arrow
-    strips its own last step; on these bases that is the transpose of the
-    model's left action.  The dimension in degree d is model.dim(d).
+    (degree, vertex), the annihilator of the relation image, dual to the
+    classes of the model's block.  The dimension in degree d is
+    model.dim(d), read for the degrees from the lowest generator degree
+    through the truncation past the lowest degree of all.
     """
     model = PresentationModel(pres, trunc)
-    q = model.quiver
-    pres_l = model.pres
-    gen_degs = [d for _, d in pres_l.generators] or [0]
-    rel_degs = [d for _, d in pres_l.relations]
-    d_lo = min(gen_degs)
-    d_hi = trunc + min(gen_degs + rel_degs) if (gen_degs or rel_degs) else trunc
-    degrees = range(d_lo, d_hi + 1)
-    dims_by_degree = {d: n for d in degrees if (n := model.dim(d))}
-    fibers = {v: [(d, j) for d in degrees for j in range(model.dim(d, v))] for v in q.vertices}
-
-    def image(ai, dom, cod, d):
-        if d == d_lo:
-            return None
-        return d - 1, model.arrow_action(d - 1, ai).transpose()
-
-    out_side = "right" if pres.side == "left" else "left"
-    rep = _graded_rep(pres.quiver, out_side, model.fld, fibers, image)
-    return HomIntoCReport(rep, dims_by_degree)
+    gen_degs = [d for _, d in model.pres.generators] or [0]
+    rel_degs = [d for _, d in model.pres.relations]
+    d_hi = trunc + min(gen_degs + rel_degs)
+    dims_by_degree = {d: n for d in range(min(gen_degs), d_hi + 1) if (n := model.dim(d))}
+    return HomIntoCReport(dims_by_degree, sum(dims_by_degree.values()))
 
 
 # ----------------------------------------------------------------------

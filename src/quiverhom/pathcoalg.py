@@ -126,16 +126,7 @@ class AlgElement:
         return " + ".join(bits)
 
 
-class TruncatedDualAlgebra:
-    """A = C* materialized in degrees <= N: its convolution product."""
-
-    def __init__(self, quiver: Quiver, truncation: int, field: Field | None = None):
-        self.quiver = quiver
-        self.truncation = truncation
-        self.field = field or Field(0)
-        self.coalgebra = PathCoalgebra(quiver, truncation, self.field)
-
-    def convolve(self, f: AlgElement, g: AlgElement, n: int | None = None) -> AlgElement:
+def convolve(self, f: AlgElement, g: AlgElement, n: int | None = None) -> AlgElement:
         """The product f g, exact in all degrees <= n (default: the truncation)."""
         return convolve(f, g, self.truncation if n is None else n)
 

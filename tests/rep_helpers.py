@@ -3,8 +3,9 @@ counts that only the tests need.
 
 The second half holds code that no command reaches and that the package
 therefore no longer ships: minimalization, the dual-resolution exactness
-table, the module structure of Ext against A, Ext bases, and a few small
-builders.  `tests/fixtures/engine_outputs.json` pins the output of most of
+table, the module structures of Ext against A, of the rational part and of
+Hom into C (on the graded-Rep assembly `_graded_rep` and the arrow actions
+of a model), Ext bases, and a few small builders.  `tests/fixtures/engine_outputs.json` pins the output of most of
 them, so they are kept as they were.
 
 Imported by test modules as `from rep_helpers import ...` (pytest puts
@@ -25,14 +26,15 @@ from quiverhom.homology import (
     ExtReport,
     PresentationModel,
     _Block,
-    _graded_rep,
     _induced_map,
+    _label_matrix,
     _left_mult,
     _push,
     _stage_presentation,
     ext_model,
     free_diff_matrix,
     free_term_basis,
+    rational_part,
     simple_cycles,
 )
 from quiverhom.pathcoalg import AlgElement, convolve
@@ -214,7 +216,7 @@ def cycle_products_by_routes(quiver: Quiver, fld, n: int, m_max: int, trunc: int
         kappa = route_product(fld, (
             (labels(u0, d0 + k, quiver.arrows[b].target),
              labels(u0, d0 + k + 1, quiver.arrows[b].source),
-             _left_mult(q_op, b))
+             _left_mult(arrow_path(q_op, b)))
             for k, b in enumerate(reversed(cyc))))
         if kappa is None:
             continue
@@ -368,6 +370,106 @@ def minimalize(pres: GradedPresentation) -> GradedPresentation:
                               tuple(tuple(row) for row in entries))
 
 
+def _graded_rep(quiver: Quiver, side: str, fld: Field, fibers: dict, image) -> Rep:
+    """The Rep whose fiber at v has the graded classes fibers[v], keyed (degree, j).
+
+    image(ai, dom, cod, d) gives (d2, matrix) or None for a zero map: column
+    j of the matrix is the image under arrow ai of class (d, j) of fiber dom,
+    as coordinates over the classes (d2, r) of fiber cod.
+    """
+    def arrow_matrix(ai, dom, cod):
+        hits = {d: image(ai, dom, cod, d) for d in {d for d, _ in fibers[dom]}}
+
+        def images(key):
+            hit = hits[key[0]]
+            return () if hit is None else (((hit[0], r), row[key[1]]) for r, row in enumerate(hit[1].entries))
+
+        return _label_matrix(fld, fibers[cod], fibers[dom], images)
+
+    maps = [arrow_matrix(ai, *arrow_ends(side, a)) for ai, a in enumerate(quiver.arrows)]
+    return Rep(quiver, side, fld, [len(fibers[v]) for v in quiver.vertices], maps)
+
+
+def arrow_action(model: PresentationModel, d: int, ai: int) -> Matrix:
+    """Left multiplication by arrow ai: block (d, source) -> (d+1, target)."""
+    a = model.quiver.arrows[ai]
+    return _induced_map(model.fld, model.block(d, a.source), model.block(d + 1, a.target),
+                        _left_mult(arrow_path(model.quiver, ai)))
+
+
+def stacked_arrow_actions(model: PresentationModel, d: int, v: int, k: int) -> Matrix:
+    """Stacked matrix of all length-k path composites out of block (d, v),
+    each the product of the arrow actions along the path: the reference for
+    `homology._kill_matrix`."""
+    f = model.fld
+    blk_dim = model.dim(d, v)
+    rows = []
+    for p in model.table.paths(source=v, length=k):
+        cur = Matrix.identity(f, blk_dim)
+        for step, ai in enumerate(p.arrows):
+            cur = arrow_action(model, d + step, ai) * cur
+        rows.extend(cur.entries)
+    return Matrix(f, rows, cols=blk_dim)
+
+
+def rational_part_rep(pres: GradedPresentation, trunc: int) -> Rep:
+    """The rational part of rational_part(pres, trunc) as a graded module on
+    the side of `pres`: per (degree, vertex), the whole block where the
+    certificate is exact, else the classes that every path of the longest
+    length read kills, with arrows acting by left multiplication.  Raises
+    as rational_part does."""
+    report = rational_part(pres, trunc)
+    cert = report.certificate
+    model = PresentationModel(pres, trunc)
+    f = model.fld
+    gen_degrees = [d for _, d in model.pres.generators]
+    d_lo = min(gen_degrees) if gen_degrees else 0
+    d_hi = trunc + (min(gen_degrees) if gen_degrees else 0)
+    exact = cert["mode"].startswith("exact")
+    torsion = {d: {v: Kernel.whole(f, n) if exact else Kernel(stacked_arrow_actions(model, d, v, d_hi - d))
+                   for v in model.quiver.vertices if (n := model.dim(d, v))}
+               for d in range(d_lo, cert["certified_through"] + 1)}
+    # drop the (certified-zero) tail so the assembled carrier is exactly Gamma
+    torsion = {d: pv for d, pv in torsion.items()
+               if d < cert["zero_from_degree"] or report.dims_by_degree.get(d, 0)}
+
+    def image(ai, dom, cod, d):
+        dst = torsion.get(d + 1, {}).get(cod)
+        if dst is None:
+            return None
+        action = arrow_action(model, d, ai)
+        try:
+            cols = [dst.coordinates(action.apply(vec)) for vec in torsion[d][dom].basis]
+        except ValueError:
+            raise AssertionError("torsion not closed under the radical action") from None
+        return d + 1, Matrix.from_columns(f, cols, dst.dim)
+
+    fibers = {v: [(d, j) for d in sorted(torsion) if v in torsion[d] for j in range(torsion[d][v].dim)]
+              for v in model.quiver.vertices}
+    return _graded_rep(pres.quiver, pres.side, f, fibers, image)
+
+
+def hom_into_C_rep(pres: GradedPresentation, trunc: int) -> Rep:
+    """Hom_A(M, C) for the presented M as a graded module on the other side,
+    in the degrees hom_into_C reads: per (degree, vertex) the dual of the
+    model's block, on which an arrow acts by the transpose of the model's
+    left action one degree down."""
+    model = PresentationModel(pres, trunc)
+    gen_degs = [d for _, d in model.pres.generators] or [0]
+    rel_degs = [d for _, d in model.pres.relations]
+    d_lo = min(gen_degs)
+    degrees = range(d_lo, trunc + min(gen_degs + rel_degs) + 1)
+    fibers = {v: [(d, j) for d in degrees for j in range(model.dim(d, v))] for v in model.quiver.vertices}
+
+    def image(ai, dom, cod, d):
+        if d == d_lo:
+            return None
+        return d - 1, arrow_action(model, d - 1, ai).transpose()
+
+    out_side = "right" if pres.side == "left" else "left"
+    return _graded_rep(pres.quiver, out_side, model.fld, fibers, image)
+
+
 def kernel_block(model: PresentationModel, d: int, v: int) -> _Block:
     """The kernel of F1 -> F0 in degree d, on the F1 labels ending at v;
     with no F0 label there the block is all of its own labels."""
@@ -398,7 +500,7 @@ def ext_rep(m: Rep, i: int, trunc: int) -> Rep:
     def image(ai, dom, cod, d):
         if not dims.get((d + 1, cod)):
             return None
-        return d + 1, _induced_map(m.field, get(d, dom), get(d + 1, cod), _left_mult(model.quiver, ai))
+        return d + 1, _induced_map(m.field, get(d, dom), get(d + 1, cod), _left_mult(arrow_path(model.quiver, ai)))
 
     fibers = {w: [(d, j) for d in range(d_min, d_max + 1) for j in range(dims[(d, w)])]
               for w in m.quiver.vertices}
@@ -468,7 +570,7 @@ def dual_resolution_check(pres: GradedPresentation, trunc: int, depth: int) -> d
         for ai, a in enumerate(q.arrows):
             prev = kernels.get((d - 1, a.source))
             if a.target == v and prev is not None:
-                move = _left_mult(q, ai)
+                move = _left_mult(arrow_path(q, ai))
                 pushes.extend(_push(f, prev.labels, vec, move, blk.index) for vec in prev.space.basis)
         for c, _ in _echelon(Matrix.from_columns(f, pushes + kern, len(blk.labels))):
             if c < len(pushes):

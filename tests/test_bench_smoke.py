@@ -18,14 +18,15 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_traced_job_counts_every_layer():
-    # verify's random modules are eliminated and their blocks built (the
-    # regularity commands count their ranks and local cohomology builds no
-    # block); no command calls standard_resolution, so homology.resolutions
-    # stays at zero, but the tracer still binds that name and a rename
-    # crashes the job
+    # Ext_C(C, S_1) on the Kronecker quiver has an Ext^1 block with relation
+    # labels, the one kind of block a command still builds and eliminates
+    # (verify and the regularity commands read dimensions only, and local
+    # cohomology builds no block); no command calls standard_resolution, so
+    # homology.resolutions stays at zero, but the tracer still binds that
+    # name and a rename crashes the job
     proc = subprocess.run(
-        [sys.executable, "bench/job.py", "1", "verify", "--quiver", "examples_quivers/loop.quiver",
-         "--trunc", "12", "--seed", "3", "--cases", "2", "--json"],
+        [sys.executable, "bench/job.py", "1", "ext", "--quiver", "examples_quivers/kronecker.quiver",
+         "--module", "C", "--target", "simple:1", "--trunc", "6", "--json"],
         cwd=ROOT, env=dict(os.environ, PYTHONPATH="src"),
         capture_output=True, text=True, timeout=300,
     )

@@ -444,13 +444,13 @@ def test_ext_injective_against_algebra(quiver_file, capsys):
 
 def test_ext_against_algebra_builds_no_module_structure(quiver_file, capsys, monkeypatch):
     """The ext report prints dimensions and certificates only, so neither
-    degree builds the graded Rep of Ext(M, A)."""
+    degree builds a map of the module structure of Ext(M, A)."""
     from quiverhom import homology
 
     def refuse(*args, **kwargs):
-        raise AssertionError("ext --target A built a graded Rep")
+        raise AssertionError("ext --target A built an induced map")
 
-    monkeypatch.setattr(homology, "_graded_rep", refuse)
+    monkeypatch.setattr(homology, "_induced_map", refuse)
     for deg in ([], ["--deg", "1"]):
         code, report = run_json(
             capsys, ["ext", "--quiver", quiver_file(LOOP), "--module", "injective:1:3",

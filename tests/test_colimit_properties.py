@@ -32,6 +32,13 @@ or one relation and single-path entries is monomial, and
 `PresentationModel._rank` counts its ranks with no matrix built.  The count
 must equal `exactlin.rank` of `free_diff_matrix` on the same labels, on
 both sides and over both fields.
+
+The kill matrices, on presentations of the same quivers: the rational part
+decides torsion from `homology._kill_matrix`, which stacks one map per
+path, the map the path induces on classes by left multiplication.  It must
+equal the stack of the products of the arrow actions along each path
+(`rep_helpers.stacked_arrow_actions`), as the rational part composed them
+before, and a path must map the block at any other vertex to zero.
 """
 
 import pytest
@@ -42,14 +49,15 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from quiverhom import homology  # noqa: E402
 from quiverhom.exactlin import Field, Kernel, Matrix, Quotient, rank  # noqa: E402
 from quiverhom.homology import (  # noqa: E402
-    PresentationModel, _push, _stage_labels, _stage_presentation, _uncertified,
-    free_diff_matrix, free_term_basis, local_cohomology,
+    PresentationModel, _induced_map, _kill_matrix, _left_mult, _push, _stage_labels,
+    _stage_presentation, _uncertified, free_diff_matrix, free_term_basis, local_cohomology,
 )
 from quiverhom.pathcoalg import AlgElement  # noqa: E402
 from quiverhom.repmod import GradedPresentation, _reverse_path  # noqa: E402
 from quiverhom.quiver import Arrow, Quiver, enumerate_paths, opposite, parse_quiver, trivial_path  # noqa: E402
 from rep_helpers import (  # noqa: E402  (tests/rep_helpers.py)
-    adjacency_powers, bijects, count_rows_and_columns, cycle_products_by_routes, relation_move,
+    adjacency_powers, bijects, count_rows_and_columns, cycle_products_by_routes, is_zero_matrix,
+    relation_move, stacked_arrow_actions,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -297,3 +305,62 @@ def test_a_monomial_rank_is_counted_and_equals_the_elimination(pres, trunc):
         r = rank(free_diff_matrix(pres.field, rows, cols, model.pres.entries)) if rows and cols else 0
         assert counted.get(key, 0) == r, key
         assert dims[key] == (len(rows) - r, len(cols) - r), key
+
+
+@st.composite
+def presentations(draw):
+    """A presentation on a generated quiver, on either side and over either
+    field: 1-3 generators in degrees 0-1 and 0-3 relations, each a path of
+    length 1-2 out of one generator plus multiples of the other generators'
+    paths to the same end and degree.  With no relation it presents a free
+    module, truncated by the model."""
+    quiver = draw(st.one_of(loops_with_tail(), st.just(KRONECKER), acyclic_quivers(), cycle_unions()))
+    side = draw(st.sampled_from(["left", "right"]))
+    fld = draw(st.sampled_from([Field(0), Field(2147483647)]))
+    # entries are drawn as left data on the quiver a right presentation is read on
+    table = enumerate_paths(quiver if side == "left" else opposite(quiver), 3)
+    vertex = st.sampled_from(list(quiver.vertices))
+    gens = tuple((draw(vertex), draw(st.integers(0, 1))) for _ in range(draw(st.integers(1, 3))))
+    rels, columns = [], []
+    for _ in range(draw(st.integers(0, 3))):
+        g0 = draw(st.integers(0, len(gens) - 1))
+        tops = [p for p in table.paths(source=gens[g0][0]) if 1 <= p.length <= 2]
+        if not tops:
+            continue
+        top = draw(st.sampled_from(tops))
+        rel = (top.target, gens[g0][1] + top.length)
+        column = []
+        for g, (gv, gd) in enumerate(gens):
+            coeffs = {p: fld.of(draw(st.integers(-2, 2)))
+                      for p in table.paths(source=gv, target=rel[0], length=rel[1] - gd)}
+            if g == g0:
+                coeffs[top] = fld.one
+            column.append(AlgElement(fld, {p if side == "left" else _reverse_path(p): c
+                                           for p, c in coeffs.items()}))
+        rels.append(rel)
+        columns.append(column)
+    entries = tuple(tuple(column[g] for column in columns) for g in range(len(gens)))
+    return GradedPresentation(quiver, side, fld, gens, tuple(rels), entries)
+
+
+@PROPERTY
+@given(presentations(), st.integers(2, 5))
+def test_a_kill_matrix_stacks_the_products_of_the_arrow_actions(pres, trunc):
+    """At every block (d, v) and length k the rational part can read (d + k
+    at most trunc past the lowest generator degree), the kill matrix equals
+    the stacked products of the arrow actions, and each path out of v maps
+    the nonzero blocks at the other vertices of degree d to zero."""
+    model = PresentationModel(pres, trunc)
+    fld = pres.field
+    top = trunc + min(deg for _, deg in model.pres.generators)
+    for d in range(top - trunc, top):
+        for v in model.quiver.vertices:
+            if not model.dim(d, v):
+                continue
+            others = [w for w in model.quiver.vertices if w != v and model.dim(d, w)]
+            for k in range(1, top - d + 1):
+                assert _kill_matrix(model, d, v, k) == stacked_arrow_actions(model, d, v, k), (d, v, k)
+                for p in model.table.paths(source=v, length=k):
+                    dst = model.block(d + k, p.target)
+                    for w in others:
+                        assert is_zero_matrix(_induced_map(fld, model.block(d, w), dst, _left_mult(p))), (d, w, p)

@@ -323,7 +323,7 @@ def test_subspace_primitives_random(fld):
         # a vector m does not kill lies outside the kernel, also after adding
         # a kernel vector to it
         for c in range(m.cols):
-            column = m.column(c)
+            column = [row[c] for row in m.entries]
             if any(not fld.is_zero(x) for x in column):
                 off = [fld.zero] * m.cols
                 for vec in kern.basis:

@@ -11,8 +11,9 @@ Two checks, both against outputs recorded on a trusted commit:
   and standard resolutions before and after minimalization) must equal
   `tests/fixtures/engine_outputs.json` on the example quivers.  The package
   no longer ships the code behind some of them (the dual-resolution table,
-  the module maps of Ext against the algebra, Ext bases, minimalization);
-  `tests/rep_helpers.py` keeps it as it was.
+  the module maps of Ext against the algebra, of the rational part and of
+  Hom into C, Ext bases, minimalization); `tests/rep_helpers.py` keeps it
+  as it was.
 
 Rewrite the fixture, on a trusted commit only, with
 
@@ -49,7 +50,9 @@ from rep_helpers import (  # tests/rep_helpers.py
     dual_resolution_check,
     ext_fd_basis,
     ext_rep,
+    hom_into_C_rep,
     minimalize,
+    rational_part_rep,
     truncated_free,
 )
 from replay_golden import load_workloads, run_job  # tests/replay_golden.py
@@ -69,8 +72,7 @@ REPLAYED = sorted(k for k in GOLDEN if _CHEAP.match(k)) + [
     "verify --quiver bench/.work/kronecker.quiver --trunc 12 --seed 3 --cases 8 --json"]
 
 
-@pytest.mark.parametrize("key", REPLAYED)
-def test_golden_report_replays(key, tmp_path, monkeypatch):
+def _assert_replays(key, tmp_path, monkeypatch):
     work = tmp_path / WORKLOADS.WORK_DIR
     work.mkdir(parents=True)
     stem = re.search(r"bench/\.work/(\S+)\.quiver", key).group(1)
@@ -79,6 +81,27 @@ def test_golden_report_replays(key, tmp_path, monkeypatch):
     code, report = run_job(key.split())
     assert code == GOLDEN[key]["exit"]
     assert report == GOLDEN[key]["report"]
+
+
+@pytest.mark.parametrize("key", REPLAYED)
+def test_golden_report_replays(key, tmp_path, monkeypatch):
+    _assert_replays(key, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("key", sorted(k for k in GOLDEN if re.match(
+    r"^verify --quiver bench/\.work/(cycle-1|kronecker)\.quiver ", k)))
+def test_verify_replays_with_no_block_built(key, tmp_path, monkeypatch):
+    """verify reads only dimensions: its rational parts and Hom(M, C) build
+    no module, and asreg's Ext of simples counts its supports, so its golden
+    jobs on the loop and on the Kronecker quiver replay with
+    `PresentationModel.block` refused."""
+    from quiverhom import homology
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built a block")
+
+    monkeypatch.setattr(homology.PresentationModel, "block", refuse)
+    _assert_replays(key, tmp_path, monkeypatch)
 
 
 # ----------------------------------------------------------------------
@@ -97,14 +120,14 @@ def _rep(rep) -> dict:
     return {"side": rep.side, "dims": list(rep.dims), "maps": [_matrix(m) for m in rep.maps]}
 
 
-def _described(fn, *args, rep=None) -> dict:
-    """describe() of fn(*args) with its module maps (those of rep(*args)
-    when given, else the report's own), or the certificate failure."""
+def _described(fn, *args, rep) -> dict:
+    """describe() of fn(*args) with the module maps of rep(*args), or the
+    certificate failure."""
     try:
         report = fn(*args)
     except StabilizationError as exc:
         return {"error": str(exc)}
-    return {**report.describe(), "rep": _rep(rep(*args) if rep else report.rep)}
+    return {**report.describe(), "rep": _rep(rep(*args))}
 
 
 def _modules(q, fld):
@@ -159,8 +182,8 @@ def _presentation_outputs(name):
     for label, pres in _presentations(q, fld).items():
         out[label] = {
             "dual_resolution": dual_resolution_check(pres, 8, 5),
-            "hom_into_C": _described(hom_into_C, pres, 8),
-            "rational_part": _described(rational_part, pres, 8),
+            "hom_into_C": _described(hom_into_C, pres, 8, rep=hom_into_C_rep),
+            "rational_part": _described(rational_part, pres, 8, rep=rational_part_rep),
         }
     return out
 

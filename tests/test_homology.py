@@ -23,7 +23,6 @@ from quiverhom.homology import (
     PresentationModel,
     StabilizationError,
     _Block,
-    _graded_rep,
     _hom_dual,
     _induced_map,
     _label_matrix,
@@ -43,6 +42,9 @@ from quiverhom.homology import (
     standard_resolution,
 )
 from rep_helpers import (  # tests/rep_helpers.py
+    _graded_rep,
+    arrow_action,
+    arrow_path,
     assert_isomorphic,
     count_rows_and_columns,
     direct_sum,
@@ -50,11 +52,13 @@ from rep_helpers import (  # tests/rep_helpers.py
     ext1_via_presentation,
     ext_fd_basis,
     ext_rep,
+    hom_into_C_rep,
     is_normal_scalar,
     is_zero_matrix,
     kernel_block,
     minimalize,
     path_action,
+    rational_part_rep,
     relation_move,
     truncated_free,
     zero_rep,
@@ -80,7 +84,7 @@ def augmentation_matrix(m: Rep, degrees, table, degree: int) -> Matrix:
 
     def images(lab):
         g, p = lab
-        return (((p.target, r), x) for r, x in enumerate(path_action(m, p).column(fiber[g][1])))
+        return (((p.target, r), row[fiber[g][1]]) for r, row in enumerate(path_action(m, p).entries))
 
     return _label_matrix(m.field, target_basis, free_term_basis(table, gens, degree), images)
 
@@ -315,15 +319,7 @@ def test_rational_part_of_free_is_zero():
     for quiv in (LOOP, TWO_CYCLE):
         for v in quiv.vertices:
             r = rational_part(truncated_free(quiv, v, 10, "left", Q), 10)
-            assert r.rep.total_dim == 0
-
-
-def test_arrow_action_is_memoized_per_degree_and_arrow():
-    model = PresentationModel(truncated_free(THREE_CYCLE, 0, 6, "left", Q), 6)
-    action = model.arrow_action(1, 1)
-    # P_1 = A e_1 / J^7: degree 1 at vertex 2 is the arrow a, and b maps it to b a
-    assert action == Matrix(Q, [[1]])
-    assert model.arrow_action(1, 1) is action
+            assert r.total_dim == 0
 
 
 def test_rational_part_detects_summand():
@@ -333,7 +329,7 @@ def test_rational_part_detects_summand():
         ((x_el,), (AlgElement.zero(Q),)),
     )
     r = rational_part(pres, 10)
-    assert r.rep.total_dim == 1
+    assert r.total_dim == 1
     assert r.dims_by_degree == {0: 1}
 
 
@@ -345,7 +341,7 @@ def test_rational_part_finite_dimensional_is_everything():
             if m.total_dim == 0:
                 continue
             r = rational_part(presentation_of_rep(m), 12)
-            assert r.rep.total_dim == m.total_dim
+            assert r.total_dim == m.total_dim
             assert r.certificate["mode"].startswith("exact")
 
 
@@ -354,7 +350,7 @@ def test_rational_part_long_uniserial_not_fooled_by_plateau():
     # jumping; the exact mode must still count the whole module
     m = direct_sum(simple(LOOP, 0, "left", Q), uniserial(LOOP, 0, 4, "left", Q))
     r = rational_part(presentation_of_rep(m), 10)
-    assert r.rep.total_dim == 5
+    assert r.total_dim == 5
 
 
 # ----------------------------------------------------------------- hom into C
@@ -367,7 +363,7 @@ def test_hom_into_C_free_is_coalgebra_column():
 
 def test_hom_into_C_simple():
     report = hom_into_C(presentation_of_rep(simple(TWO_CYCLE, 0, "left", Q)), 8)
-    assert report.rep.total_dim == 1
+    assert report.total_dim == 1
 
 
 def test_hom_into_C_random_phi():
@@ -378,7 +374,7 @@ def test_hom_into_C_random_phi():
             if m.total_dim == 0:
                 continue
             report = hom_into_C(presentation_of_rep(m), 8)
-            assert report.rep.total_dim == m.total_dim
+            assert report.total_dim == m.total_dim
 
 
 # ----------------------------------------------------------------- clem2 check
@@ -436,8 +432,8 @@ def test_hom_into_C_and_rational_part_build_no_whole_degree_matrix(monkeypatch):
                simple(KRONECKER, 0, "left", Q), random_graded_rep(THREE_CYCLE, random.Random(23), "left", Q)]
     for m in modules:
         pres = presentation_of_rep(m)
-        assert hom_into_C(pres, 8).rep.total_dim == m.total_dim
-        assert rational_part(pres, 8).rep.total_dim == m.total_dim
+        assert hom_into_C(pres, 8).total_dim == m.total_dim
+        assert rational_part(pres, 8).total_dim == m.total_dim
     assert any(built)
 
 
@@ -688,17 +684,16 @@ def test_algebra_ext_blocks_resolution_independent():
 def test_right_side_presentations_normalize():
     # exercises the opposite-quiver transport of relation entries
     free_r = truncated_free(TWO_CYCLE, 0, 10, "right", Q)
-    r = rational_part(free_r, 10)
-    assert r.rep.total_dim == 0
-    assert r.rep.side == "right"
+    assert rational_part(free_r, 10).total_dim == 0
+    assert rational_part_rep(free_r, 10).side == "right"
     m = simple(TWO_CYCLE, 0, "right", Q)
     pres = presentation_of_rep(m)
     assert pres.side == "right"
-    rr = rational_part(pres, 10)
-    assert rr.rep.total_dim == 1
-    h = hom_into_C(pres, 8)
-    assert h.rep.side == "left"
-    assert h.rep.total_dim == 1
+    assert rational_part(pres, 10).total_dim == 1
+    assert hom_into_C(pres, 8).total_dim == 1
+    h = hom_into_C_rep(pres, 8)
+    assert h.side == "left"
+    assert h.total_dim == 1
 
 
 def test_presentation_with_higher_degree_relation():
@@ -706,10 +701,10 @@ def test_presentation_with_higher_degree_relation():
     x3 = AlgElement.dual_path(Q, Path(0, 0, (0, 0, 0)))
     pres = GradedPresentation(LOOP, "left", Q, ((0, 0),), ((0, 3),), ((x3,),))
     r = rational_part(pres, 10)
-    assert r.rep.total_dim == 3
+    assert r.total_dim == 3
     assert r.dims_by_degree == {0: 1, 1: 1, 2: 1}
     h = hom_into_C(pres, 10)
-    assert h.rep.total_dim == 3
+    assert h.total_dim == 3
     assert dual_resolution_check(pres, 12, 6)["passes"]
 
 
@@ -721,7 +716,7 @@ def test_presentation_mixing_free_and_torsion_summands():
     pres = GradedPresentation(
         TWO_CYCLE, "left", Q, ((0, 0), (1, 0)), ((0, 2),), ((yx,), (zero,)))
     r = rational_part(pres, 10)
-    assert r.rep.total_dim == 2
+    assert r.total_dim == 2
     assert dict(r.dims_by_degree) == {0: 1, 1: 1}
     assert dual_resolution_check(pres, 12, 6)["passes"]
 
@@ -1084,9 +1079,9 @@ def test_hom_dual_model_matches_reference_ext_blocks(name):
                             continue
                         dst_ref, dst_got = ref[(d + 1, a.source)], ext_block(model, i, d + 1, a.source)
                         if blk.dim and dst_ref.dim:
+                            move = _left_mult(arrow_path(model.quiver, ai))
                             assert (rank(_induced_map(fld, blk, dst_ref, reference_right_mult(quiv, ai)))
-                                    == rank(_induced_map(fld, got, dst_got, _left_mult(model.quiver, ai)))), \
-                                (i, d, w, ai)
+                                    == rank(_induced_map(fld, got, dst_got, move))), (i, d, w, ai)
     assert compared > 50
 
 
@@ -1157,8 +1152,9 @@ def test_class_maps_do_not_depend_on_the_representative(name):
     """`_induced_map` pushes one representative per class; the map it gives
     is a map on classes only if every other representative gives the same
     matrix.  For the local-cohomology stage transitions (i = 1) and for
-    `PresentationModel.arrow_action`, adding a column of the source block's
-    F1 -> F0 matrix to the representatives leaves the matrix as it is.  The
+    the arrow actions of a model (`rep_helpers.arrow_action`), adding a
+    column of the source block's F1 -> F0 matrix to the representatives
+    leaves the matrix as it is.  The
     stage blocks that carry classes mostly have no relation labels, so the
     arrow actions also run on the models of random presentations and of
     their Hom-duals, whose blocks have both."""
@@ -1175,7 +1171,7 @@ def test_class_maps_do_not_depend_on_the_representative(name):
         assert rows == src.labels
         mat = free_diff_matrix(fld, rows, free_term_basis(model.table, p.relations, d, v), p.entries)
         for c in range(mat.cols):
-            column = mat.column(c)
+            column = [row[c] for row in mat.entries]
             basis = [tuple(fld.add(x, fld.mul(fld.of(j + 1), y)) for x, y in zip(vec, column))
                      for j, vec in enumerate(src.space.basis)]
             other = SimpleNamespace(labels=src.labels, dim=src.dim, space=SimpleNamespace(basis=basis))
@@ -1190,7 +1186,7 @@ def test_class_maps_do_not_depend_on_the_representative(name):
 
     def checked_arrow_actions(model):
         return sum(checked_columns(model, d, a.source, model.block(d + 1, a.target),
-                                   _left_mult(model.quiver, ai), model.arrow_action(d, ai))
+                                   _left_mult(arrow_path(model.quiver, ai)), arrow_action(model, d, ai))
                    for d in degrees(model) for ai, a in enumerate(model.quiver.arrows))
 
     quiv = parse_quiver(MODEL_QUIVERS[name])[0]

@@ -115,7 +115,7 @@ def test_functor_values_as_module_structures():
     """
     import random
 
-    from rep_helpers import assert_isomorphic, ext_rep
+    from rep_helpers import assert_isomorphic, ext_rep, hom_into_C_rep, rational_part_rep
 
     from quiverhom.repmod import (
         VertexTwist,
@@ -124,7 +124,6 @@ def test_functor_values_as_module_structures():
         random_graded_rep,
         twist,
     )
-    from quiverhom.homology import hom_into_C, rational_part
     from quiverhom.regularity import _arrow_matching, nakayama
 
     cases = {
@@ -147,8 +146,8 @@ def test_functor_values_as_module_structures():
                 continue
             dual = linear_dual(m)
             pres = presentation_of_rep(m)
-            assert_isomorphic(rational_part(pres, trunc).rep, m)
-            assert_isomorphic(hom_into_C(pres, trunc).rep, dual)
+            assert_isomorphic(rational_part_rep(pres, trunc), m)
+            assert_isomorphic(hom_into_C_rep(pres, trunc), dual)
             e1 = ext_rep(m, 1, trunc)
             assert_isomorphic(e1, twist(dual, t_inv))
             done += 1

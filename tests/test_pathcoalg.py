@@ -6,9 +6,9 @@ from quiverhom.exactlin import Field
 from quiverhom.pathcoalg import (
     AlgElement,
     PathCoalgebra,
-    TruncatedDualAlgebra,
     bigraded_dims,
     comultiply,
+    convolve,
 )
 from quiverhom.quiver import Path, parse_quiver, trivial_path
 
@@ -63,43 +63,39 @@ def test_counit_laws_and_coassociativity():
 
 
 def test_convolution_unit():
-    alg = TruncatedDualAlgebra(TWO_CYCLE, 4, Q)
     eps = dual_unit(TWO_CYCLE, Q)
     rng = random.Random(5)
-    basis = alg.coalgebra.basis()
+    basis = PathCoalgebra(TWO_CYCLE, 4, Q).basis()
     for _ in range(20):
         f = AlgElement(Q, {p: rng.randint(-3, 3) for p in rng.sample(basis, 3)})
-        assert alg.convolve(eps, f) == f
-        assert alg.convolve(f, eps) == f
+        assert convolve(eps, f, 4) == f
+        assert convolve(f, eps, 4) == f
 
 
 def test_idempotents_orthogonal():
-    alg = TruncatedDualAlgebra(TWO_CYCLE, 3, Q)
     e0, e1 = dual_idempotent(Q, 0), dual_idempotent(Q, 1)
-    assert alg.convolve(e0, e0) == e0
-    assert alg.convolve(e1, e1) == e1
-    assert alg.convolve(e0, e1).is_zero()
-    assert alg.convolve(e1, e0).is_zero()
+    assert convolve(e0, e0, 3) == e0
+    assert convolve(e1, e1, 3) == e1
+    assert convolve(e0, e1, 3).is_zero()
+    assert convolve(e1, e0, 3).is_zero()
 
 
 def test_dual_basis_multiplication_loop():
-    alg = TruncatedDualAlgebra(LOOP, 4, Q)
     x = AlgElement.dual_path(Q, Path(0, 0, (0,)))
-    xx = alg.convolve(x, x)
+    xx = convolve(x, x, 4)
     assert xx == AlgElement.dual_path(Q, Path(0, 0, (0, 0)))
 
 
 def test_convolution_associative_random():
     rng = random.Random(11)
     for quiv in (LOOP, TWO_CYCLE):
-        alg = TruncatedDualAlgebra(quiv, 4, Q)
-        basis = alg.coalgebra.basis()
+        basis = PathCoalgebra(quiv, 4, Q).basis()
         for _ in range(30):
             f, g, h = (
                 AlgElement(Q, {p: rng.randint(-2, 2) for p in rng.sample(basis, min(3, len(basis)))})
                 for _ in range(3)
             )
-            assert alg.convolve(alg.convolve(f, g), h) == alg.convolve(f, alg.convolve(g, h))
+            assert convolve(convolve(f, g, 4), h, 4) == convolve(f, convolve(g, h, 4), 4)
 
 
 def test_bigraded_dims_examples():

@@ -162,6 +162,33 @@ def test_nakayama_on_cycles_builds_no_path_table(monkeypatch):
             assert nakayama(_cycle(n), 12, 12, fld).inner == ("yes" if n == 1 else "no")
 
 
+def test_asreg_on_cycles_builds_no_block_and_no_long_path_table(monkeypatch):
+    """`ext_comodule_C` counts the vertex support of a whole-space Ext^1
+    block off path counts, so asreg on a cycle builds no block, and its
+    only path tables are the arrows of each simple's presentation (length 1)
+    and chi_probe's truncated injectives (length 3)."""
+    from quiverhom import quiver
+
+    lengths = []
+    enumerate_table = quiver.PathTable.__init__
+
+    def recording(self, q, max_len):
+        lengths.append(max_len)
+        enumerate_table(self, q, max_len)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("asreg built a block")
+
+    monkeypatch.setattr(quiver.PathTable, "__init__", recording)
+    monkeypatch.setattr(homology.PresentationModel, "block", refuse)
+    for n in range(1, 6):
+        for fld in (Q, Field(2147483647)):
+            quiver.enumerate_paths.cache_clear()
+            assert as_regular_check(_cycle(n), 12, fld).as_regular
+            chi_probe(_cycle(n), 12, fld)
+    assert sorted(set(lengths)) == [1, 3]
+
+
 def test_natural_map_values():
     assert nakayama(TWO_CYCLE, 10, 8, Q).vertex_map == (1, 0)
     assert nakayama(LOOP, 8, 6, Q).vertex_map == (0,)

@@ -32,6 +32,6 @@ def test_larger_modules_cross_checks():
             assert hom_dim(m, n) - ext_fd(m, n, 1).total_dim == euler_pairing(m, n)
             assert hom_dim(m, n) == hom_dim(linear_dual(n), linear_dual(m))
             e1 = ext_vs_algebra(m, 1, 14).total_dim
-            rat = rational_part(presentation_of_rep(m), 14).rep.total_dim
+            rat = rational_part(presentation_of_rep(m), 14).total_dim
             assert e1 == rat == m.total_dim
             done += 1
