@@ -151,7 +151,8 @@ class Matrix:
     """Immutable dense matrix with exact entries over a fixed field.
 
     Dense tuples of normal scalars (see the module docstring) are the
-    storage; elimination (`_echelon`) copies the nonzeros into sparse rows.
+    storage.  Elimination runs on sparse rows (`echelon_rows`), which
+    `rank` and `_rref` copy a matrix's nonzeros into once.
     `Matrix(field, entries)` coerces every entry with `Field.of`, and the
     operations below build their results with `_normalized`, which takes
     entries already in normal form as they are.
@@ -195,6 +196,11 @@ class Matrix:
     def from_columns(cls, field: Field, columns, rows: int) -> "Matrix":
         cols = list(columns)
         return cls(field, [[col[i] for col in cols] for i in range(rows)], cols=len(cols))
+
+    @classmethod
+    def from_sparse(cls, field: Field, rows, cols: int) -> "Matrix":
+        """The dense view of sparse rows {column: nonzero normal scalar}."""
+        return cls._normalized(field, tuple(tuple(row.get(j, field.zero) for j in range(cols)) for row in rows), cols)
 
     # basic algebra -----------------------------------------------------
 
@@ -323,56 +329,52 @@ def _cross(row: dict, a: int, pv: int, tail) -> None:
             row[j] = 1
 
 
-def _primitive(row) -> dict:
-    """The nonzeros {column: int} of a row of rationals, scaled to a
+def _primitive(row: dict) -> dict:
+    """Scale a sparse row {column: nonzero rational}, in place, to a
     primitive integer row: times the lcm of the denominators, divided by the
     gcd of the numerators.  One nonzero gives a unit row."""
-    out = {}
+    if len(row) < 2:
+        for j in row:
+            row[j] = 1
+        return row
     den = 1
-    for j, x in enumerate(row):
-        if x:
-            out[j] = x
-            if type(x) is not int:
-                den = lcm(den, x.denominator)
-    if len(out) < 2:
-        for j in out:
-            out[j] = 1
-        return out
+    for x in row.values():
+        if type(x) is not int:
+            den = lcm(den, x.denominator)
     if den != 1:
-        for j, x in out.items():
-            out[j] = x.numerator * (den // x.denominator)
-    g = gcd(*out.values())
+        for j, x in row.items():
+            row[j] = x.numerator * (den // x.denominator)
+    g = gcd(*row.values())
     if g != 1:
-        for j in out:
-            out[j] //= g
-    return out
+        for j in row:
+            row[j] //= g
+    return row
 
 
-def _echelon(m: Matrix) -> list:
-    """Forward elimination: (pivot column, row) pairs in increasing pivot
-    order, one per unit of rank.
+def _integral(vec) -> tuple:
+    """A vector of rationals times the lcm of its denominators: ints, on the same line."""
+    den = lcm(*(x.denominator for x in vec if type(x) is not int))
+    return vec if den == 1 else tuple([x.numerator * (den // x.denominator) for x in vec])
 
-    Each row is a dict {column: nonzero} with zeros below every earlier
-    pivot; a pivot is found with `c in row`, and an update touches only the
-    pivot row's nonzeros.  Over F_p the entries are ints reduced inline mod p
-    and each pivot row is scaled to pivot 1.  Over Q every row is a
-    primitive integer row (`_primitive`) and stays one: rows are cleared by
+
+def echelon_rows(field: Field, rows) -> list:
+    """Forward elimination of sparse rows {column: nonzero normal scalar}:
+    (pivot column, row) pairs in increasing pivot order, one per unit of
+    rank.  The rows given are copied, not changed.
+
+    Each row is a dict with zeros below every earlier pivot; a pivot is
+    found with `c in row`, and an update touches only the pivot row's
+    nonzeros.  Over F_p the entries are ints reduced inline mod p and each
+    pivot row is scaled to pivot 1.  Over Q every row is a primitive integer
+    row (`_primitive`) and stays one: rows are cleared by
     cross-multiplication (`_cross`), and no Fraction is built.  The pivot
     row is one with pivot +-1 over Q if there is one, then the one with the
     fewest nonzeros.
     """
-    p = m.field.characteristic
-    if p:
-        pending = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
-        pending = [row for row in pending if row]
-    else:
-        pending = []
-        for row in m.entries:
-            row = _primitive(row)
-            if row:
-                pending.append(row)
+    p = field.characteristic
+    pending = [dict(row) if p else _primitive(dict(row)) for row in rows if row]
     done = []
-    for c in range(m.cols):
+    for c in sorted({j for row in pending for j in row}):
         if not pending:
             break
         candidates = [row for row in pending if c in row]
@@ -401,6 +403,11 @@ def _echelon(m: Matrix) -> list:
         pending = [row for row in pending if row and row is not src]
         done.append((c, prow))
     return done
+
+
+def _echelon(m: Matrix) -> list:
+    """`echelon_rows` of the nonzeros of a matrix's rows."""
+    return echelon_rows(m.field, [{j: x for j, x in enumerate(row) if x} for row in m.entries])
 
 
 def _rref(m: Matrix):

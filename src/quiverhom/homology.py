@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 
-from .exactlin import Field, Kernel, Matrix, Quotient, rank
+from .exactlin import Field, Kernel, Matrix, Quotient, echelon_rows, rank
 from .pathcoalg import AlgElement
 from .quiver import (
     Path,
@@ -74,6 +74,12 @@ def free_diff_matrix(fld: Field, rows: list, cols: list, entries) -> Matrix:
     """Matrix of a differential F1 -> F0 of free terms on path-basis labels:
     `rows` and `cols` are free_term_basis lists of F0 and F1 in one degree,
     and entries[g][r] is the component at generator g of relation r."""
+    return _label_matrix(fld, rows, cols, _diff_images(entries))
+
+
+def _diff_images(entries):
+    """The label images of the differential with the given entries: the F1
+    label (r, p) goes to the F0 labels (g, p q), q a path of entries[g][r]."""
     def images(lab):
         r, p = lab
         for g, row in enumerate(entries):
@@ -81,7 +87,7 @@ def free_diff_matrix(fld: Field, rows: list, cols: list, entries) -> Matrix:
                 if q.target == p.source:
                     yield (g, compose(p, q)), c
 
-    return _label_matrix(fld, rows, cols, images)
+    return images
 
 
 def _hom_dual(pres: GradedPresentation) -> GradedPresentation:
@@ -214,24 +220,27 @@ def _push(fld: Field, labels, vec, move, dst_index: dict) -> list:
     return out
 
 
-def _label_matrix(fld: Field, rows, cols, images) -> Matrix:
-    """The matrix on labelled bases whose column j is images(cols[j]).
-
-    images(label) yields (row label, normalized coefficient) pairs;
-    coefficients on the same row add up, and row labels outside `rows` drop
-    out.  A cell still holding the fill object `fld.zero` takes its first
-    coefficient as it is, since zero + c is c; only a second hit adds.
-    """
+def _label_columns(fld: Field, rows, cols, images) -> list:
+    """Column j = images(cols[j]) on labelled bases, as a sparse row {row index:
+    nonzero normal scalar}.  images(label) yields (row label, normalized
+    coefficient) pairs; coefficients on the same row add up, and row labels
+    outside `rows` drop out."""
     index = {lab: i for i, lab in enumerate(rows)}
-    zero = fld.zero
-    mat = [[zero] * len(cols) for _ in rows]
-    for j, lab in enumerate(cols):
+    out = []
+    for lab in cols:
+        col = {}
         for row, c in images(lab):
             i = index.get(row)
             if i is not None:
-                x = mat[i][j]
-                mat[i][j] = c if x is zero else fld.add(x, c)
-    return Matrix._normalized(fld, tuple(map(tuple, mat)), len(cols))
+                col[i] = fld.add(col[i], c) if i in col else c
+        out.append({i: x for i, x in col.items() if x})
+    return out
+
+
+def _label_matrix(fld: Field, rows, cols, images) -> Matrix:
+    """The dense view of `_label_columns`: the matrix on labelled bases
+    whose column j is images(cols[j])."""
+    return Matrix.from_sparse(fld, _label_columns(fld, rows, cols, images), len(rows)).transpose()
 
 
 def _left_mult(p: Path):
@@ -522,8 +531,9 @@ class PresentationModel:
                 r = len({compose(path, q) for rel, path in self._labels(Kernel, d, v)
                          for q in p.entries[0][rel].coeffs})
             else:
-                r = rank(free_diff_matrix(self.fld, self._labels(Quotient, d, v), self._labels(Kernel, d, v),
-                                          p.entries))
+                # the rank of the transpose: the F1 labels' images are its sparse rows
+                r = len(echelon_rows(self.fld, _label_columns(
+                    self.fld, self._labels(Quotient, d, v), self._labels(Kernel, d, v), _diff_images(p.entries))))
             self._ranks[(d, v)] = r
         return r
 
@@ -603,10 +613,13 @@ def rational_part(pres: GradedPresentation, trunc: int) -> RationalPartReport:
 
 def _torsion_dim(model: PresentationModel, d: int, v: int, k_max: int, window: int) -> int | None:
     """Dimension of the classes of block (d, v) that every path of length
-    k_max kills, when the dimensions for k = 1..k_max hold still over their
-    last window + 1 values; None when they do not."""
-    dims = [Kernel(_kill_matrix(model, d, v, k)).dim for k in range(1, k_max + 1)]
-    return dims[-1] if len(dims) > window and len(set(dims[-(window + 1):])) == 1 else None
+    k_max kills, when the nullities of the kill matrices for k = 1..k_max
+    hold still over their last window + 1 values, the only ones built; None when they do not."""
+    if k_max <= window:
+        return None  # fewer than window + 1 values
+    cols = model.block(d, v).dim
+    dims = {cols - rank(_kill_matrix(model, d, v, k)) for k in range(k_max - window, k_max + 1)}
+    return dims.pop() if len(dims) == 1 else None
 
 
 def _kill_matrix(model: PresentationModel, d: int, v: int, k: int) -> Matrix:

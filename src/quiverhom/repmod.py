@@ -14,15 +14,14 @@ regularity test suite:
 
 Local nilpotency (some power of the radical kills the module) is exactly the
 comodule/rationality condition; the nil bound is computed for every Rep built
-from new matrices, never trusted from the caller.  Only the linear dual and
-the conjugated graded form of a Rep carry its bound over: J^k M = 0 exactly
-when M* J^k = 0, and a change of basis in each fiber preserves it.
+from new matrices, never trusted from the caller.  Only linear duals and the
+conjugates that `graded_form` and `random_graded_rep` make carry a bound
+over: J^k M = 0 exactly when M* J^k = 0, and a fiberwise base change keeps it.
 """
 
 from __future__ import annotations
 
-from . import exactlin
-from .exactlin import Field, Kernel, Matrix, inverse, rank
+from .exactlin import Field, Kernel, Matrix, _echelon, _integral, echelon_rows, inverse
 from .pathcoalg import AlgElement
 from .quiver import Path, Quiver, Record, enumerate_paths, opposite, trivial_path
 
@@ -71,7 +70,7 @@ class Rep:
                     f"{self.dims[cod]}x{self.dims[dom]}, got {m.rows}x{m.cols}"
                 )
         self.maps = maps
-        # set only by linear_dual and graded_form, from a Rep that ran _nil_bound
+        # set only by linear_dual, graded_form and random_graded_rep, from a Rep that ran _nil_bound
         self.nil_bound = _nil_bound(self) if _carried_bound is None else _carried_bound
 
     @property
@@ -96,7 +95,8 @@ def _nil_bound(rep: Rep) -> int:
     nonzero multiple of one coordinate vector, those coordinate vectors are
     the next basis there, found without elimination (distinct coordinate
     vectors are independent); otherwise one elimination of the images gives
-    it.  Path-basis models and simples never leave the first case.
+    it.  Path-basis models and simples never leave the first case.  Only
+    the span is read, so the forward elimination's rows are the next basis.
     """
     f = rep.field
     q = rep.quiver
@@ -126,16 +126,7 @@ def _nil_bound(rep: Rep) -> int:
             if all(len(img) == 1 for img in imgs):
                 basis[v] = [{i: f.one} for i in sorted({i for img in imgs for i in img})]
             else:
-                n = rep.dims[v]
-                rows = []
-                for img in imgs:
-                    row = [f.zero] * n
-                    for i, x in img.items():
-                        row[i] = x
-                    rows.append(tuple(row))
-                # looked up on the module, where bench/tracer.py counts eliminations
-                echelon, _ = exactlin._rref(Matrix._normalized(f, tuple(rows), n))
-                basis[v] = [{j: x for j, x in enumerate(row) if x} for row in echelon]
+                basis[v] = [row for _, row in echelon_rows(f, imgs)]
             new_total += len(basis[v])
         m += 1
         if new_total >= current and new_total > 0:
@@ -270,9 +261,10 @@ def _reverse_path(p: Path) -> Path:
     return Path(p.target, p.source, tuple(reversed(p.arrows)))
 
 
-def commutation_matrix(m: Rep, n: Rep) -> Matrix:
-    """The map (+)_v Hom(M_v, N_v) -> (+)_a Hom(M_tail, N_head) whose kernel
-    is Hom(M, N) and cokernel Ext^1(M, N).
+def _commutation_rows(m: Rep, n: Rep) -> tuple:
+    """(rows, unknowns) of the map (+)_v Hom(M_v, N_v) -> (+)_a Hom(M_tail, N_head)
+    whose kernel is Hom(M, N) and cokernel Ext^1(M, N), each row a sparse
+    row {unknown: nonzero normal scalar}.
 
     The unknowns are per-vertex dims_n[v] x dims_m[v] matrices f_v, flattened
     row-major in vertex order; the rows are the entries (r, c) of
@@ -288,22 +280,25 @@ def commutation_matrix(m: Rep, n: Rep) -> Matrix:
     rows = []
     for ai, a in enumerate(q.arrows):
         dom, cod = arrow_ends(m.side, a)
-        am = m.maps[ai].entries
-        an = n.maps[ai].entries
-        for r in range(n.dims[cod]):
+        if not (m.dims[dom] and n.dims[cod]):
+            continue  # no rows
+        a_cols = [{k: x for k, row in enumerate(m.maps[ai].entries) if (x := row[c])} for c in range(m.dims[dom])]
+        for r, b_row in enumerate(n.maps[ai].entries):
             base = offsets[cod] + r * m.dims[cod]
-            for c in range(m.dims[dom]):
-                row = [0] * total
-                for k, am_row in enumerate(am, base):
-                    row[k] = am_row[c]
-                for k, x in enumerate(an[r]):
-                    if x:
-                        # a loop (dom = cod) may hit a cell the first sum set
-                        idx = offsets[dom] + k * m.dims[dom] + c
-                        y = row[idx]
-                        row[idx] = f.sub(y, x) if y else f.neg(x)
-                rows.append(tuple(row))
-    return Matrix._normalized(f, tuple(rows), total)
+            b_terms = [(offsets[dom] + k * m.dims[dom], f.neg(x)) for k, x in enumerate(b_row) if x]
+            for c, a_col in enumerate(a_cols):
+                row = {base + k: x for k, x in a_col.items()}
+                for start, x in b_terms:
+                    # a loop (dom = cod) may hit a cell the first sum set: add, normalized
+                    idx = start + c
+                    row[idx] = f.add(row[idx], x) if idx in row else x
+                rows.append({j: x for j, x in row.items() if x} if dom == cod else row)
+    return rows, total
+
+
+def commutation_matrix(m: Rep, n: Rep) -> Matrix:
+    """The dense view of `_commutation_rows`."""
+    return Matrix.from_sparse(m.field, *_commutation_rows(m, n))
 
 
 def _check_pair(m: Rep, n: Rep) -> None:
@@ -339,11 +334,11 @@ def hom_space(m: Rep, n: Rep) -> list:
 
 def hom_ext1_dims(m: Rep, n: Rep) -> tuple:
     """(dim Hom(M, N), dim Ext^1(M, N)): the nullity and the corank of the
-    commutation matrix, read off its one rank."""
+    commutation rows, read off their one forward elimination."""
     _check_pair(m, n)
-    c = commutation_matrix(m, n)
-    r = rank(c)
-    return c.cols - r, c.rows - r
+    rows, unknowns = _commutation_rows(m, n)
+    r = len(echelon_rows(m.field, rows))
+    return unknowns - r, len(rows) - r
 
 
 def hom_dim(m: Rep, n: Rep) -> int:
@@ -526,9 +521,9 @@ def _chain_basis(m: Rep):
             for _ in range(height - k):
                 vec = t_mat.apply(vec)
             layer.append(vec)
-        cands = [c for c in fiber_vectors(kernels[k]) if not any(powers[k].apply(c))]
+        cands = [c for c in fiber_vectors(kernels[k]) if not any(powers[k].apply(_integral(c)))]
         if cands:
-            echelon = exactlin._echelon(Matrix.from_columns(f, layer + cands, total))
+            echelon = _echelon(Matrix.from_columns(f, layer + cands, total))
             tops.extend((cands[c - len(layer)], k) for c, _ in echelon if c >= len(layer))
     chosen = []  # (vector, degree)
     for u, height in tops:
@@ -609,7 +604,7 @@ def _verify_grading(m: Rep, degs) -> None:
 
 def random_graded_rep(quiver: Quiver, rng, side: str = "left", field: Field | None = None, max_per_degree: int = 2, max_degree: int = 3) -> Rep:
     """Seeded random nilpotent representation, built graded so nilpotency is
-    automatic, then conjugated by a random change of basis."""
+    automatic, then conjugated by a random unitriangular change of basis."""
     field = field or Field(0)
     degrees = {}
     for v in quiver.vertices:
@@ -630,24 +625,39 @@ def random_graded_rep(quiver: Quiver, rng, side: str = "left", field: Field | No
                 else:
                     row.append(field.zero)
             rows.append(row)
-        maps.append(Matrix(field, rows, cols=dims[dom]))
+        maps.append(Matrix._normalized(field, tuple(map(tuple, rows)), dims[dom]))
+    graded = Rep(quiver, side, field, dims, maps)  # its nil bound, on sparse maps
     # conjugate by unipotent random matrices to hide the grading
     conj = {}
     for v in quiver.vertices:
         n = dims[v]
         mat = [[field.one if i == j else (field.of(rng.randint(-1, 1)) if i < j else field.zero) for j in range(n)] for i in range(n)]
-        conj[v] = Matrix(field, mat)
+        conj[v] = Matrix._normalized(field, tuple(map(tuple, mat)), n)
     new_maps = []
     conj_inv = {}
     for ai, a in enumerate(quiver.arrows):
         dom, cod = arrow_ends(side, a)
         if dims[cod] and dims[dom]:
             if cod not in conj_inv:
-                conj_inv[cod] = inverse(conj[cod])
+                conj_inv[cod] = _unit_upper_inverse(conj[cod])
             new_maps.append(conj_inv[cod] * maps[ai] * conj[dom])
         else:
             new_maps.append(maps[ai])
-    return Rep(quiver, side, field, dims, new_maps)
+    return Rep(quiver, side, field, dims, new_maps, _carried_bound=graded.nil_bound)
+
+
+def _unit_upper_inverse(u: Matrix) -> Matrix:
+    """Inverse of a unit upper-triangular matrix by back substitution, integral
+    where u is: row i of it is e_i minus u[i][k] times its row k, over k > i."""
+    n = u.rows
+    inv = [()] * n
+    for i in range(n - 1, -1, -1):
+        row = [int(i == j) for j in range(n)]
+        for k in range(i + 1, n):
+            if x := u.entries[i][k]:
+                row = [a - x * b for a, b in zip(row, inv[k])]
+        inv[i] = u.field.normal(row)
+    return Matrix._normalized(u.field, tuple(inv), n)
 
 
 # ----------------------------------------------------------------------

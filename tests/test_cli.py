@@ -503,17 +503,18 @@ def test_verify_double_dual_roundtrip_catches_a_broken_dual(quiver_file, capsys,
 
 
 def test_verify_builds_each_commutation_matrix_once(quiver_file, capsys, monkeypatch):
-    """Hom and Ext^1 of one pair are read off one commutation matrix."""
+    """Hom and Ext^1 of one pair are read off one set of commutation rows,
+    which `commutation_matrix` also builds through."""
     from quiverhom import repmod
 
     pairs = []  # the (M, N) objects themselves, so no id is reused during the run
-    real = repmod.commutation_matrix
+    real = repmod._commutation_rows
 
     def counting(m, n):
         pairs.append((m, n))
         return real(m, n)
 
-    monkeypatch.setattr(repmod, "commutation_matrix", counting)
+    monkeypatch.setattr(repmod, "_commutation_rows", counting)
     code, report = run_json(
         capsys, ["verify", "--quiver", quiver_file(KRONECKER), "--trunc", "6",
                  "--cases", "12", "--seed", "2", "--json"])

@@ -13,7 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from rep_helpers import is_normal_scalar  # noqa: E402  (tests/rep_helpers.py)
 
-from quiverhom.exactlin import Field, Kernel, Matrix, Quotient, _rref, inverse, rank  # noqa: E402
+from quiverhom.exactlin import Field, Kernel, Matrix, Quotient, _rref, echelon_rows, inverse, rank  # noqa: E402
 
 Q = Field(0)
 P = Field(2147483647)
@@ -137,6 +137,22 @@ def test_rref_and_rank_match_the_reference(case):
     for row in rows:
         assert_normal(row)
     assert rank(m) == len(ref_pivots) == rank(m.transpose())
+
+
+@PROPERTY
+@given(st.sampled_from([Q, P]), q_matrix())
+def test_sparse_row_rank_matches_the_dense_rank(fld, case):
+    # the rows handed over are the nonzeros of the coerced matrix's rows
+    # (Fractions over Q, their residues over F_p); elimination copies them
+    a, cols = case
+    m = Matrix(fld, a, cols=cols)
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
+    given_rows = [dict(row) for row in rows]
+    echelon = echelon_rows(fld, rows)
+    assert rows == given_rows
+    assert len(echelon) == rank(m) == rank(m.transpose())
+    if fld is Q:
+        assert [c for c, _ in echelon] == ref_rref(a, cols)[1]
 
 
 @PROPERTY

@@ -418,16 +418,17 @@ def test_dual_resolution_cover_skips_the_radical_layer():
 def test_hom_into_C_and_rational_part_build_no_whole_degree_matrix(monkeypatch):
     from quiverhom import homology
 
-    whole = homology.free_diff_matrix
+    # every F1 -> F0 matrix or rank goes through the label-image columns
+    whole = homology._label_columns
     built = []
 
-    def per_vertex_only(fld, rows, cols, entries):
+    def per_vertex_only(fld, rows, cols, images):
         if len({p.target for _, p in rows + cols}) > 1:
             raise AssertionError("whole-degree F1 -> F0 matrix built")
         built.append(len(rows))
-        return whole(fld, rows, cols, entries)
+        return whole(fld, rows, cols, images)
 
-    monkeypatch.setattr(homology, "free_diff_matrix", per_vertex_only)
+    monkeypatch.setattr(homology, "_label_columns", per_vertex_only)
     modules = [uniserial(LOOP, 0, 3, "left", Q), uniserial(TWO_CYCLE, 0, 3, "left", Q),
                simple(KRONECKER, 0, "left", Q), random_graded_rep(THREE_CYCLE, random.Random(23), "left", Q)]
     for m in modules:
@@ -719,6 +720,44 @@ def test_presentation_mixing_free_and_torsion_summands():
     assert r.total_dim == 2
     assert dict(r.dims_by_degree) == {0: 1, 1: 1}
     assert dual_resolution_check(pres, 12, 6)["passes"]
+
+
+def test_rational_part_window_mode_builds_only_the_compared_kill_matrices(monkeypatch):
+    """A free summand keeps the module alive through the truncation, so the
+    torsion of each block is decided by the window policy: it compares the
+    kill matrices' nullities for the last window + 1 path lengths and builds
+    no other.  The reports are the ones the full k = 1..k_max sweep gave."""
+    import quiverhom.homology as homology
+    from quiverhom.homology import RationalPartReport, window_length
+
+    built = []
+    real = homology._kill_matrix
+
+    def counting(model, d, v, k):
+        built.append((d, v, k))
+        return real(model, d, v, k)
+
+    monkeypatch.setattr(homology, "_kill_matrix", counting)
+    for fld in (Q, Field(2147483647)):
+        zero = AlgElement.zero(fld)
+        # (A e_1 / (yx)) (+) A e_2 on the two-cycle, and (A / (x)) (+) A on the loop
+        two_cycle = GradedPresentation(TWO_CYCLE, "left", fld, ((0, 0), (1, 0)), ((0, 2),),
+                                       ((AlgElement.dual_path(fld, Path(0, 0, (0, 1))),), (zero,)))
+        loop = GradedPresentation(LOOP, "left", fld, ((0, 0), (0, 0)), ((0, 1),),
+                                  ((AlgElement.dual_path(fld, Path(0, 0, (0,))),), (zero,)))
+        cases = [(two_cycle, RationalPartReport({0: 1, 1: 1}, {"window": 4, "zero_from_degree": 2,
+                                                                "certified_through": 5, "mode": "window policy"}, 2)),
+                 (loop, RationalPartReport({0: 1}, {"window": 2, "zero_from_degree": 1,
+                                                    "certified_through": 7, "mode": "window policy"}, 1))]
+        for pres, want in cases:
+            built.clear()
+            assert rational_part(pres, 10) == want
+            window = window_length(pres.quiver)
+            lengths = {}
+            for d, v, k in built:
+                lengths.setdefault((d, v), []).append(k)
+            assert lengths and all(ks == list(range(ks[-1] - window, ks[-1] + 1)) for ks in lengths.values())
+            assert len(built) == (window + 1) * len(lengths)
 
 
 def test_ext_vs_algebra_injective_input():

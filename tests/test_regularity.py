@@ -52,16 +52,17 @@ def _cycle(n):
 
 
 def count_commutation_matrices(monkeypatch) -> list:
-    """Wrap `repmod.commutation_matrix`; the list returned collects the
+    """Wrap `repmod._commutation_rows`, which `hom_ext1_dims` and
+    `commutation_matrix` build through; the list returned collects the
     (M, N) objects of its calls, so no id is reused during the run."""
     pairs = []
-    real = repmod.commutation_matrix
+    real = repmod._commutation_rows
 
     def counting(m, n):
         pairs.append((m, n))
         return real(m, n)
 
-    monkeypatch.setattr(repmod, "commutation_matrix", counting)
+    monkeypatch.setattr(repmod, "_commutation_rows", counting)
     return pairs
 
 
@@ -124,17 +125,19 @@ def test_regularity_on_cycles_eliminates_only_the_probe_pairs(monkeypatch):
     single-path entries, a simple is graded with no chain-basis search, and
     local cohomology reads path counts.  So as_regular_check and nakayama
     run no forward elimination, and chi_probe runs one per finite probe
-    pair, the rank of its commutation matrix."""
+    pair, the rank of its commutation rows.  Every forward elimination runs
+    `echelon_rows`, wrapped wherever a module binds it."""
     from quiverhom import exactlin
 
     runs = []
-    echelon = exactlin._echelon
+    echelon = exactlin.echelon_rows
 
-    def counting(m):
-        runs.append(m)
-        return echelon(m)
+    def counting(field, rows):
+        runs.append(rows)
+        return echelon(field, rows)
 
-    monkeypatch.setattr(exactlin, "_echelon", counting)
+    for module in (exactlin, repmod, homology):
+        monkeypatch.setattr(module, "echelon_rows", counting)
     for n in range(1, 6):
         q = _cycle(n)
         for fld in (Q, Field(2147483647)):

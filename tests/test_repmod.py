@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from pathlib import Path as FilePath
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quiverhom.exactlin import Field, Kernel, Matrix, inverse, rank
+from quiverhom.exactlin import Field, Kernel, Matrix, echelon_rows, inverse, rank
 from quiverhom.pathcoalg import AlgElement
 from quiverhom.quiver import Path, enumerate_paths, extend, opposite, parse_quiver, trivial_path
 from quiverhom.repmod import (
@@ -11,7 +13,10 @@ from quiverhom.repmod import (
     NotNilpotentError,
     Rep,
     _chain_basis,
+    _commutation_rows,
     _level_grading,
+    _nil_bound,
+    _unit_upper_inverse,
     _verify_grading,
     arrow_ends,
     commutation_matrix,
@@ -35,6 +40,7 @@ from rep_helpers import (  # tests/rep_helpers.py
     assert_isomorphic,
     direct_sum,
     identity_twist,
+    is_normal_scalar,
     is_zero_matrix,
     truncated_free,
     twist_inverse,
@@ -475,7 +481,8 @@ def dense_commutation_matrix(m, n):
 
 def test_commutation_matrix_matches_dense_reference():
     # loops (LOOP, MEET) hit a cell from both sums; the entries must be the
-    # reference's normalized scalars, of the field's own type
+    # reference's normalized scalars, of the field's own type.  The sparse
+    # rows that hom_ext1_dims ranks are the reference rows' nonzeros.
     rng = random.Random(2029)
     for fld in NIL_FIELDS:
         for quiv in NIL_QUIVERS:
@@ -484,9 +491,103 @@ def test_commutation_matrix_matches_dense_reference():
                     m = random_graded_rep(quiv, rng, side, fld)
                     n = random_graded_rep(quiv, rng, side, fld)
                     for a, b in ((m, n), (m, m), (linear_dual(n), linear_dual(m))):
+                        want = dense_commutation_matrix(a, b)
                         got = commutation_matrix(a, b).entries
-                        assert got == dense_commutation_matrix(a, b)
+                        assert got == want
                         assert all(type(x) is type(fld.zero) for row in got for x in row)
+                        rows, unknowns = _commutation_rows(a, b)
+                        assert unknowns == sum(x * y for x, y in zip(a.dims, b.dims))
+                        assert rows == [{j: x for j, x in enumerate(row) if x} for row in want]
+
+
+def test_commutation_rows_on_a_loop_hold_normal_scalars():
+    # both sums hit every diagonal cell of a loop's rows; a raw sum of these
+    # Fractions leaves an integral Fraction there (Fraction(2, 1)), on which
+    # the primitive-row scaling of the elimination raised TypeError
+    m = rep_from_matrices(LOOP, [2], [[[Fraction(1, 2), Fraction(1, 4)], [-1, Fraction(-1, 2)]]], "left", Q)
+    n = rep_from_matrices(LOOP, [2], [[[Fraction(-3, 2), 1], [Fraction(-9, 4), Fraction(3, 2)]]], "left", Q)
+    assert hom_ext1_dims(m, n) == (2, 2)
+    rows, _ = _commutation_rows(m, n)
+    assert all(is_normal_scalar(Q, x) for row in rows for x in row.values())
+
+
+LOOP_THEN_ARROW = parse_quiver("vertices: 2\narrow x 1 1\narrow t 1 2\n")[0]
+P = Field(2147483647)
+SCALARS = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def loop_rep_pairs(draw):
+    """Two left reps on the loop or the loop with an arrow out, over Q or
+    F_p.  The loop acts by [[h, b], [-h^2/b, -h]] with h a half-integer or
+    an integer, so the sums that two loops put on one cell, h - h', are
+    often integral Fractions; or by L U L^(-1), U strictly upper and L unit
+    lower triangular with entries like 0, 2 and -3/4.  The other arrow acts
+    by any matrix."""
+    fld = draw(st.sampled_from([Q, P]))
+    quiv = draw(st.sampled_from([LOOP, LOOP_THEN_ARROW]))
+
+    def rep():
+        dims = [draw(st.integers(1, 3)) for _ in quiv.vertices]
+        n = dims[0]
+        if n == 2:
+            h = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 2])))
+            b = draw(SCALARS.filter(bool))
+            maps = [Matrix(fld, [[h, b], [-h * h / b, -h]])]
+        else:
+            upper = Matrix(fld, [[draw(SCALARS) if i < j else 0 for j in range(n)] for i in range(n)])
+            lower = Matrix(fld, [[1 if i == j else (draw(SCALARS) if i > j else 0) for j in range(n)]
+                                 for i in range(n)])
+            maps = [lower * upper * inverse(lower)]
+        if len(dims) == 2:
+            maps.append(Matrix(fld, [[draw(SCALARS) for _ in range(n)] for _ in range(dims[1])]))
+        return rep_from_matrices(quiv, dims, maps, "left", fld)
+
+    return fld, rep(), rep()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(loop_rep_pairs())
+def test_sparse_commutation_rank_matches_the_dense_rank(case):
+    fld, m, n = case
+    rows, unknowns = _commutation_rows(m, n)
+    assert all(is_normal_scalar(fld, x) for row in rows for x in row.values())
+    dense = Matrix(fld, dense_commutation_matrix(m, n), cols=unknowns)
+    assert len(echelon_rows(fld, rows)) == rank(dense)
+    assert hom_ext1_dims(m, n) == (dense.cols - rank(dense), dense.rows - rank(dense))
+
+
+def test_random_graded_rep_shortcuts_match_the_general_routes(monkeypatch):
+    """random_graded_rep carries its graded Rep's nil bound over to the
+    conjugate and inverts the unitriangular conjugation by back
+    substitution: the bound is the one _nil_bound finds on the conjugated
+    maps, and the inverse is exactlin.inverse's."""
+    import quiverhom.repmod as repmod
+
+    inverted = []
+    real = repmod._unit_upper_inverse
+
+    def recording(u):
+        inverted.append((u, real(u)))
+        return inverted[-1][1]
+
+    monkeypatch.setattr(repmod, "_unit_upper_inverse", recording)
+    folder = FilePath(__file__).resolve().parents[1] / "examples_quivers"
+    quivers = [parse_quiver(path.read_text())[0] for path in sorted(folder.glob("*.quiver"))]
+    rng = random.Random(3031)
+    bounds = set()
+    for fld in (Q, P):
+        for quiv in quivers:
+            for side in ("left", "right"):
+                for _ in range(8):
+                    m = random_graded_rep(quiv, rng, side, fld)
+                    assert m.nil_bound == _nil_bound(Rep(quiv, side, fld, m.dims, m.maps))
+                    bounds.add(m.nil_bound)
+    assert len(quivers) == 6 and bounds >= {0, 1, 2, 3}
+    assert any(u != Matrix.identity(u.field, u.rows) for u, _ in inverted)
+    for u, inv in inverted:
+        assert inv == inverse(u)
+    assert _unit_upper_inverse(Matrix(P, [[1, -1, 1], [0, 1, -1], [0, 0, 1]])).entries == ((1, 1, 0), (0, 1, 1), (0, 0, 1))
 
 
 # ---------------------------------------------------------------- chain bases
@@ -680,7 +781,7 @@ def test_chain_basis_eliminates_once_per_power_and_inverts_once_per_fiber(monkey
         raise AssertionError("rank called")
 
     monkeypatch.setattr(exactlin, "rank", no_rank)
-    monkeypatch.setattr(repmod, "rank", no_rank)
+    monkeypatch.setattr(repmod, "rank", no_rank, raising=False)
     kernels = []
     inverses = []
 
