@@ -5,9 +5,9 @@ mathematical verdicts (not AS-regular, not CY) are successful runs and exit
 zero; nonzero exits are reserved for computation failures:
 
     2  parse or input error (parse errors carry line numbers; vertices in
-       object specs are 1-based), including a module with no path-length
-       grading: gradings are found on acyclic quivers and disjoint unions
-       of cycles only
+       object specs are 1-based), including a `rep:` module with no
+       path-length grading: gradings are found on acyclic quivers and
+       disjoint unions of cycles only (verify draws its modules graded)
     3  growth-gate rejection without --force
     4  stabilization / truncation failure (the report names the smallest
        parameter change expected to fix it)
@@ -59,7 +59,6 @@ from .repmod import (
     Rep,
     arrow_ends,
     euler_pairing,
-    graded_form,
     hom_dim,
     hom_ext1_dims,
     linear_dual,
@@ -383,10 +382,8 @@ def cmd_verify(args) -> tuple:
         rights = [p1 for p2, p1 in splits if not fld.is_zero(coalg.counit(p2))]
         if lefts != [p] or rights != [p] or len(splits) != p.length + 1:
             law_fail += 1
-        one = sorted(
-            ((q2, q1, p1) for p2, p1 in splits for q2, q1 in coalg.comultiply(p2)), key=repr)
-        two = sorted(
-            ((p2, q2, q1) for p2, p1 in splits for q2, q1 in coalg.comultiply(p1)), key=repr)
+        one = Counter((q2, q1, p1) for p2, p1 in splits for q2, q1 in coalg.comultiply(p2))
+        two = Counter((p2, q2, q1) for p2, p1 in splits for q2, q1 in coalg.comultiply(p1))
         if one != two:
             law_fail += 1
     suite["coalgebra_laws"] = {"cases": len(coalg.basis()), "failures": law_fail}
@@ -409,8 +406,8 @@ def cmd_verify(args) -> tuple:
     euler_fail = 0
     dual_fail = 0
     for _ in range(cases):
-        m = random_graded_rep(quiver, rng, "left", fld)
-        n = random_graded_rep(quiver, rng, "left", fld)
+        m = random_graded_rep(quiver, rng, "left", fld)[0]
+        n = random_graded_rep(quiver, rng, "left", fld)[0]
         d_hom, d_ext = hom_ext1_dims(m, n)
         if d_hom - d_ext != euler_pairing(m, n):
             euler_fail += 1
@@ -422,7 +419,7 @@ def cmd_verify(args) -> tuple:
     # double-dual roundtrip: the linear dual keeps the endomorphism dimension
     roundtrip_fail = 0
     for _ in range(max(4, cases // 8)):
-        m = random_graded_rep(quiver, rng, "left", fld)
+        m = random_graded_rep(quiver, rng, "left", fld)[0]
         dual = linear_dual(m)
         if hom_dim(m, m) != hom_dim(dual, dual):
             roundtrip_fail += 1
@@ -445,11 +442,10 @@ def cmd_verify(args) -> tuple:
     phi_fail = 0
     phi_cases = max(3, cases // 10)
     for _ in range(phi_cases):
-        m = random_graded_rep(quiver, rng, "left", fld)
-        if m.total_dim == 0:
+        _, graded, degrees = random_graded_rep(quiver, rng, "left", fld)
+        if graded.total_dim == 0:
             continue
-        g, degrees = graded_form(m)
-        hom = hom_into_C(presentation_of_rep(g, degrees), min(args.trunc, 8))
+        hom = hom_into_C(presentation_of_rep(graded, degrees), min(args.trunc, 8))
         if hom.dims_by_degree != Counter(d for fiber in degrees for d in fiber):
             phi_fail += 1
     suite["phi_check"] = {"cases": phi_cases, "failures": phi_fail}
@@ -463,18 +459,18 @@ def cmd_verify(args) -> tuple:
         cor_fail = 0
         cor_cases = max(3, cases // 10)
         for _ in range(cor_cases):
-            m = random_graded_rep(quiver, rng, "left", fld)
-            if m.total_dim == 0:
+            _, graded, degrees = random_graded_rep(quiver, rng, "left", fld)
+            if graded.total_dim == 0:
                 continue
             # one presentation for the rational part and one model for both Ext degrees
-            pres = presentation_of_rep(m)
+            pres = presentation_of_rep(graded, degrees)
             model = ext_model(pres, args.trunc)
-            e_top = ext_vs_algebra(m, n_top, args.trunc, model=model).total_dim
+            e_top = ext_vs_algebra(graded, n_top, args.trunc, model=model).total_dim
             rat = rational_part(pres, args.trunc).total_dim
             bad = e_top != rat
             if n_top > 0:
-                e0 = ext_vs_algebra(m, 0, args.trunc, model=model).total_dim
-                if rat == m.total_dim and e0 != 0:
+                e0 = ext_vs_algebra(graded, 0, args.trunc, model=model).total_dim
+                if rat == graded.total_dim and e0 != 0:
                     bad = True
             if bad:
                 cor_fail += 1

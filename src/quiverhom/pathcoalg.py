@@ -126,11 +126,6 @@ class AlgElement:
         return " + ".join(bits)
 
 
-def convolve(self, f: AlgElement, g: AlgElement, n: int | None = None) -> AlgElement:
-        """The product f g, exact in all degrees <= n (default: the truncation)."""
-        return convolve(f, g, self.truncation if n is None else n)
-
-
 def convolve(f: AlgElement, g: AlgElement, n: int | None = None) -> AlgElement:
     """(f g)(p) = sum of f(p2) g(p1) over splittings p = p2 * p1.
 

@@ -130,7 +130,7 @@ def test_criterion_4_torsion_ext_identities(capsys):
         rng = random.Random(zlib.crc32(repr(("torsion-ext", label)).encode()))
         done = 0
         while done < 10:
-            m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=3)
+            m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=3)[0]
             if m.total_dim == 0:
                 continue
             ext1 = ext_vs_algebra(m, 1, 12).total_dim
@@ -197,8 +197,8 @@ def test_criterion_7_property_suites(capsys):
         rng = random.Random(zlib.crc32(repr(("acceptance7", label)).encode()))
         # euler form + duality involution
         for _ in range(cases):
-            m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=3)
-            n = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=3)
+            m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=3)[0]
+            n = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=3)[0]
             if hom_dim(m, n) - ext_fd(m, n, 1).total_dim != euler_pairing(m, n):
                 failures += 1
             if hom_dim(m, n) != hom_dim(linear_dual(n), linear_dual(m)):
@@ -229,14 +229,14 @@ def test_criterion_7_property_suites(capsys):
                 failures += 1
         # double-dual roundtrip
         for _ in range(cases):
-            m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)
+            m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)[0]
             dual = linear_dual(m)
             if linear_dual(dual).maps != m.maps or hom_dim(m, m) != hom_dim(dual, dual):
                 failures += 1
         # phi check through degree 6
         done = 0
         while done < cases:
-            m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)
+            m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)[0]
             if m.total_dim == 0:
                 continue
             g, degrees = graded_form(m)
@@ -268,7 +268,7 @@ def test_criterion_8_dual_resolution_exactness(capsys):
         rng = random.Random(zlib.crc32(repr(("clem2", label)).encode()))
         done = 0
         while done < 5:
-            m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)
+            m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)[0]
             if m.total_dim == 0:
                 continue
             result = dual_resolution_check(presentation_of_rep(m), 12, 6)

@@ -7,12 +7,16 @@ quickstart and the benchmark tracer reach, and nothing only tests call.
   `bench/tracer.py` binds.
 - Every public method of a package class is referenced as an attribute in
   `src` or in the benchmark's own code; references from tests do not count.
+- No top-level function or class name is defined twice in one module.
 
 Names are matched by spelling, so a name shared by two definitions reaches
-both: the guard can miss dead code, but it does not flag live code.
+both: the guard can miss dead code, but it does not flag live code.  The
+last check closes that gap within a module, where a later definition
+rebinds the name and leaves the earlier one unreachable.
 """
 
 import ast
+from collections import Counter
 import re
 from pathlib import Path
 
@@ -90,3 +94,11 @@ def test_every_public_method_is_referenced():
               for fn in cls.body if isinstance(fn, ast.FunctionDef)
               and not fn.name.startswith("_") and fn.name not in attributes]
     assert unused == []
+
+
+def test_no_top_level_name_is_defined_twice():
+    twice = [f"{path.name}:{name}" for path, tree in _modules().items()
+             for name, n in Counter(node.name for node in tree.body
+                                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))).items()
+             if n > 1]
+    assert twice == []

@@ -85,15 +85,47 @@ def test_stabilization_exit_four(quiver_file, capsys):
     assert "increase" in report["suggestion"]
 
 
-def test_module_outside_grading_scope_exits_two(quiver_file, capsys):
-    # a two-cycle with a transit arrow into it: some random modules have no
-    # path-length grading, which is an input error, not a crash
+def test_verify_on_a_cycle_with_an_arrow_in_asks_what_asreg_asks(quiver_file, capsys):
+    # a two-cycle with a transit arrow into it: verify's drawn modules carry
+    # their grading, so no module is out of scope; the regularity check then
+    # refuses as asreg does at the same truncation
     path = quiver_file("vertices: 3\narrow x 1 2\narrow y 2 1\narrow z 3 1\n")
     code, report = run_json(
         capsys, ["verify", "--quiver", path, "--seed", "1", "--cases", "4", "--trunc", "6", "--json"])
-    assert code == 2
-    assert set(report) == {"schema", "command", "error"}
-    assert "acyclic quivers and disjoint unions of cycles" in report["error"]
+    assert code == 4
+    assert set(report) == {"schema", "command", "error", "suggestion"}
+    assert report["error"] == ("Ext^1(M, A) graded dims did not vanish through a window of 4 "
+                               "(increase truncation beyond 6)")
+    asreg_code, asreg = run_json(capsys, ["asreg", "--quiver", path, "--trunc", "6", "--json"])
+    assert (asreg_code, asreg["error"], asreg["suggestion"]) == (code, report["error"], report["suggestion"])
+
+
+THREE_CYCLE = "vertices: 3\narrow a 1 2\narrow b 2 3\narrow c 3 1\n"
+LOOP_AND_TWO_CYCLE = "vertices: 3\narrow x 1 1\narrow y 2 3\narrow z 3 2\n"
+
+
+# verify passes here with its modules graded by a chain or level grading; a
+# drawn grading spread wider (a simple summand drawn in degree 3, say) leaves
+# the phi and torsion suites' truncated reads short and fails or refuses
+@pytest.mark.parametrize("text, trunc, seed", [
+    ("vertices: 1\n", 2, 1), (LOOP, 3, 2), (LOOP, 4, 8), (TWO_CYCLE, 5, 8), (TWO_CYCLE, 6, 1),
+    (THREE_CYCLE, 8, 4), (LOOP_AND_TWO_CYCLE, 6, 3), (KRONECKER, 3, 1)],
+    ids=["point", "loop-3", "loop-4", "two-cycle-5", "two-cycle-6", "three-cycle", "loop-and-two-cycle",
+         "kronecker"])
+def test_verify_passes_at_small_truncations(quiver_file, capsys, text, trunc, seed):
+    code, report = run_json(capsys, ["verify", "--quiver", quiver_file(text), "--seed", str(seed),
+                                     "--cases", "24", "--trunc", str(trunc), "--json"])
+    assert code == 0 and report["verdicts"] == {"all_passed": True, "total_failures": 0}
+    assert report["tables"]["suite"]["phi_check"] == {"cases": 3, "failures": 0}
+
+
+def test_verify_on_kronecker_below_its_truncation_asks_what_asreg_asks(quiver_file, capsys):
+    path = quiver_file(KRONECKER)
+    code, report = run_json(
+        capsys, ["verify", "--quiver", path, "--seed", "1", "--cases", "24", "--trunc", "2", "--json"])
+    asreg_code, asreg = run_json(capsys, ["asreg", "--quiver", path, "--trunc", "2", "--json"])
+    assert code == asreg_code == 4
+    assert (report["error"], report["suggestion"]) == (asreg["error"], asreg["suggestion"])
 
 
 def test_ext_comodule_command(quiver_file, capsys):
@@ -221,7 +253,7 @@ def test_verify_resolves_each_torsion_module_once(quiver_file, capsys, monkeypat
     from rep_helpers import count_presentations  # tests/rep_helpers.py
 
     calls = count_presentations(monkeypatch)
-    drawn = {"rational_part": 0, "graded_form": 0}
+    drawn = {"rational_part": 0, "hom_into_C": 0}
 
     def counting(name):
         real = getattr(cli, name)
@@ -232,17 +264,17 @@ def test_verify_resolves_each_torsion_module_once(quiver_file, capsys, monkeypat
 
         monkeypatch.setattr(cli, name, wrapper)
 
-    # one rational part per nonzero torsion module, one graded form per nonzero phi module
+    # one rational part per nonzero torsion module, one Hom into C per nonzero phi module
     counting("rational_part")
-    counting("graded_form")
+    counting("hom_into_C")
     code, report = run_json(
         capsys, ["verify", "--quiver", quiver_file(TWO_CYCLE), "--trunc", "8",
                  "--cases", "40", "--seed", "3", "--json"])
     assert code == 0 and report["verdicts"]["all_passed"] is True
     assert report["tables"]["suite"]["torsion_ext_identities"]["cases"] == 4
-    assert drawn["rational_part"] > 1 and drawn["graded_form"] > 0
+    assert drawn["rational_part"] > 1 and drawn["hom_into_C"] > 0
     # graded finality reads the simple at two truncations, one model each
-    assert calls == {"cmd_verify": drawn["graded_form"] + drawn["rational_part"],
+    assert calls == {"cmd_verify": drawn["hom_into_C"] + drawn["rational_part"],
                      "as_regular_check": 4, "ext_vs_algebra": 2}
 
 

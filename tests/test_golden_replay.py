@@ -104,6 +104,20 @@ def test_verify_replays_with_no_block_built(key, tmp_path, monkeypatch):
     _assert_replays(key, tmp_path, monkeypatch)
 
 
+@pytest.mark.parametrize("key", sorted(k for k in GOLDEN if k.startswith("verify ")))
+def test_verify_replays_with_no_grading_search(key, tmp_path, monkeypatch):
+    """verify's drawn modules carry a grading from their draw, and the
+    simples it reads need no search, so every golden verify job, over Q and
+    over F_p, replays with `repmod._chain_basis` refused."""
+    from quiverhom import repmod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify searched for a grading")
+
+    monkeypatch.setattr(repmod, "_chain_basis", refuse)
+    _assert_replays(key, tmp_path, monkeypatch)
+
+
 # ----------------------------------------------------------------------
 # engine outputs on the example quivers
 
@@ -138,7 +152,7 @@ def _modules(q, fld):
         out[f"simple:{v + 1}"] = simple(q, v, "left", fld)
         out[f"free:{v + 1}:2"] = truncated_free_rep(q, v, 2, "left", fld)
     for k in range(2):
-        out[f"random:{k}"] = random_graded_rep(q, rng, "left", fld, max_per_degree=1, max_degree=2)
+        out[f"random:{k}"] = random_graded_rep(q, rng, "left", fld, max_per_degree=1, max_degree=2)[0]
     return out
 
 

@@ -161,7 +161,7 @@ def test_minimalize_betti_numbers_match_ext_to_simples():
     rng = random.Random(15)
     for quiv in (TWO_CYCLE, KRONECKER):
         for _ in range(6):
-            m = random_graded_rep(quiv, rng, "left", Q)
+            m = random_graded_rep(quiv, rng, "left", Q)[0]
             if m.total_dim == 0:
                 continue
             mini = minimalize(standard_resolution(m))
@@ -179,8 +179,8 @@ def test_minimalize_betti_numbers_match_ext_to_simples():
 def test_ext0_is_hom():
     rng = random.Random(21)
     for _ in range(10):
-        m = random_graded_rep(TWO_CYCLE, rng, "left", Q)
-        n = random_graded_rep(TWO_CYCLE, rng, "left", Q)
+        m = random_graded_rep(TWO_CYCLE, rng, "left", Q)[0]
+        n = random_graded_rep(TWO_CYCLE, rng, "left", Q)[0]
         assert ext_fd(m, n, 0).total_dim == hom_dim(m, n)
 
 
@@ -337,7 +337,7 @@ def test_rational_part_finite_dimensional_is_everything():
     rng = random.Random(3)
     for quiv in (LOOP, TWO_CYCLE, THREE_CYCLE):
         for _ in range(4):
-            m = random_graded_rep(quiv, rng, "left", Q)
+            m = random_graded_rep(quiv, rng, "left", Q)[0]
             if m.total_dim == 0:
                 continue
             r = rational_part(presentation_of_rep(m), 12)
@@ -370,7 +370,7 @@ def test_hom_into_C_random_phi():
     rng = random.Random(17)
     for quiv in (LOOP, TWO_CYCLE):
         for _ in range(5):
-            m = random_graded_rep(quiv, rng, "left", Q)
+            m = random_graded_rep(quiv, rng, "left", Q)[0]
             if m.total_dim == 0:
                 continue
             report = hom_into_C(presentation_of_rep(m), 8)
@@ -387,7 +387,7 @@ def test_dual_resolution_exactness():
         trial = 0
         while checked < 5 and trial < 20:
             trial += 1
-            m = random_graded_rep(quiv, rng, "left", Q)
+            m = random_graded_rep(quiv, rng, "left", Q)[0]
             if m.total_dim == 0:
                 continue
             result = dual_resolution_check(presentation_of_rep(m), 12, 6)
@@ -430,7 +430,7 @@ def test_hom_into_C_and_rational_part_build_no_whole_degree_matrix(monkeypatch):
 
     monkeypatch.setattr(homology, "_label_columns", per_vertex_only)
     modules = [uniserial(LOOP, 0, 3, "left", Q), uniserial(TWO_CYCLE, 0, 3, "left", Q),
-               simple(KRONECKER, 0, "left", Q), random_graded_rep(THREE_CYCLE, random.Random(23), "left", Q)]
+               simple(KRONECKER, 0, "left", Q), random_graded_rep(THREE_CYCLE, random.Random(23), "left", Q)[0]]
     for m in modules:
         pres = presentation_of_rep(m)
         assert hom_into_C(pres, 8).total_dim == m.total_dim
@@ -658,8 +658,8 @@ def test_ext1_agrees_with_resolution_route():
     rng = random.Random(12)
     for quiv in (LOOP, TWO_CYCLE, KRONECKER):
         for _ in range(8):
-            m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)
-            n = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)
+            m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)[0]
+            n = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)[0]
             assert ext_fd(m, n, 1).total_dim == ext1_via_presentation(m, n)
 
 
@@ -811,8 +811,8 @@ def test_engine_built_matrices_hold_normalized_scalars(monkeypatch):
     rng = random.Random(12)
     for fld in (Q, Field(7), Field(2147483647)):
         for quiv in (TWO_CYCLE, KRONECKER):
-            m = random_graded_rep(quiv, rng, "left", fld)
-            n = random_graded_rep(quiv, rng, "left", fld)
+            m = random_graded_rep(quiv, rng, "left", fld)[0]
+            n = random_graded_rep(quiv, rng, "left", fld)[0]
             built.append(commutation_matrix(m, n))
             built.extend(comp for mor in hom_space(m, n) for comp in mor)
             built.extend(truncated_free_rep(quiv, 0, 3, "left", fld).maps)
@@ -1100,7 +1100,7 @@ def test_hom_dual_model_matches_reference_ext_blocks(name):
     compared = 0
     for fld in (Q, Field(2147483647)):
         modules = [simple(quiv, v, "left", fld) for v in quiv.vertices]
-        modules += [random_graded_rep(quiv, rng, "left", fld, max_per_degree=1, max_degree=2) for _ in range(2)]
+        modules += [random_graded_rep(quiv, rng, "left", fld, max_per_degree=1, max_degree=2)[0] for _ in range(2)]
         for m in modules:
             if m.total_dim == 0:
                 continue
@@ -1130,7 +1130,7 @@ def test_ext_vs_algebra_rep_on_parallel_paths_is_the_reference_rep():
     quiv = parse_quiver(DOUBLE_PATHS)[0]
     rng = random.Random(37)
     modules = [simple(quiv, v, "left", Q) for v in quiv.vertices]
-    modules += [random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2) for _ in range(3)]
+    modules += [random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)[0] for _ in range(3)]
     for m in modules:
         if m.total_dim == 0:
             continue
@@ -1335,7 +1335,7 @@ def _counted_dimension_presentations() -> list:
         table = enumerate_paths(quiv, 6)
         out += [_hom_dual(_stage_presentation(quiv, u, m, Q, table)) for u in quiv.vertices for m in range(1, 7)]
         for _ in range(3):
-            out.append(_hom_dual(presentation_of_rep(random_graded_rep(quiv, rng, "left", Q))))
+            out.append(_hom_dual(presentation_of_rep(random_graded_rep(quiv, rng, "left", Q)[0])))
             pres = random_presentation(quiv, rng, Q)
             out += [pres, _hom_dual(pres)]
     return out
@@ -1387,7 +1387,7 @@ def test_a_dimension_only_pass_builds_no_block_and_no_reduced_form(monkeypatch):
 
     presentations = _counted_dimension_presentations()
     rng = random.Random(17)
-    modules = [random_graded_rep(THREE_CYCLE, rng, "left", Q) for _ in range(3)]
+    modules = [random_graded_rep(THREE_CYCLE, rng, "left", Q)[0] for _ in range(3)]
     modules = [(m, ext_model(presentation_of_rep(m), 10)) for m in modules if m.total_dim]
     builds = []
     real_block = PresentationModel.block

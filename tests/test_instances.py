@@ -141,7 +141,7 @@ def test_functor_values_as_module_structures():
                             tuple(Q.one for _ in quiv.arrows))
         done = 0
         while done < 3:
-            m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)
+            m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)[0]
             if m.total_dim == 0:
                 continue
             dual = linear_dual(m)
@@ -218,7 +218,7 @@ def test_grading_across_mixed_components():
 
     rng = random.Random(61)
     for _ in range(6):
-        m = random_graded_rep(LOOP_PLUS_TWO_CYCLE, rng, "left", Q)
+        m = random_graded_rep(LOOP_PLUS_TWO_CYCLE, rng, "left", Q)[0]
         g, degs = graded_form(m)
         assert_isomorphic(g, m)
 
@@ -233,8 +233,8 @@ def test_twist_preserves_ext_dimensions():
     TWO = parse_quiver("vertices: 2\narrow x 1 2\narrow y 2 1\n")[0]
     rng = random.Random(62)
     for _ in range(10):
-        m = random_graded_rep(TWO, rng, "left", Q, max_per_degree=1, max_degree=2)
-        n = random_graded_rep(TWO, rng, "left", Q, max_per_degree=1, max_degree=2)
+        m = random_graded_rep(TWO, rng, "left", Q, max_per_degree=1, max_degree=2)[0]
+        n = random_graded_rep(TWO, rng, "left", Q, max_per_degree=1, max_degree=2)[0]
         for i in (0, 1):
             assert (ext_fd(m, n, i).total_dim
                     == ext_fd(twist(m, swap), twist(n, swap), i).total_dim)

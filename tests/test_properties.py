@@ -51,8 +51,8 @@ def test_euler_form_identity(name):
     quiv = QUIVERS[name]
     rng = random.Random(zlib.crc32(repr(("euler", name)).encode()))
     for _ in range(CASES):
-        m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=3)
-        n = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=3)
+        m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=3)[0]
+        n = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=3)[0]
         assert hom_dim(m, n) - ext_fd(m, n, 1).total_dim == euler_pairing(m, n)
         hom, ext1 = hom_ext1_dims(m, n)
         assert ext1 == ext1_via_presentation(m, n)
@@ -102,8 +102,8 @@ def test_duality_involution_hom_dims(name):
     quiv = QUIVERS[name]
     rng = random.Random(zlib.crc32(repr(("dual", name)).encode()))
     for _ in range(CASES):
-        m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=3)
-        n = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=3)
+        m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=3)[0]
+        n = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=3)[0]
         assert hom_dim(m, n) == hom_dim(linear_dual(n), linear_dual(m))
 
 
@@ -112,7 +112,7 @@ def test_double_dual_complex_roundtrip(name):
     quiv = QUIVERS[name]
     rng = random.Random(zlib.crc32(repr(("dd", name)).encode()))
     for _ in range(CASES):
-        m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)
+        m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)[0]
         dual = linear_dual(m)
         dd = linear_dual(dual)
         assert dd.side == m.side and dd.dims == m.dims and dd.maps == m.maps
@@ -125,7 +125,7 @@ def test_phi_check_through_degree_six(name):
     rng = random.Random(zlib.crc32(repr(("phi", name)).encode()))
     done = 0
     while done < CASES:
-        m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)
+        m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)[0]
         if m.total_dim == 0:
             continue
         g, degrees = graded_form(m)
@@ -160,8 +160,8 @@ def test_double_dual_two_term_complexes(name):
     attempts = 0
     while built < CASES and attempts < CASES * 4:
         attempts += 1
-        m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)
-        n = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)
+        m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)[0]
+        n = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)[0]
         morphisms = hom_space(m, n)
         if not morphisms:
             continue
@@ -193,7 +193,7 @@ def test_presentation_functor_finality(name):
     rng = _random.Random(zlib.crc32(repr(("final", name)).encode()))
     done = 0
     while done < 10:
-        m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)
+        m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=1, max_degree=2)[0]
         if m.total_dim == 0:
             continue
         pres = presentation_of_rep(m)

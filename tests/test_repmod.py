@@ -146,8 +146,8 @@ def test_hom_dim_counts_hom_space(fld):
     rng = random.Random(47)
     for quiv in (LOOP, TWO_CYCLE, KRONECKER, THREE_CYCLE):
         for _ in range(6):
-            m = random_graded_rep(quiv, rng, "left", fld)
-            n = random_graded_rep(quiv, rng, "left", fld)
+            m = random_graded_rep(quiv, rng, "left", fld)[0]
+            n = random_graded_rep(quiv, rng, "left", fld)[0]
             for a, b in ((m, n), (n, m), (m, m), (linear_dual(n), linear_dual(m))):
                 assert hom_dim(a, b) == len(hom_space(a, b))
     with pytest.raises(ValueError):
@@ -160,8 +160,8 @@ def test_dual_involution_and_hom_dims():
     rng = random.Random(31)
     for quiv in (LOOP, TWO_CYCLE):
         for _ in range(10):
-            m = random_graded_rep(quiv, rng, "left", Q)
-            n = random_graded_rep(quiv, rng, "left", Q)
+            m = random_graded_rep(quiv, rng, "left", Q)[0]
+            n = random_graded_rep(quiv, rng, "left", Q)[0]
             assert hom_dim(m, n) == hom_dim(linear_dual(n), linear_dual(m))
             dd = linear_dual(linear_dual(m))
             assert dd.side == m.side and dd.dims == m.dims
@@ -202,8 +202,8 @@ def test_twist_preserves_hom_dims():
     swap = VertexTwist((1, 0), (1, 0), (1, -1))
     rng = random.Random(8)
     for _ in range(8):
-        m = random_graded_rep(TWO_CYCLE, rng, "left", Q)
-        n = random_graded_rep(TWO_CYCLE, rng, "left", Q)
+        m = random_graded_rep(TWO_CYCLE, rng, "left", Q)[0]
+        n = random_graded_rep(TWO_CYCLE, rng, "left", Q)[0]
         assert hom_dim(m, n) == hom_dim(twist(m, swap), twist(n, swap))
 
 
@@ -211,7 +211,7 @@ def test_twist_inverse_roundtrip():
     swap = VertexTwist((1, 0), (1, 0), (3, 5))
     inv = twist_inverse(swap, Q)
     rng = random.Random(9)
-    m = random_graded_rep(TWO_CYCLE, rng, "left", Q)
+    m = random_graded_rep(TWO_CYCLE, rng, "left", Q)[0]
     assert_isomorphic(twist(twist(m, swap), inv), m)
 
 
@@ -249,20 +249,10 @@ def test_grading_uniserial():
     assert sorted(degs[0]) == [0, 1, 2, 3]
 
 
-def test_graded_form_random_cycles():
-    rng = random.Random(70)
-    for quiv in (LOOP, TWO_CYCLE, THREE_CYCLE):
-        for _ in range(10):
-            m = random_graded_rep(quiv, rng, "left", Q)
-            g, degs = graded_form(m)
-            assert g.dims == m.dims
-            assert_isomorphic(g, m)
-
-
 def test_graded_form_level_quiver():
     rng = random.Random(71)
     for _ in range(8):
-        m = random_graded_rep(KRONECKER, rng, "left", Q)
+        m = random_graded_rep(KRONECKER, rng, "left", Q)[0]
         g, degs = graded_form(m)
         assert g.dims == m.dims
 
@@ -405,7 +395,7 @@ def test_nil_bound_matches_dense_oracle_on_graded_reps_and_duals():
         for quiv in NIL_QUIVERS:
             for side in ("left", "right"):
                 for _ in range(4):
-                    rep = random_graded_rep(quiv, rng, side, fld)
+                    rep = random_graded_rep(quiv, rng, side, fld)[0]
                     reps = [rep, linear_dual(rep)]
                     try:
                         graded = graded_form(rep)[0]
@@ -488,8 +478,8 @@ def test_commutation_matrix_matches_dense_reference():
         for quiv in NIL_QUIVERS:
             for side in ("left", "right"):
                 for _ in range(4):
-                    m = random_graded_rep(quiv, rng, side, fld)
-                    n = random_graded_rep(quiv, rng, side, fld)
+                    m = random_graded_rep(quiv, rng, side, fld)[0]
+                    n = random_graded_rep(quiv, rng, side, fld)[0]
                     for a, b in ((m, n), (m, m), (linear_dual(n), linear_dual(m))):
                         want = dense_commutation_matrix(a, b)
                         got = commutation_matrix(a, b).entries
@@ -580,7 +570,7 @@ def test_random_graded_rep_shortcuts_match_the_general_routes(monkeypatch):
         for quiv in quivers:
             for side in ("left", "right"):
                 for _ in range(8):
-                    m = random_graded_rep(quiv, rng, side, fld)
+                    m = random_graded_rep(quiv, rng, side, fld)[0]
                     assert m.nil_bound == _nil_bound(Rep(quiv, side, fld, m.dims, m.maps))
                     bounds.add(m.nil_bound)
     assert len(quivers) == 6 and bounds >= {0, 1, 2, 3}
@@ -741,7 +731,7 @@ def test_chain_basis_equals_the_per_candidate_search():
         for quiv in (LOOP, TWO_CYCLE, THREE_CYCLE, TWO_DISJOINT_CYCLES):
             for side in ("left", "right"):
                 for _ in range(8):
-                    assert not isinstance(_same_grading(random_graded_rep(quiv, rng, side, fld)), str)
+                    assert not isinstance(_same_grading(random_graded_rep(quiv, rng, side, fld)[0]), str)
 
 
 def test_chain_basis_where_parallel_loops_cancel_in_the_total_operator():
@@ -756,7 +746,7 @@ def test_chain_basis_where_parallel_loops_cancel_in_the_total_operator():
         graded_form(m)
     rng = random.Random(1619)
     for _ in range(10):
-        _same_grading(random_graded_rep(two_loops, rng, "left", Q))
+        _same_grading(random_graded_rep(two_loops, rng, "left", Q)[0])
 
 
 def test_chain_basis_on_a_loop_with_a_tail_fails_where_the_search_failed():
@@ -765,12 +755,78 @@ def test_chain_basis_on_a_loop_with_a_tail_fails_where_the_search_failed():
     refused = 0
     for fld in CHAIN_FIELDS:
         for _ in range(30):
-            m = random_graded_rep(LOOP_WITH_TAIL, rng, "left", fld)
+            m = random_graded_rep(LOOP_WITH_TAIL, rng, "left", fld)[0]
             outcome = _same_grading(m)
             if isinstance(outcome, str):
                 assert outcome == "chain vector not fiber-homogeneous"
                 refused += 1
     assert 0 < refused < 60
+
+
+class RecordingRandom(random.Random):
+    """A Random that keeps the bounds and the result of each randint call."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = []
+
+    def randint(self, a, b):
+        x = super().randint(a, b)
+        self.draws.append(((a, b), x))
+        return x
+
+
+# the in-scope shapes: no arrow, cycles, a disjoint union of cycles, acyclic
+GRADED_QUIVERS = (NO_ARROW, LOOP, TWO_CYCLE, THREE_CYCLE, TWO_DISJOINT_CYCLES, KRONECKER, A3)
+LEVEL_QUIVERS = (NO_ARROW, KRONECKER, A3)
+
+
+def test_graded_form_random_cycles():
+    """random_graded_rep draws the fiber sizes degree by degree, the arrow
+    entries, then the strictly upper entries of each fiber's unitriangular
+    conjugation, in that order.  Its graded Rep is homogeneous of degree +1
+    in the degrees it returns: graded_form's on a quiver with a level
+    function, elsewhere degree 0 on a basis vector no nonzero entry touches
+    (a simple summand, where a chain grading puts it).  Its conjugate is
+    conj^-1 graded conj, and graded_form still finds a grading of a module
+    isomorphic to it."""
+    rng = RecordingRandom(70)
+    for quiv in GRADED_QUIVERS:
+        for fld in CHAIN_FIELDS:
+            for side in ("left", "right"):
+                for _ in range(6):
+                    rng.draws.clear()
+                    rep, graded, degrees = random_graded_rep(quiv, rng, side, fld)
+                    bounds = [b for b, _ in rng.draws]
+                    # one size per vertex and degree 0..3 (the default max_degree)
+                    sizes, uppers = 4 * quiv.vertex_count, sum(n * (n - 1) // 2 for n in rep.dims)
+                    entries = len(bounds) - sizes - uppers
+                    assert bounds == [(0, 2)] * sizes + [(-2, 2)] * entries + [(-1, 1)] * uppers
+                    assert rep.dims == graded.dims and rep.nil_bound == graded.nil_bound
+                    _verify_grading(graded, degrees)
+                    if quiv in LEVEL_QUIVERS:
+                        assert degrees == graded_form(rep)[1]
+                    else:
+                        touched = set()
+                        for ai, a in enumerate(quiv.arrows):
+                            dom, cod = arrow_ends(side, a)
+                            for r, row in enumerate(graded.maps[ai].entries):
+                                touched |= {pair for c, x in enumerate(row) if x for pair in ((dom, c), (cod, r))}
+                        assert all(d == 0 for v, fiber in enumerate(degrees)
+                                   for i, d in enumerate(fiber) if (v, i) not in touched)
+                    drawn = iter(x for _, x in rng.draws[sizes + entries:])
+                    conj = [Matrix(fld, [[1 if i == j else next(drawn) if i < j else 0 for j in range(n)]
+                                         for i in range(n)], cols=n) for n in rep.dims]
+                    for ai, a in enumerate(quiv.arrows):
+                        dom, cod = arrow_ends(side, a)
+                        if rep.dims[cod] and rep.dims[dom]:
+                            assert rep.maps[ai] == inverse(conj[cod]) * graded.maps[ai] * conj[dom]
+                        else:
+                            assert rep.maps[ai] == graded.maps[ai]
+                    g, degs = graded_form(rep)
+                    assert g.dims == rep.dims
+                    _verify_grading(g, degs)
+                    assert_isomorphic(g, rep)
 
 
 def test_chain_basis_eliminates_once_per_power_and_inverts_once_per_fiber(monkeypatch):
@@ -798,7 +854,7 @@ def test_chain_basis_eliminates_once_per_power_and_inverts_once_per_fiber(monkey
     rng = random.Random(1618)
     for quiv in (LOOP, TWO_CYCLE, THREE_CYCLE, TWO_DISJOINT_CYCLES):
         for _ in range(6):
-            m = random_graded_rep(quiv, rng, "left", Q)
+            m = random_graded_rep(quiv, rng, "left", Q)[0]
             kernels.clear()
             inverses.clear()
             graded_form(m)
@@ -840,7 +896,7 @@ def test_hom_and_ext1_share_one_rank():
     rng = random.Random(19)
     for quiv in (LOOP, KRONECKER, THREE_CYCLE):
         for _ in range(4):
-            m, n = (random_graded_rep(quiv, rng, "left", Q) for _ in range(2))
+            m, n = (random_graded_rep(quiv, rng, "left", Q)[0] for _ in range(2))
             c = commutation_matrix(m, n)
             assert hom_ext1_dims(m, n) == (c.cols - rank(c), c.rows - rank(c))
             assert hom_ext1_dims(m, n)[0] == hom_dim(m, n) == len(hom_space(m, n))

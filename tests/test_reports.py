@@ -37,9 +37,9 @@ def _roundtrips(payload):
 
 def test_all_reports_serialize():
     rng = random.Random(4)
-    m = random_graded_rep(TWO_CYCLE, rng, "left", Q, max_per_degree=1, max_degree=2)
+    m = random_graded_rep(TWO_CYCLE, rng, "left", Q, max_per_degree=1, max_degree=2)[0]
     while m.total_dim == 0:
-        m = random_graded_rep(TWO_CYCLE, rng, "left", Q, max_per_degree=1, max_degree=2)
+        m = random_graded_rep(TWO_CYCLE, rng, "left", Q, max_per_degree=1, max_degree=2)[0]
     s = simple(TWO_CYCLE, 0, "left", Q)
     payloads = [
         growth_gate(TWO_CYCLE).describe(),

@@ -25,8 +25,8 @@ def test_larger_modules_cross_checks():
     for quiv in QUIVERS:
         done = 0
         while done < 4:
-            m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=2, max_degree=4)
-            n = random_graded_rep(quiv, rng, "left", Q, max_per_degree=2, max_degree=4)
+            m = random_graded_rep(quiv, rng, "left", Q, max_per_degree=2, max_degree=4)[0]
+            n = random_graded_rep(quiv, rng, "left", Q, max_per_degree=2, max_degree=4)[0]
             if m.total_dim == 0 or n.total_dim == 0:
                 continue
             assert hom_dim(m, n) - ext_fd(m, n, 1).total_dim == euler_pairing(m, n)
